@@ -48,7 +48,6 @@ from .model import (
     InfeasibleScheduleError,
     Instance,
     Job,
-    Rational,
     Schedule,
     Server,
     Violation,

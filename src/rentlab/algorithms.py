@@ -21,7 +21,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import Instance, Schedule, Server, load, validate
+from .model import Instance, Schedule, Server, validate
 
 
 @dataclass(frozen=True)

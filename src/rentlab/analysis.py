@@ -10,6 +10,8 @@ Three independent certifying mechanisms live here:
   pairwise inequalities force utilization to stay near 2/3 of cost;
 * the multiplier sequences describing how much new size a chain of
   just-fitting arrivals can add, with matching recurrence and closed form.
+
+``SUITES`` holds the verification suites behind ``rentlab verify``.
 """
 
 from __future__ import annotations
@@ -21,16 +23,25 @@ from typing import Optional
 
 import random
 
-from .algorithms import AlgorithmTrace, first_fit
-from .generators import random_two_arrival
+from .algorithms import AlgorithmTrace, first_fit, next_fit, server_type_partition
+from .generators import (
+    ggu_extended,
+    long_uniform,
+    random_equal_duration,
+    random_two_arrival,
+)
 from .model import (
+    Instance,
     Schedule,
+    active_count,
     as_rational,
     cost,
+    event_times,
     format_rational,
+    scale_time,
     utilization,
 )
-from .optimal import verify_certificate
+from .optimal import active_ceil_bound, brute_force_opt, verify_certificate
 
 T_MIN = Fraction(1, 28)
 
@@ -214,13 +225,26 @@ class WeightReport:
     item_total: Fraction
 
     @property
+    def failure(self) -> Optional[str]:
+        """The first broken rule of the ledger, or None when all hold."""
+        if len(self.ff_violations) > self.ignored_budget:
+            return (
+                f"{len(self.ff_violations)} servers below weight 1+t "
+                f"(budget {self.ignored_budget})"
+            )
+        for chk in self.opt_checks:
+            if not chk.ok:
+                return (
+                    f"reference server {chk.server_id} weight "
+                    f"{format_rational(chk.weight)} exceeds {format_rational(chk.bound)}"
+                )
+        if self.ff_total != self.item_total or self.opt_total != self.item_total:
+            return "weight totals do not balance"
+        return None
+
+    @property
     def passed(self) -> bool:
-        return (
-            len(self.ff_violations) <= self.ignored_budget
-            and all(chk.ok for chk in self.opt_checks)
-            and self.ff_total == self.item_total
-            and self.opt_total == self.item_total
-        )
+        return self.failure is None
 
 
 def verify_weights(trace: AlgorithmTrace, opt_schedule: Schedule, t) -> WeightReport:
@@ -433,7 +457,7 @@ def multiplier_sequences(n: int) -> MultiplierSequences:
     if sums != recur:
         raise RuntimeError("partial sums disagree with their recurrence")
     closed = [
-        (6 * j + Fraction(-1, 2) ** j - 4 * Fraction(-1) ** (2 * j) + 12) / 9
+        (6 * j + 8 + Fraction(-1, 2) ** j) / 9
         for j in range(n + 1)
     ]
     return MultiplierSequences(
@@ -511,3 +535,160 @@ def ratio_report(alg_cost, reference_cost, kind: str) -> RatioReport:
         raise ValueError("reference cost must be positive")
     relation = {"exact-opt": "=", "certificate-upper": ">=", "lower-bound": "<="}[kind]
     return RatioReport(value=alg_cost / reference_cost, kind=kind, relation=relation)
+
+
+# ---------------------------------------------------------------------------
+# Verification suites.  Each is deterministic in its arguments, whose
+# defaults are the settings `rentlab verify` runs without flags.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SuiteResult:
+    """A suite's verdict.
+
+    details echo the settings, or locate the failure; counterexample is an
+    Instance that deterministically re-fails the check, or None.
+    """
+
+    passed: bool
+    details: dict
+    counterexample: Optional[Instance] = None
+
+
+def _check_max_jobs(max_jobs: int, least: int) -> None:
+    if max_jobs < least:
+        raise ValueError(f"max_jobs must be at least {least}, got {max_jobs}")
+
+
+def suite_recurrence(n: int = 200) -> SuiteResult:
+    """Partial sums of the multipliers agree with their closed form up to n."""
+    seqs = multiplier_sequences(n)
+    agree = seqs.partial_sums == seqs.closed_form
+    details = {
+        "n": n,
+        "closed_form_matches": agree,
+        "last_term": format_rational(seqs.partial_sums[-1]),
+    }
+    return SuiteResult(agree, details)
+
+
+def suite_nextfit_2t(
+    trials: int = 500, max_jobs: int = 40, seed: int = 20240601
+) -> SuiteResult:
+    """NextFit stays within twice the arrival ceiling at every event time."""
+    _check_max_jobs(max_jobs, 1)
+    for trial in range(trials):
+        trial_seed = seed * 1_000_003 + trial
+        n = random.Random(trial_seed).randint(1, max_jobs)
+        instance = random_equal_duration(n=n, seed=trial_seed)
+        trace = next_fit(instance)
+        for tau in event_times(instance):
+            bound = active_ceil_bound(instance, tau)
+            got = active_count(trace.schedule, tau)
+            if got > 2 * bound:
+                details = {
+                    "trial": trial,
+                    "seed": trial_seed,
+                    "time": format_rational(tau),
+                    "active": got,
+                    "arrival_ceiling": bound,
+                }
+                return SuiteResult(False, details, instance)
+    return SuiteResult(True, {"trials": trials, "max_jobs": max_jobs, "seed": seed})
+
+
+def _strict_ff_2_failure(instance: Instance, max_jobs: int) -> Optional[str]:
+    trace = first_fit(instance)
+    ff_cost = cost(trace.schedule)
+    opt = brute_force_opt(instance, max_jobs=max_jobs)
+    if ff_cost > 2 * opt.cost:
+        return (
+            f"firstfit cost {format_rational(ff_cost)} exceeds twice the "
+            f"optimum {format_rational(opt.cost)}"
+        )
+    part = server_type_partition(trace)
+    k1, k2, k3 = part.counts
+    if ff_cost != 2 * k1 + 3 * k2 + 2 * k3:
+        return "cost does not decompose as 2*k1 + 3*k2 + 2*k3"
+    if k1 >= 2 and not 2 * part.start0_mass_type1 > k1:
+        return "type-1 first-arrival mass fails 2*A > k"
+    if k2 >= 2 and not 2 * part.start0_mass_type2 > k2:
+        return "type-2 first-arrival mass fails 2*A > k"
+    return None
+
+
+def suite_strict_ff_2(
+    trials: int = 500, max_jobs: int = 8, seed: int = 7
+) -> SuiteResult:
+    """FirstFit stays within twice the optimum, arrivals {0, 1}, duration 2.
+
+    Also checks the server-type cost split and both mass inequalities 2*A > k.
+    """
+    _check_max_jobs(max_jobs, 2)
+    for trial in range(trials):
+        trial_seed = seed * 1_000_003 + trial
+        n = random.Random(trial_seed).randint(2, max_jobs)
+        base = random_two_arrival(n=n, t=Fraction(1, 2), seed=trial_seed, size_grid=12)
+        instance = scale_time(base, 2)  # duration 2, arrivals {0, 1}
+        reason = _strict_ff_2_failure(instance, max_jobs)
+        if reason is not None:
+            details = {"trial": trial, "seed": trial_seed, "reason": reason}
+            return SuiteResult(False, details, instance)
+    return SuiteResult(True, {"trials": trials, "max_jobs": max_jobs, "seed": seed})
+
+
+_WEIGHT_T_VALUES = (Fraction(1, 28), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+
+
+def suite_weights(trials: int = 200, seed: int = 104729) -> SuiteResult:
+    """The weight ledger holds on ggu(6, 1/2) and on sampled uniform instances."""
+    instance, certificate = ggu_extended(6, Fraction(1, 2))
+    trace = first_fit(instance)
+    reason = verify_weights(trace, certificate, Fraction(1, 2)).failure
+    if reason is not None:
+        return SuiteResult(False, {"case": "ggu k=6 t=1/2", "reason": reason}, instance)
+    for trial in range(trials):
+        t = _WEIGHT_T_VALUES[trial % len(_WEIGHT_T_VALUES)]
+        instance, trace, used_seed = find_uniform_two_arrival(
+            t, seed * 1_000_003 + trial * 10_007
+        )
+        opt = brute_force_opt(instance, max_jobs=8)
+        reason = verify_weights(trace, opt.schedule, t).failure
+        if reason is not None:
+            details = {
+                "trial": trial,
+                "seed": used_seed,
+                "t": format_rational(t),
+                "reason": reason,
+            }
+            return SuiteResult(False, details, instance)
+    return SuiteResult(True, {"trials": trials, "seed": seed})
+
+
+def suite_layers() -> SuiteResult:
+    """Layer inequalities and exact utilization/cost on long_uniform(k, l)."""
+    for k in (2, 4, 8):
+        for level_count in (2, 4, 10):
+            instance = long_uniform(k, level_count)
+            trace = first_fit(instance)
+            profile = layer_profile(trace, k, level_count)
+            failures = check_layer_inequalities(profile, k)
+            bound = util_ratio_bound(trace, k, level_count)
+            expected = Fraction(2, 3) + Fraction(1, k * (level_count + 2))
+            if bound.ratio != expected:
+                failures.append("utilization/cost misses its exact value")
+            if not bound.passed:
+                failures.append("utilization/cost not above its floor")
+            if failures:
+                details = {"k": k, "l": level_count, "failures": failures}
+                return SuiteResult(False, details, instance)
+    return SuiteResult(True, {"k": [2, 4, 8], "l": [2, 4, 10]})
+
+
+SUITES = {
+    "nextfit-2t": suite_nextfit_2t,
+    "strict-ff-2": suite_strict_ff_2,
+    "weights": suite_weights,
+    "layers": suite_layers,
+    "recurrence": suite_recurrence,
+}

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
 from fractions import Fraction
+from inspect import signature
 from pathlib import Path
 
 from . import analysis, generators
-from .algorithms import first_fit, next_fit, server_type_partition
+from .algorithms import first_fit, next_fit
 from .model import (
     InfeasibleScheduleError,
     Instance,
@@ -28,32 +28,18 @@ from .model import (
     mu,
     parse_rational,
     read_instance,
-    scale_time,
     span,
     utilization,
     validate,
     write_instance,
     write_schedule,
 )
-from .optimal import active_ceil_bound, brute_force_opt
+from .optimal import brute_force_opt
 
 _ALGORITHMS = {"nextfit": next_fit, "firstfit": first_fit}
 
-_REQUIRED_PARAMS = {
-    "ggu": ("k", "t"),
-    "long-uniform": ("k", "l"),
-    "nf-nemesis": ("N",),
-    "random-two-arrival": ("n", "t", "seed"),
-    "random-equal-duration": ("n", "seed"),
-}
-
-_SUITE_DEFAULTS = {
-    "nextfit-2t": {"trials": 500, "max_jobs": 40, "seed": 20240601},
-    "strict-ff-2": {"trials": 500, "max_jobs": 8, "seed": 7},
-    "weights": {"trials": 200, "seed": 104729},
-    "layers": {},
-    "recurrence": {"n": 200},
-}
+# verify flags, each passed on only to suites whose function takes it
+_SUITE_FLAGS = ("trials", "seed", "max_jobs", "n")
 
 
 def _emit(report: dict, out_path) -> None:
@@ -80,7 +66,7 @@ def _instance_digest(instance: Instance) -> dict:
 
 def cmd_gen(args) -> int:
     missing = [
-        p for p in _REQUIRED_PARAMS[args.family] if getattr(args, p, None) is None
+        p for p in generators.FAMILIES[args.family] if getattr(args, p, None) is None
     ]
     if missing:
         flags = ", ".join(f"--{p}" for p in missing)
@@ -183,174 +169,35 @@ def cmd_ratio(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# Verification suites.  Each returns (passed, details, counterexample or None);
-# a counterexample is an Instance that deterministically re-fails its check.
-# ---------------------------------------------------------------------------
-
-def _suite_recurrence(n: int):
-    seqs = analysis.multiplier_sequences(n)
-    agree = seqs.partial_sums == seqs.closed_form
-    details = {
-        "n": n,
-        "closed_form_matches": agree,
-        "last_term": format_rational(seqs.partial_sums[-1]),
-    }
-    return agree, details, None
-
-
-def _suite_nextfit_2t(trials: int, max_jobs: int, seed: int):
-    for trial in range(trials):
-        trial_seed = seed * 1_000_003 + trial
-        n = random.Random(trial_seed).randint(1, max_jobs)
-        instance = generators.random_equal_duration(n=n, seed=trial_seed)
-        trace = next_fit(instance)
-        for tau in event_times(instance):
-            bound = active_ceil_bound(instance, tau)
-            got = active_count(trace.schedule, tau)
-            if got > 2 * bound:
-                details = {
-                    "trial": trial,
-                    "seed": trial_seed,
-                    "time": format_rational(tau),
-                    "active": got,
-                    "arrival_ceiling": bound,
-                }
-                return False, details, instance
-    return True, {"trials": trials, "max_jobs": max_jobs, "seed": seed}, None
-
-
-def _suite_strict_ff_2(trials: int, max_jobs: int, seed: int):
-    for trial in range(trials):
-        trial_seed = seed * 1_000_003 + trial
-        n = random.Random(trial_seed).randint(2, max_jobs)
-        base = generators.random_two_arrival(
-            n=n, t=Fraction(1, 2), seed=trial_seed, size_grid=12
-        )
-        instance = scale_time(base, 2)  # duration 2, arrivals {0, 1}
-        trace = first_fit(instance)
-        ff_cost = cost(trace.schedule)
-        opt = brute_force_opt(instance, max_jobs=max_jobs)
-
-        def fail(reason: str):
-            return (
-                False,
-                {"trial": trial, "seed": trial_seed, "reason": reason},
-                instance,
-            )
-
-        if ff_cost > 2 * opt.cost:
-            return fail(
-                f"firstfit cost {format_rational(ff_cost)} exceeds twice the "
-                f"optimum {format_rational(opt.cost)}"
-            )
-        part = server_type_partition(trace)
-        k1, k2, k3 = part.counts
-        if ff_cost != 2 * k1 + 3 * k2 + 2 * k3:
-            return fail("cost does not decompose as 2*k1 + 3*k2 + 2*k3")
-        if k1 >= 2 and not 2 * part.start0_mass_type1 > k1:
-            return fail("type-1 first-arrival mass fails 2*A > k")
-        if k2 >= 2 and not 2 * part.start0_mass_type2 > k2:
-            return fail("type-2 first-arrival mass fails 2*A > k")
-    return True, {"trials": trials, "max_jobs": max_jobs, "seed": seed}, None
-
-
-_WEIGHT_T_VALUES = (Fraction(1, 28), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
-
-
-def _check_weight_report(report) -> str | None:
-    if len(report.ff_violations) > report.ignored_budget:
-        return (
-            f"{len(report.ff_violations)} servers below weight 1+t "
-            f"(budget {report.ignored_budget})"
-        )
-    for chk in report.opt_checks:
-        if not chk.ok:
-            return (
-                f"reference server {chk.server_id} weight "
-                f"{format_rational(chk.weight)} exceeds {format_rational(chk.bound)}"
-            )
-    if report.ff_total != report.item_total or report.opt_total != report.item_total:
-        return "weight totals do not balance"
-    return None
-
-
-def _suite_weights(trials: int, seed: int):
-    instance, certificate = generators.ggu_extended(6, Fraction(1, 2))
-    trace = first_fit(instance)
-    report = analysis.verify_weights(trace, certificate, Fraction(1, 2))
-    reason = _check_weight_report(report)
-    if reason is not None:
-        return False, {"case": "ggu k=6 t=1/2", "reason": reason}, instance
-    for trial in range(trials):
-        t = _WEIGHT_T_VALUES[trial % len(_WEIGHT_T_VALUES)]
-        instance, trace, used_seed = analysis.find_uniform_two_arrival(
-            t, seed * 1_000_003 + trial * 10_007
-        )
-        opt = brute_force_opt(instance, max_jobs=8)
-        report = analysis.verify_weights(trace, opt.schedule, t)
-        reason = _check_weight_report(report)
-        if reason is not None:
-            details = {
-                "trial": trial,
-                "seed": used_seed,
-                "t": format_rational(t),
-                "reason": reason,
-            }
-            return False, details, instance
-    return True, {"trials": trials, "seed": seed}, None
-
-
-def _suite_layers(_args=None):
-    for k in (2, 4, 8):
-        for level_count in (2, 4, 10):
-            instance = generators.long_uniform(k, level_count)
-            trace = first_fit(instance)
-            profile = analysis.layer_profile(trace, k, level_count)
-            failures = analysis.check_layer_inequalities(profile, k)
-            bound = analysis.util_ratio_bound(trace, k, level_count)
-            expected = Fraction(2, 3) + Fraction(1, k * (level_count + 2))
-            if bound.ratio != expected:
-                failures.append("utilization/cost misses its exact value")
-            if not bound.passed:
-                failures.append("utilization/cost not above its floor")
-            if failures:
-                details = {"k": k, "l": level_count, "failures": failures}
-                return False, details, instance
-    return True, {"k": [2, 4, 8], "l": [2, 4, 10]}, None
-
-
 def cmd_verify(args) -> int:
-    defaults = _SUITE_DEFAULTS[args.suite]
-    trials = args.trials if args.trials is not None else defaults.get("trials")
-    seed = args.seed if args.seed is not None else defaults.get("seed")
-    max_jobs = args.max_jobs if args.max_jobs is not None else defaults.get("max_jobs")
-    n = args.n if args.n is not None else defaults.get("n")
-    if args.suite == "recurrence":
-        passed, details, counterexample = _suite_recurrence(n)
-    elif args.suite == "nextfit-2t":
-        passed, details, counterexample = _suite_nextfit_2t(trials, max_jobs, seed)
-    elif args.suite == "strict-ff-2":
-        passed, details, counterexample = _suite_strict_ff_2(trials, max_jobs, seed)
-    elif args.suite == "weights":
-        passed, details, counterexample = _suite_weights(trials, seed)
-    else:
-        passed, details, counterexample = _suite_layers()
+    suite = analysis.SUITES[args.suite]
+    settings = {
+        name: getattr(args, name)
+        for name in _SUITE_FLAGS
+        if getattr(args, name) is not None
+    }
+    rejected = [name for name in settings if name not in signature(suite).parameters]
+    if rejected:
+        flags = ", ".join("--" + name.replace("_", "-") for name in rejected)
+        raise ValueError(f"suite {args.suite} does not take {flags}")
+    result = suite(**settings)
     report = {
         "command": "verify",
         "suite": args.suite,
-        "passed": passed,
-        "details": details,
+        "passed": result.passed,
+        "details": result.details,
     }
-    if not passed and counterexample is not None:
+    if not result.passed and result.counterexample is not None:
         dump_dir = Path(args.counterexample_dir)
         dump_dir.mkdir(parents=True, exist_ok=True)
         dump = dump_dir / f"counterexample-{args.suite}.jobs"
-        header = f"suite {args.suite} failed: " + json.dumps(details, sort_keys=True)
-        write_instance(dump, counterexample, header=header)
+        header = f"suite {args.suite} failed: " + json.dumps(
+            result.details, sort_keys=True
+        )
+        write_instance(dump, result.counterexample, header=header)
         report["counterexample"] = str(dump)
     _emit(report, args.out)
-    return 0 if passed else 1
+    return 0 if result.passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -394,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     opt.set_defaults(func=cmd_opt)
 
     verify = sub.add_parser("verify", help="run a verification suite")
-    verify.add_argument("--suite", required=True, choices=sorted(_SUITE_DEFAULTS))
+    verify.add_argument("--suite", required=True, choices=sorted(analysis.SUITES))
     verify.add_argument("--trials", type=int)
     verify.add_argument("--seed", type=int)
     verify.add_argument("--max-jobs", dest="max_jobs", type=int)

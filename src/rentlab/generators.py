@@ -198,13 +198,14 @@ def random_equal_duration(
     return Instance(tuple(Job(size, start, start + 1) for start, size in drawn))
 
 
-FAMILIES = (
-    "ggu",
-    "long-uniform",
-    "nf-nemesis",
-    "random-two-arrival",
-    "random-equal-duration",
-)
+# Every family GeneratorSpec builds, with the parameters it requires.
+FAMILIES = {
+    "ggu": ("k", "t"),
+    "long-uniform": ("k", "l"),
+    "nf-nemesis": ("N",),
+    "random-two-arrival": ("n", "t", "seed"),
+    "random-equal-duration": ("n", "seed"),
+}
 
 
 @dataclass(frozen=True)
@@ -219,7 +220,14 @@ class GeneratorSpec:
     parameters: dict
 
     def build(self) -> tuple[Instance, Optional[Schedule]]:
+        if self.family not in FAMILIES:
+            raise ValueError(
+                f"unknown family {self.family!r}; choose from {tuple(FAMILIES)}"
+            )
         p = self.parameters
+        missing = [name for name in FAMILIES[self.family] if name not in p]
+        if missing:
+            raise ValueError(f"family {self.family} requires {', '.join(missing)}")
         if self.family == "ggu":
             instance, certificate = ggu_extended(
                 k=p["k"], t=p["t"], delta=p.get("delta")
@@ -239,15 +247,13 @@ class GeneratorSpec:
                 ),
                 None,
             )
-        if self.family == "random-equal-duration":
-            return (
-                random_equal_duration(
-                    n=p["n"],
-                    seed=p["seed"],
-                    size_grid=p.get("size_grid", 8),
-                    start_grid=p.get("start_grid", 4),
-                    horizon=p.get("horizon", 3),
-                ),
-                None,
-            )
-        raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
+        return (
+            random_equal_duration(
+                n=p["n"],
+                seed=p["seed"],
+                size_grid=p.get("size_grid", 8),
+                start_grid=p.get("start_grid", 4),
+                horizon=p.get("horizon", 3),
+            ),
+            None,
+        )

@@ -25,8 +25,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
-
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 

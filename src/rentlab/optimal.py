@@ -51,7 +51,7 @@ def lower_bounds(instance: Instance) -> tuple[Fraction, Fraction]:
 class _Group:
     __slots__ = ("indices", "members", "max_finish")
 
-    def __init__(self, index: int, start: Fraction, finish: Fraction, size: Fraction):
+    def __init__(self, index: int, finish: Fraction, size: Fraction):
         self.indices = [index]
         self.members: list[tuple[Fraction, Fraction]] = [(finish, size)]
         self.max_finish = finish
@@ -117,7 +117,7 @@ def brute_force_opt(instance: Instance, max_jobs: int = 10) -> OptResult:
                     return
         grown = acc + jb.duration
         if best_cost is None or grown < best_cost:
-            groups.append(_Group(i, jb.start, jb.finish, jb.size))
+            groups.append(_Group(i, jb.finish, jb.size))
             descend(i + 1, grown)
             groups.pop()
 

@@ -5,37 +5,13 @@ live; pytest shows them on failure regardless).  All comparisons are exact
 rational arithmetic; the stated wall-clock budgets are asserted too.
 """
 
-import random
 import time
 from fractions import Fraction
 
-from rentlab import (
-    active_count,
-    cost,
-    event_times,
-    first_fit,
-    next_fit,
-    scale_time,
-    utilization,
-)
-from rentlab.algorithms import server_type_partition
-from rentlab.analysis import (
-    IGNORED_BUDGET,
-    check_layer_inequalities,
-    find_uniform_two_arrival,
-    layer_profile,
-    multiplier_sequences,
-    util_ratio_bound,
-    verify_weights,
-)
-from rentlab.generators import (
-    ggu_extended,
-    long_uniform,
-    nf_nemesis,
-    random_equal_duration,
-    random_two_arrival,
-)
-from rentlab.optimal import active_ceil_bound, brute_force_opt, verify_certificate
+from rentlab import cost, first_fit, next_fit
+from rentlab.analysis import SUITES, multiplier_sequences, util_ratio_bound
+from rentlab.generators import ggu_extended, long_uniform, nf_nemesis
+from rentlab.optimal import brute_force_opt, verify_certificate
 
 
 F = Fraction
@@ -91,17 +67,9 @@ def test_criterion_2_adversarial_server_structure():
 def test_criterion_3_nextfit_tracks_arrival_ceiling():
     trials, max_jobs, seed = 500, 40, 20240601
     started = time.perf_counter()
-    ok = True
-    for trial in range(trials):
-        trial_seed = seed * 1_000_003 + trial
-        n = random.Random(trial_seed).randint(1, max_jobs)
-        instance = random_equal_duration(n=n, seed=trial_seed)
-        trace = next_fit(instance)
-        for tau in event_times(instance):
-            if active_count(trace.schedule, tau) > 2 * active_ceil_bound(instance, tau):
-                ok = False
+    result = SUITES["nextfit-2t"](trials=trials, max_jobs=max_jobs, seed=seed)
     elapsed = time.perf_counter() - started
-    ok = ok and elapsed < 30
+    ok = result.passed and elapsed < 30
     report(
         3,
         ok,
@@ -132,51 +100,24 @@ def test_criterion_4_nemesis_ratio_is_three_halves_and_monotone():
 def test_criterion_5_strict_firstfit_within_twice_optimum():
     trials, max_jobs, seed = 500, 8, 7
     started = time.perf_counter()
-    ok = True
-    for trial in range(trials):
-        trial_seed = seed * 1_000_003 + trial
-        n = random.Random(trial_seed).randint(2, max_jobs)
-        base = random_two_arrival(n=n, t=F(1, 2), seed=trial_seed, size_grid=12)
-        instance = scale_time(base, 2)
-        trace = first_fit(instance)
-        ff_cost = cost(trace.schedule)
-        opt = brute_force_opt(instance, max_jobs=max_jobs)
-        if ff_cost > 2 * opt.cost:
-            ok = False
-        part = server_type_partition(trace)
-        k1, k2, k3 = part.counts
-        if ff_cost != 2 * k1 + 3 * k2 + 2 * k3:
-            ok = False
-        if k2 >= 2 and not 2 * part.start0_mass_type2 > k2:
-            ok = False
+    result = SUITES["strict-ff-2"](trials=trials, max_jobs=max_jobs, seed=seed)
     elapsed = time.perf_counter() - started
-    ok = ok and elapsed < 120
+    ok = result.passed and elapsed < 120
     report(
         5,
         ok,
-        f"firstfit stays within twice the exact optimum and the mixed-server "
-        f"mass inequality holds on {trials} duration-2 instances ({elapsed:.1f}s)",
+        f"firstfit stays within twice the exact optimum and the type-1 and "
+        f"mixed-server mass inequalities hold on {trials} duration-2 instances "
+        f"({elapsed:.1f}s)",
     )
 
 
 def test_criterion_6_long_horizon_layers_and_utilization():
-    ok = True
-    for k in (2, 4, 8):
-        for level_count in (2, 4, 10):
-            instance = long_uniform(k, level_count)
-            trace = first_fit(instance)
-            profile = layer_profile(trace, k, level_count)
-            if check_layer_inequalities(profile, k):
-                ok = False
-            result = util_ratio_bound(trace, k, level_count)
-            exact = F(2, 3) + F(1, k * (level_count + 2))
-            if result.ratio != exact or not result.ratio > result.bound:
-                ok = False
-            if utilization(instance) != F(2, 3) * k * (level_count + 2) + 1:
-                ok = False
+    # The exact ratio over exactly k servers rented for all of [0, l+2] also
+    # fixes the utilization at 2/3 * k(l+2) + 1.
     report(
         6,
-        ok,
+        SUITES["layers"]().passed,
         "layer masses and the exact utilization/cost value 2/3 + 1/(k(l+2)) "
         "hold for k in {2,4,8} x l in {2,4,10}, always above the floor",
     )
@@ -200,31 +141,11 @@ def test_criterion_7_multiplier_recurrence_closed_form_agree():
 
 
 def test_criterion_8_weight_ledger_balances():
-    t_values = (F(1, 28), F(1, 4), F(1, 2), F(3, 4))
     trials, seed = 200, 104729
-    ok = True
-
-    def check(report_obj):
-        return (
-            len(report_obj.ff_violations) <= IGNORED_BUDGET
-            and all(chk.ok for chk in report_obj.opt_checks)
-            and report_obj.ff_total == report_obj.item_total
-            and report_obj.opt_total == report_obj.item_total
-        )
-
-    instance, certificate = ggu_extended(6, F(1, 2))
-    ok = ok and check(verify_weights(first_fit(instance), certificate, F(1, 2)))
-    for trial in range(trials):
-        t = t_values[trial % len(t_values)]
-        instance, trace, _ = find_uniform_two_arrival(
-            t, seed * 1_000_003 + trial * 10_007
-        )
-        opt = brute_force_opt(instance, max_jobs=8)
-        if not check(verify_weights(trace, opt.schedule, t)):
-            ok = False
+    result = SUITES["weights"](trials=trials, seed=seed)
     report(
         8,
-        ok,
+        result.passed,
         f"weight totals balance exactly and per-server bounds hold on the "
         f"adversarial family plus {trials} sampled instances over four t values",
     )

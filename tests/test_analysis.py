@@ -1,5 +1,6 @@
 """Weight ledgers, server taxonomy, layer inequalities, multiplier sequences."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -173,6 +174,24 @@ def test_verify_weights_on_adversarial_family():
     assert all(chk.ok for chk in report.opt_checks)
     # every certificate server is rented for exactly one time unit
     assert all(chk.bound == F(168, 131) * (1 + T) for chk in report.opt_checks)
+    assert report.failure is None
+
+
+def test_weight_report_failure_names_first_broken_rule():
+    inst, cert = ggu_extended(6, T)
+    report = verify_weights(first_fit(inst), cert, T)
+    over = replace(report.opt_checks[0], weight=F(3), ok=False)
+    cases = [
+        (replace(report, ignored_budget=-1), "0 servers below weight 1+t (budget -1)"),
+        (
+            replace(report, opt_checks=(over,) + report.opt_checks[1:]),
+            "reference server 0 weight 3 exceeds 252/131",
+        ),
+        (replace(report, opt_total=report.opt_total + 1), "weight totals do not balance"),
+    ]
+    for broken, reason in cases:
+        assert broken.failure == reason
+        assert not broken.passed
 
 
 def test_verify_weights_on_sampled_instances():

@@ -1,8 +1,10 @@
 """End-to-end command checks: generation, runs, optima, suites, reports."""
 
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -165,36 +167,82 @@ def test_ratio_command(tmp_path):
     assert report["relation"] == ">="
 
 
-def test_verify_recurrence(tmp_path):
-    report_path = tmp_path / "v.json"
-    rc = run_cli("verify", "--suite", "recurrence", "--out", str(report_path))
-    assert rc == 0
-    report = json.loads(report_path.read_text())
+def test_verify_rejects_flags_the_suite_does_not_take(capsys):
+    for suite, extra, named in [
+        ("weights", ["--max-jobs", "3", "--n", "5"], "--max-jobs, --n"),
+        ("layers", ["--trials", "2", "--seed", "3"], "--trials, --seed"),
+        ("recurrence", ["--seed", "1"], "--seed"),
+    ]:
+        assert run_cli("verify", "--suite", suite, *extra) == 2
+        assert capsys.readouterr().err == f"error: suite {suite} does not take {named}\n"
+
+
+def test_verify_rejects_max_jobs_below_instance_size(capsys):
+    for suite, least in [("nextfit-2t", 1), ("strict-ff-2", 2)]:
+        assert run_cli("verify", "--suite", suite, "--max-jobs", str(least - 1)) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: max_jobs must be at least {least}, got {least - 1}\n"
+
+
+# sha256 of each report as a known-good build wrote it: a suite or report
+# change that moves a single byte fails here.
+GOLDEN_REPORTS = {
+    "verify --suite nextfit-2t --trials 40":
+        "e6cc0a3db6930a84ddc9d9c1b66007e3e8a47c499a556a54be6978b8428a6d5a",
+    "verify --suite strict-ff-2 --trials 40":
+        "be8710505d35c4fcc6692502a6c82b9fa9fbbf1455828e17b7fcd2804f1491d6",
+    "verify --suite weights --trials 8":
+        "158e7e6a4f1df775ce0e85a1117c1a93c02b49cf63aa0e66afb453ac1bbeb9b1",
+    "verify --suite layers":
+        "0dae32f0d67910c0521cec941cc19d1b87a0b5dc55397adbab91226af8943cb7",
+    "verify --suite recurrence":
+        "fc99db42205a3816671f0d82943df9a836159ffe611a9a559323c53f0eaeecbd",
+    "run --alg firstfit --in inst.jobs":
+        "befe8c6434e087a507c6564af3bd2e15e128afe7c3675ae0e9769ae3cfec0712",
+    "run --alg nextfit --in inst.jobs":
+        "7592bfe0ed3008aba30ea50d92474f87c70d9daba3b1883e08efa27e9369c600",
+}
+
+
+def run_golden(command, *extra):
+    """Run a GOLDEN_REPORTS command, check its digest, return the report."""
+    assert run_cli(*command.split(), *extra, "--out", "report.json") == 0, command
+    data = Path("report.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_REPORTS[command], command
+    return json.loads(data)
+
+
+def test_verify_recurrence(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    report = run_golden("verify --suite recurrence")
     assert report["passed"] is True
     assert report["details"]["n"] == 200
 
 
-def test_verify_layers(tmp_path):
-    report_path = tmp_path / "v.json"
-    rc = run_cli("verify", "--suite", "layers", "--out", str(report_path))
-    assert rc == 0
-    assert json.loads(report_path.read_text())["passed"] is True
+def test_verify_layers(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_golden("verify --suite layers")["passed"] is True
 
 
-def test_verify_sampled_suites_small(tmp_path):
-    for suite, extra in [
-        ("nextfit-2t", ["--trials", "40"]),
-        ("strict-ff-2", ["--trials", "40"]),
-        ("weights", ["--trials", "8"]),
+def test_verify_sampled_suites_small(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for command in [
+        "verify --suite nextfit-2t --trials 40",
+        "verify --suite strict-ff-2 --trials 40",
+        "verify --suite weights --trials 8",
     ]:
-        report_path = tmp_path / f"{suite}.json"
-        rc = run_cli(
-            "verify", "--suite", suite, *extra,
-            "--out", str(report_path),
-            "--counterexample-dir", str(tmp_path),
-        )
-        assert rc == 0, suite
-        assert json.loads(report_path.read_text())["passed"] is True
+        report = run_golden(command, "--counterexample-dir", str(tmp_path))
+        assert report["passed"] is True, command
+
+
+def test_reports_match_golden_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # run reports echo the relative input path
+    run_cli(
+        "gen", "--family", "random-equal-duration",
+        "--n", "30", "--seed", "5", "--out", "inst.jobs",
+    )
+    for command in ["run --alg firstfit --in inst.jobs", "run --alg nextfit --in inst.jobs"]:
+        run_golden(command)
 
 
 def test_unknown_subcommand_exits_with_usage_error(capsys):

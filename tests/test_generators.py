@@ -235,3 +235,7 @@ def test_generator_spec_dispatch():
     assert len(inst) == 4
     with pytest.raises(ValueError):
         GeneratorSpec("no-such-family", {}).build()
+    with pytest.raises(ValueError, match="family ggu requires t$"):
+        GeneratorSpec("ggu", {"k": 6}).build()
+    with pytest.raises(ValueError, match="requires n, t, seed"):
+        GeneratorSpec("random-two-arrival", {}).build()
