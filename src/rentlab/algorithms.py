@@ -6,13 +6,13 @@ start, plus the job's size, stays within capacity 1; because earlier jobs
 start no later, the concurrent load after that start can only shrink, so a
 single test at the start time is exact.
 
-* NextFit keeps one open server and closes it on overflow, or when it has
-  already terminated before the new arrival.  Closed servers are never
-  reused, even if the new job would have fit.
-* FirstFit keeps every non-terminated server, in opening order, drops the
-  ones that terminated strictly before the new arrival, and places the job
-  into the first survivor that fits, opening a new server only when none
-  does.
+One placement loop serves both.  It drops the candidate servers that
+terminated strictly before the arrival, places the job into the first
+candidate that fits, in opening order, and opens a new server only when
+none does.  The policies differ only in what a new server does to the
+candidates: under FirstFit it joins them, so every server that has not
+terminated stays a candidate; under NextFit it replaces them, so a server
+closed on overflow or expiry is never reused, even if a later job would fit.
 """
 
 from __future__ import annotations
@@ -87,53 +87,17 @@ def _require_valid(instance: Instance) -> None:
         raise ValueError(f"invalid instance: {violations[0]}")
 
 
-def next_fit(instance: Instance) -> AlgorithmTrace:
-    """Run NextFit over the instance and record every placement."""
+def _place(instance: Instance, keep_earlier: bool) -> AlgorithmTrace:
+    """The loop both policies share; keep_earlier selects FirstFit."""
     _require_valid(instance)
-    closed: list[_ServerBuild] = []
-    current: _ServerBuild | None = None
+    servers: list[_ServerBuild] = []
+    candidates: list[_ServerBuild] = []
     decisions: list[Decision] = []
     for i, jb in enumerate(instance.jobs):
-        scanned = 0
-        reuse = False
-        if current is not None:
-            scanned = 1
-            # The open server is unusable once its last job has departed
-            # before the new arrival, even though it never overflowed.
-            if jb.start <= current.termination:
-                current.expire(jb.start)
-                if current.load_now + jb.size <= 1:
-                    reuse = True
-        if not reuse:
-            if current is not None:
-                closed.append(current)
-            current = _ServerBuild(len(closed), jb.start)
-        current.assign(i, jb.size, jb.finish)
-        decisions.append(
-            Decision(
-                job_index=i,
-                server_id=current.id,
-                opened_new_server=not reuse,
-                servers_scanned=scanned,
-            )
-        )
-    if current is not None:
-        closed.append(current)
-    schedule = Schedule(instance=instance, servers=tuple(b.freeze() for b in closed))
-    return AlgorithmTrace(schedule=schedule, decisions=tuple(decisions))
-
-
-def first_fit(instance: Instance) -> AlgorithmTrace:
-    """Run FirstFit over the instance and record every placement."""
-    _require_valid(instance)
-    all_servers: list[_ServerBuild] = []
-    alive: list[_ServerBuild] = []
-    decisions: list[Decision] = []
-    for i, jb in enumerate(instance.jobs):
-        alive = [srv for srv in alive if srv.termination >= jb.start]
+        candidates = [srv for srv in candidates if srv.termination >= jb.start]
         target = None
         scanned = 0
-        for srv in alive:
+        for srv in candidates:
             scanned += 1
             srv.expire(jb.start)
             if srv.load_now + jb.size <= 1:
@@ -141,9 +105,15 @@ def first_fit(instance: Instance) -> AlgorithmTrace:
                 break
         opened = target is None
         if opened:
-            target = _ServerBuild(len(all_servers), jb.start)
-            all_servers.append(target)
-            alive.append(target)
+            target = _ServerBuild(len(servers), jb.start)
+            servers.append(target)
+            if keep_earlier:
+                candidates.append(target)
+            else:
+                candidates = [target]
+        if not keep_earlier:
+            # NextFit's one open server counts as scanned even once expired
+            scanned = min(i, 1)
         target.assign(i, jb.size, jb.finish)
         decisions.append(
             Decision(
@@ -153,10 +123,18 @@ def first_fit(instance: Instance) -> AlgorithmTrace:
                 servers_scanned=scanned,
             )
         )
-    schedule = Schedule(
-        instance=instance, servers=tuple(b.freeze() for b in all_servers)
-    )
+    schedule = Schedule(instance=instance, servers=tuple(b.freeze() for b in servers))
     return AlgorithmTrace(schedule=schedule, decisions=tuple(decisions))
+
+
+def next_fit(instance: Instance) -> AlgorithmTrace:
+    """Run NextFit over the instance and record every placement."""
+    return _place(instance, keep_earlier=False)
+
+
+def first_fit(instance: Instance) -> AlgorithmTrace:
+    """Run FirstFit over the instance and record every placement."""
+    return _place(instance, keep_earlier=True)
 
 
 @dataclass(frozen=True)

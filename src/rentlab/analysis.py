@@ -555,9 +555,9 @@ class SuiteResult:
     counterexample: Optional[Instance] = None
 
 
-def _check_max_jobs(max_jobs: int, least: int) -> None:
-    if max_jobs < least:
-        raise ValueError(f"max_jobs must be at least {least}, got {max_jobs}")
+def _check_at_least(name: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 def suite_recurrence(n: int = 200) -> SuiteResult:
@@ -576,7 +576,8 @@ def suite_nextfit_2t(
     trials: int = 500, max_jobs: int = 40, seed: int = 20240601
 ) -> SuiteResult:
     """NextFit stays within twice the arrival ceiling at every event time."""
-    _check_max_jobs(max_jobs, 1)
+    _check_at_least("trials", trials, 1)
+    _check_at_least("max_jobs", max_jobs, 1)
     for trial in range(trials):
         trial_seed = seed * 1_000_003 + trial
         n = random.Random(trial_seed).randint(1, max_jobs)
@@ -624,7 +625,8 @@ def suite_strict_ff_2(
 
     Also checks the server-type cost split and both mass inequalities 2*A > k.
     """
-    _check_max_jobs(max_jobs, 2)
+    _check_at_least("trials", trials, 1)
+    _check_at_least("max_jobs", max_jobs, 2)
     for trial in range(trials):
         trial_seed = seed * 1_000_003 + trial
         n = random.Random(trial_seed).randint(2, max_jobs)
@@ -642,6 +644,7 @@ _WEIGHT_T_VALUES = (Fraction(1, 28), Fraction(1, 4), Fraction(1, 2), Fraction(3,
 
 def suite_weights(trials: int = 200, seed: int = 104729) -> SuiteResult:
     """The weight ledger holds on ggu(6, 1/2) and on sampled uniform instances."""
+    _check_at_least("trials", trials, 1)
     instance, certificate = ggu_extended(6, Fraction(1, 2))
     trace = first_fit(instance)
     reason = verify_weights(trace, certificate, Fraction(1, 2)).failure

@@ -41,6 +41,19 @@ _ALGORITHMS = {"nextfit": next_fit, "firstfit": first_fit}
 # verify flags, each passed on only to suites whose function takes it
 _SUITE_FLAGS = ("trials", "seed", "max_jobs", "n")
 
+# gen flags: every parameter of some family, each allowed only where it is used
+_FAMILY_FLAGS = tuple(
+    dict.fromkeys(
+        name
+        for required, optional in generators.FAMILIES.values()
+        for name in required + optional
+    )
+)
+
+
+def _flags(names) -> str:
+    return ", ".join("--" + name.replace("_", "-") for name in names)
+
 
 def _emit(report: dict, out_path) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -65,21 +78,21 @@ def _instance_digest(instance: Instance) -> dict:
 
 
 def cmd_gen(args) -> int:
-    missing = [
-        p for p in generators.FAMILIES[args.family] if getattr(args, p, None) is None
-    ]
+    params = {
+        name: getattr(args, name)
+        for name in _FAMILY_FLAGS
+        if getattr(args, name) is not None
+    }
+    required, optional = generators.FAMILIES[args.family]
+    missing = [name for name in required if name not in params]
     if missing:
-        flags = ", ".join(f"--{p}" for p in missing)
-        raise ValueError(f"family {args.family} requires {flags}")
-    params = {}
-    for name in ("k", "l", "N", "n", "seed", "size_grid", "start_grid", "horizon"):
-        value = getattr(args, name, None)
-        if value is not None:
-            params[name] = value
+        raise ValueError(f"family {args.family} requires {_flags(missing)}")
+    unused = [name for name in params if name not in required + optional]
+    if unused:
+        raise ValueError(f"family {args.family} does not take {_flags(unused)}")
     for name in ("t", "delta"):
-        value = getattr(args, name, None)
-        if value is not None:
-            params[name] = parse_rational(value)
+        if name in params:
+            params[name] = parse_rational(params[name])
     spec = generators.GeneratorSpec(family=args.family, parameters=params)
     instance, certificate = spec.build()
     shown = ", ".join(
@@ -178,8 +191,7 @@ def cmd_verify(args) -> int:
     }
     rejected = [name for name in settings if name not in signature(suite).parameters]
     if rejected:
-        flags = ", ".join("--" + name.replace("_", "-") for name in rejected)
-        raise ValueError(f"suite {args.suite} does not take {flags}")
+        raise ValueError(f"suite {args.suite} does not take {_flags(rejected)}")
     result = suite(**settings)
     report = {
         "command": "verify",

@@ -198,13 +198,16 @@ def random_equal_duration(
     return Instance(tuple(Job(size, start, start + 1) for start, size in drawn))
 
 
-# Every family GeneratorSpec builds, with the parameters it requires.
+# Every family GeneratorSpec builds: (required parameters, optional ones).
 FAMILIES = {
-    "ggu": ("k", "t"),
-    "long-uniform": ("k", "l"),
-    "nf-nemesis": ("N",),
-    "random-two-arrival": ("n", "t", "seed"),
-    "random-equal-duration": ("n", "seed"),
+    "ggu": (("k", "t"), ("delta",)),
+    "long-uniform": (("k", "l"), ()),
+    "nf-nemesis": (("N",), ()),
+    "random-two-arrival": (("n", "t", "seed"), ("size_grid",)),
+    "random-equal-duration": (
+        ("n", "seed"),
+        ("size_grid", "start_grid", "horizon"),
+    ),
 }
 
 
@@ -225,9 +228,13 @@ class GeneratorSpec:
                 f"unknown family {self.family!r}; choose from {tuple(FAMILIES)}"
             )
         p = self.parameters
-        missing = [name for name in FAMILIES[self.family] if name not in p]
+        required, optional = FAMILIES[self.family]
+        missing = [name for name in required if name not in p]
         if missing:
             raise ValueError(f"family {self.family} requires {', '.join(missing)}")
+        unused = [name for name in p if name not in required + optional]
+        if unused:
+            raise ValueError(f"family {self.family} does not take {', '.join(unused)}")
         if self.family == "ggu":
             instance, certificate = ggu_extended(
                 k=p["k"], t=p["t"], delta=p.get("delta")

@@ -22,6 +22,7 @@ from .model import (
     Instance,
     InfeasibleScheduleError,
     Schedule,
+    arrival_mass,
     as_rational,
     check_schedule,
     cost,
@@ -145,10 +146,7 @@ def active_ceil_bound(instance: Instance, t: Fraction) -> int:
                 f"job {i} has duration {jb.duration}; bound requires unit durations"
             )
     t = as_rational(t)
-    mass = sum(
-        (jb.size for jb in instance.jobs if t - 1 < jb.start <= t), Fraction(0)
-    )
-    return math.ceil(mass)
+    return math.ceil(arrival_mass(instance, t - 1, t))
 
 
 def verify_certificate(instance: Instance, claimed: Schedule) -> Fraction:

@@ -1,5 +1,6 @@
 """Online assignment rules: single-open-server and first-fit scanning."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,13 @@ from rentlab import (
     scale_time,
     server_type_partition,
 )
-from rentlab.generators import ggu_extended, random_equal_duration, random_two_arrival
+from rentlab.generators import (
+    ggu_extended,
+    long_uniform,
+    nf_nemesis,
+    random_equal_duration,
+    random_two_arrival,
+)
 from rentlab.optimal import brute_force_opt
 
 
@@ -63,6 +70,8 @@ def test_next_fit_closes_expired_server_without_overflow():
     trace = next_fit(inst)
     assert server_sets(trace) == [{0}, {1}]
     assert cost(trace.schedule) == 2
+    # the expired server still counts as scanned
+    assert [d.servers_scanned for d in trace.decisions] == [0, 1]
 
 
 def test_next_fit_targets_only_latest_server():
@@ -164,6 +173,30 @@ def test_first_fit_on_adversarial_family():
     trace = first_fit(inst)
     assert len(trace.schedule.servers) == 102
     assert cost(trace.schedule) == 153
+
+
+def test_traces_match_golden_digest():
+    # one digest over both policies' decisions and servers; the sparse
+    # integer starts of the last instance make NextFit meet expired servers
+    instances = [
+        long_uniform(10, 10),
+        ggu_extended(6, F(1, 2))[0],
+        nf_nemesis(5),
+        random_two_arrival(40, F(1, 3), seed=3),
+        random_equal_duration(30, seed=4, start_grid=1, horizon=20),
+    ]
+    digest = hashlib.sha256()
+    for inst in instances:
+        for policy in (next_fit, first_fit):
+            trace = policy(inst)
+            servers = [
+                (s.id, s.job_indices, str(s.open_time), str(s.close_time))
+                for s in trace.schedule.servers
+            ]
+            digest.update(repr((trace.decisions, servers)).encode())
+    assert digest.hexdigest() == (
+        "996dfaef913532871e2738aa7e49a7714e66029afc82f6bbb17838bb5d888293"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,16 @@ def test_gen_missing_parameter(tmp_path, capsys):
     rc = run_cli("gen", "--family", "ggu", "--k", "6", "--out", str(tmp_path / "x"))
     assert rc == 2
     assert "requires --t" in capsys.readouterr().err
+    # a flag the family does not use is refused, not written into the header
+    rc = run_cli(
+        "gen", "--family", "nf-nemesis", "--N", "1", "--seed", "9", "--t", "1/2",
+        "--out", str(tmp_path / "x"),
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: family nf-nemesis does not take --t, --seed\n"
+    )
+    assert not (tmp_path / "x").exists()
 
 
 def test_run_firstfit_on_adversarial_family(tmp_path):
@@ -178,10 +188,18 @@ def test_verify_rejects_flags_the_suite_does_not_take(capsys):
 
 
 def test_verify_rejects_max_jobs_below_instance_size(capsys):
-    for suite, least in [("nextfit-2t", 1), ("strict-ff-2", 2)]:
-        assert run_cli("verify", "--suite", suite, "--max-jobs", str(least - 1)) == 2
+    # --trials below 1 would check nothing and still pass, so it is refused too
+    for suite, name, value, least in [
+        ("nextfit-2t", "max_jobs", 0, 1),
+        ("strict-ff-2", "max_jobs", 1, 2),
+        ("nextfit-2t", "trials", -5, 1),
+        ("strict-ff-2", "trials", 0, 1),
+        ("weights", "trials", 0, 1),
+    ]:
+        flag = "--" + name.replace("_", "-")
+        assert run_cli("verify", "--suite", suite, flag, str(value)) == 2
         err = capsys.readouterr().err
-        assert err == f"error: max_jobs must be at least {least}, got {least - 1}\n"
+        assert err == f"error: {name} must be at least {least}, got {value}\n"
 
 
 # sha256 of each report as a known-good build wrote it: a suite or report

@@ -239,3 +239,9 @@ def test_generator_spec_dispatch():
         GeneratorSpec("ggu", {"k": 6}).build()
     with pytest.raises(ValueError, match="requires n, t, seed"):
         GeneratorSpec("random-two-arrival", {}).build()
+    with pytest.raises(ValueError, match="family long-uniform does not take seed$"):
+        GeneratorSpec("long-uniform", {"k": 2, "l": 4, "seed": 1}).build()
+    with pytest.raises(ValueError, match="random-two-arrival does not take horizon$"):
+        GeneratorSpec(
+            "random-two-arrival", {"n": 3, "t": F(1, 2), "seed": 1, "horizon": 2}
+        ).build()
