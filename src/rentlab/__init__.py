@@ -53,6 +53,7 @@ from .model import (
     Violation,
     active_count,
     active_count_integral,
+    active_count_profile,
     arrival_mass,
     arrival_mass_at,
     as_rational,

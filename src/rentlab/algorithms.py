@@ -18,6 +18,7 @@ closed on overflow or expiry is never reused, even if a later job would fit.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,41 +44,48 @@ class AlgorithmTrace:
 
 
 class _ServerBuild:
-    """Mutable server under construction.
+    """Mutable server under construction, on the instance's integer lattice.
 
-    Keeps the running load and a min-heap of (finish, size) so departed jobs
-    can be expired lazily as arrivals advance; each job is expired once, so
-    fit tests stay O(1) amortised.
+    Loads, finishes and the termination are ints scaled by the instance's
+    size and time denominators (see _place).  Keeps the running load and a
+    min-heap of (finish, size) so departed jobs can be expired lazily as
+    arrivals advance; each job is expired once, so fit tests stay O(1)
+    amortised.  The rental window keeps the jobs' own Fractions.
     """
 
-    __slots__ = ("id", "indices", "open_time", "termination", "load_now", "pending")
+    __slots__ = (
+        "id", "indices", "open_time", "close_time", "termination", "load_now",
+        "pending",
+    )
 
     def __init__(self, sid: int, open_time: Fraction):
         self.id = sid
         self.indices: list[int] = []
         self.open_time = open_time
-        self.termination: Fraction | None = None
-        self.load_now = Fraction(0)
-        self.pending: list[tuple[Fraction, Fraction]] = []
+        self.close_time: Fraction | None = None
+        self.termination = -1
+        self.load_now = 0
+        self.pending: list[tuple[int, int]] = []
 
-    def expire(self, t: Fraction) -> None:
+    def expire(self, t: int) -> None:
         while self.pending and self.pending[0][0] <= t:
             _, size = heapq.heappop(self.pending)
             self.load_now -= size
 
-    def assign(self, index: int, size: Fraction, finish: Fraction) -> None:
+    def assign(self, index: int, size: int, finish: int, close_time: Fraction) -> None:
         self.indices.append(index)
         self.load_now += size
         heapq.heappush(self.pending, (finish, size))
-        if self.termination is None or finish > self.termination:
+        if finish > self.termination:
             self.termination = finish
+            self.close_time = close_time
 
     def freeze(self) -> Server:
         return Server(
             id=self.id,
             job_indices=tuple(self.indices),
             open_time=self.open_time,
-            close_time=self.termination,
+            close_time=self.close_time,
         )
 
 
@@ -87,20 +95,37 @@ def _require_valid(instance: Instance) -> None:
         raise ValueError(f"invalid instance: {violations[0]}")
 
 
+def _on_lattice(values: list[Fraction]) -> tuple[int, list[int]]:
+    """(L, [v * L]) for L the lcm of the denominators: exact ints, in order."""
+    scale = math.lcm(*{v.denominator for v in values})
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
 def _place(instance: Instance, keep_earlier: bool) -> AlgorithmTrace:
-    """The loop both policies share; keep_earlier selects FirstFit."""
+    """The loop both policies share; keep_earlier selects FirstFit.
+
+    Sizes are scaled to ints by the lcm of their denominators, which turns
+    capacity 1 into that lcm, and starts and finishes by the lcm of theirs.
+    Both maps are exact and order-preserving, so every fit test and expiry
+    decides as it would on the Fractions.
+    """
     _require_valid(instance)
+    jobs = instance.jobs
+    capacity, sizes = _on_lattice([jb.size for jb in jobs])
+    _, times = _on_lattice([jb.start for jb in jobs] + [jb.finish for jb in jobs])
+    starts, finishes = times[: len(jobs)], times[len(jobs) :]
     servers: list[_ServerBuild] = []
     candidates: list[_ServerBuild] = []
     decisions: list[Decision] = []
-    for i, jb in enumerate(instance.jobs):
-        candidates = [srv for srv in candidates if srv.termination >= jb.start]
+    for i, jb in enumerate(jobs):
+        start, size = starts[i], sizes[i]
+        candidates = [srv for srv in candidates if srv.termination >= start]
         target = None
         scanned = 0
         for srv in candidates:
             scanned += 1
-            srv.expire(jb.start)
-            if srv.load_now + jb.size <= 1:
+            srv.expire(start)
+            if srv.load_now + size <= capacity:
                 target = srv
                 break
         opened = target is None
@@ -114,7 +139,7 @@ def _place(instance: Instance, keep_earlier: bool) -> AlgorithmTrace:
         if not keep_earlier:
             # NextFit's one open server counts as scanned even once expired
             scanned = min(i, 1)
-        target.assign(i, jb.size, jb.finish)
+        target.assign(i, size, finishes[i], jb.finish)
         decisions.append(
             Decision(
                 job_index=i,

@@ -562,6 +562,7 @@ def _check_at_least(name: str, value: int, least: int) -> None:
 
 def suite_recurrence(n: int = 200) -> SuiteResult:
     """Partial sums of the multipliers agree with their closed form up to n."""
+    _check_at_least("n", n, 1)
     seqs = multiplier_sequences(n)
     agree = seqs.partial_sums == seqs.closed_form
     details = {

@@ -21,9 +21,8 @@ from .algorithms import first_fit, next_fit
 from .model import (
     InfeasibleScheduleError,
     Instance,
-    active_count,
+    active_count_profile,
     cost,
-    event_times,
     format_rational,
     mu,
     parse_rational,
@@ -129,8 +128,8 @@ def cmd_run(args) -> int:
         "cost": _rational_pair(cost(schedule)),
         "servers_opened": len(schedule.servers),
         "active_counts": [
-            {"time": format_rational(tau), "count": active_count(schedule, tau)}
-            for tau in event_times(instance)
+            {"time": format_rational(tau), "count": count}
+            for tau, count in active_count_profile(schedule)
         ],
     }
     if args.timing:

@@ -18,14 +18,16 @@ Conventions:
 
 from __future__ import annotations
 
+import heapq
 import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
 def as_rational(value: Union[int, str, Fraction]) -> Fraction:
@@ -45,11 +47,12 @@ def as_rational(value: Union[int, str, Fraction]) -> Fraction:
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'p' or 'p/q' (no decimals, no whitespace inside) exactly."""
-    token = text.strip()
-    if not _RATIONAL_RE.match(token):
+    matched = _RATIONAL_RE.match(text.strip())
+    if not matched:
         raise ValueError(f"not an integer or p/q rational: {text!r}")
+    numerator, denominator = matched.groups()
     try:
-        return Fraction(token)
+        return Fraction(int(numerator), int(denominator or 1))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator: {text!r}") from None
 
@@ -68,9 +71,10 @@ class Job:
     finish: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "size", as_rational(self.size))
-        object.__setattr__(self, "start", as_rational(self.start))
-        object.__setattr__(self, "finish", as_rational(self.finish))
+        for name in ("size", "start", "finish"):
+            value = getattr(self, name)
+            if type(value) is not Fraction:
+                object.__setattr__(self, name, as_rational(value))
 
     @property
     def duration(self) -> Fraction:
@@ -233,7 +237,10 @@ def load(schedule: Schedule, server: Union[Server, int], t: Fraction) -> Fractio
 
 
 def active_count(schedule: Schedule, t: Fraction) -> int:
-    """Number of servers with at least one active job at time t."""
+    """Number of servers with at least one active job at time t.
+
+    A point query; active_count_profile gives every event time in one sweep.
+    """
     t = as_rational(t)
     jobs = schedule.instance.jobs
     count = 0
@@ -250,16 +257,45 @@ def cost(schedule: Schedule) -> Fraction:
     )
 
 
+def active_count_profile(schedule: Schedule) -> list[tuple[Fraction, int]]:
+    """(t, active_count(schedule, t)) for every t in event_times, in one sweep.
+
+    Each server's job intervals are merged into disjoint segments, each
+    segment adds +1 at its start and -1 at its end, and a running sum of
+    those deltas over the event times gives the count.
+    """
+    jobs = schedule.instance.jobs
+    delta: dict[Fraction, int] = {}
+    for server in schedule.servers:
+        segments: list[list[Fraction]] = []
+        for s, f in sorted((jobs[i].start, jobs[i].finish) for i in server.job_indices):
+            if s >= f:
+                continue  # never active
+            if segments and s <= segments[-1][1]:
+                segments[-1][1] = max(segments[-1][1], f)
+            else:
+                segments.append([s, f])
+        for s, f in segments:
+            delta[s] = delta.get(s, 0) + 1
+            delta[f] = delta.get(f, 0) - 1
+    profile = []
+    count = 0
+    for t in event_times(schedule.instance):
+        count += delta.get(t, 0)
+        profile.append((t, count))
+    return profile
+
+
 def active_count_integral(schedule: Schedule) -> Fraction:
     """Integral of the active-server count over time.
 
     Equals cost(schedule) exactly when no server has an idle gap inside its
     rental window; in general cost is at least this integral.
     """
-    points = event_times(schedule.instance)
+    profile = active_count_profile(schedule)
     total = Fraction(0)
-    for left, right in zip(points, points[1:]):
-        total += active_count(schedule, left) * (right - left)
+    for (left, count), (right, _) in zip(profile, profile[1:]):
+        total += count * (right - left)
     return total
 
 
@@ -298,7 +334,10 @@ def check_schedule(schedule: Schedule) -> list[Violation]:
     """Check completeness, rental-window consistency and capacity.
 
     Capacity only needs testing at job starts within each server: once a job
-    is running, the concurrent load can only drop until the next start.
+    is running, the concurrent load can only drop until the next start.  One
+    sweep per server visits its members by start, adding the jobs that
+    arrive at each distinct start and dropping, from a heap ordered by
+    finish, those that have left.
     """
     violations: list[Violation] = []
     n = len(schedule.instance.jobs)
@@ -331,10 +370,20 @@ def check_schedule(schedule: Schedule) -> list[Violation]:
                     server_id=server.id,
                 )
             )
-        for s in sorted({jb.start for jb in members}):
-            here = sum(
-                (jb.size for jb in members if jb.active_at(s)), Fraction(0)
-            )
+        members.sort(key=attrgetter("start"))
+        running: list[tuple[Fraction, Fraction]] = []  # (finish, size) heap
+        here = Fraction(0)
+        k = 0
+        while k < len(members):
+            s = members[k].start
+            while running and running[0][0] <= s:
+                here -= heapq.heappop(running)[1]
+            while k < len(members) and members[k].start == s:
+                jb = members[k]
+                k += 1
+                if jb.finish > s:
+                    here += jb.size
+                    heapq.heappush(running, (jb.finish, jb.size))
             if here > 1:
                 violations.append(
                     Violation(

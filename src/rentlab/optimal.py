@@ -70,6 +70,8 @@ def brute_force_opt(instance: Instance, max_jobs: int = 10) -> OptResult:
     partitions_examined counts complete partitions reached; pruned branches
     never produce one.
     """
+    if max_jobs < 1:
+        raise ValueError(f"max_jobs must be at least 1, got {max_jobs}")
     bad = validate(instance)
     if bad:
         raise ValueError(f"invalid instance: {bad[0]}")

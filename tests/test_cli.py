@@ -163,6 +163,12 @@ def test_opt_respects_max_jobs(tmp_path, capsys):
     rc = run_cli("opt", "--in", str(inst_path), "--max-jobs", "11", "--out",
                  str(tmp_path / "r.json"))
     assert rc == 0
+    # a limit below 1 is refused as such, not compared with the job count
+    for value in ("-1", "0"):
+        assert run_cli("opt", "--in", str(inst_path), "--max-jobs", value) == 2
+        assert capsys.readouterr().err == (
+            f"error: max_jobs must be at least 1, got {value}\n"
+        )
 
 
 def test_ratio_command(tmp_path):
@@ -195,6 +201,7 @@ def test_verify_rejects_max_jobs_below_instance_size(capsys):
         ("nextfit-2t", "trials", -5, 1),
         ("strict-ff-2", "trials", 0, 1),
         ("weights", "trials", 0, 1),
+        ("recurrence", "n", 0, 1),
     ]:
         flag = "--" + name.replace("_", "-")
         assert run_cli("verify", "--suite", suite, flag, str(value)) == 2
@@ -219,7 +226,30 @@ GOLDEN_REPORTS = {
         "befe8c6434e087a507c6564af3bd2e15e128afe7c3675ae0e9769ae3cfec0712",
     "run --alg nextfit --in inst.jobs":
         "7592bfe0ed3008aba30ea50d92474f87c70d9daba3b1883e08efa27e9369c600",
+    "run --alg firstfit --in ggu.jobs":
+        "d4ce56743f345cf7d13dbe1f84b11643e802532a606148383c3bcdcdd98d46bf",
+    "run --alg nextfit --in ggu.jobs":
+        "8b8d189ccf2f8a6cd34a316c543ac0a4c4b9e0de0881023c9dde710a5306ad8d",
+    "run --alg firstfit --in merge.jobs":
+        "d12a6422492c5959b15bf725a0c2aefe136b30ce7451f873ffc7c71bce54653d",
+    "run --alg nextfit --in merge.jobs":
+        "d09e63c586247aab0ba2b7595ece55c55936aec3ac43ab0a128d8a0942ea96b6",
 }
+
+# Servers whose jobs overlap and touch, so the active-count sweep merges
+# intervals, with stretches where no server is active (counts of 0 at 4 and 8).
+MERGE_JOBS = """\
+1/2 0 1
+1/2 0 2
+1/2 1 3
+1/3 2 3
+2/3 2 4
+1/4 5/2 7/2
+1/2 5 6
+1/2 6 7
+3/4 6 13/2
+1/3 13/2 8
+"""
 
 
 def run_golden(command, *extra):
@@ -259,8 +289,12 @@ def test_reports_match_golden_digests(tmp_path, monkeypatch):
         "gen", "--family", "random-equal-duration",
         "--n", "30", "--seed", "5", "--out", "inst.jobs",
     )
-    for command in ["run --alg firstfit --in inst.jobs", "run --alg nextfit --in inst.jobs"]:
-        run_golden(command)
+    # ggu(6, 1/2) brings the 35-bit size denominators of its separations
+    run_cli("gen", "--family", "ggu", "--k", "6", "--t", "1/2", "--out", "ggu.jobs")
+    Path("merge.jobs").write_text(MERGE_JOBS)
+    for name in ("inst", "ggu", "merge"):
+        for alg in ("firstfit", "nextfit"):
+            run_golden(f"run --alg {alg} --in {name}.jobs")
 
 
 def test_unknown_subcommand_exits_with_usage_error(capsys):

@@ -63,6 +63,16 @@ def test_parse_rational_rejects_garbage():
     for bad in ["0.5", "1/0", "a/b", "", "1 / 2", "1e-3"]:
         with pytest.raises(ValueError):
             parse_rational(bad)
+    with pytest.raises(ValueError, match="zero denominator: '3/0'"):
+        parse_rational("3/0")
+    with pytest.raises(ValueError, match="not an integer or p/q rational: '1_000'"):
+        parse_rational("1_000")
+
+
+def test_parse_rational_agrees_with_fraction_parsing():
+    big = "123456789012345678901234567890"
+    for text in ["+3/4", "-0", "007/014", " 5/10 ", f"{big}/{big}7", f"-{big}"]:
+        assert parse_rational(text) == Fraction(text.strip())
 
 
 def test_as_rational_rejects_floats_and_bools():
@@ -79,6 +89,16 @@ def test_job_rejects_float_fields():
         Job(0.5, 0, 1)
     with pytest.raises(TypeError):
         Job(F(1, 2), 0.0, 1)
+    with pytest.raises(TypeError):
+        Job(F(1, 2), F(0), 1.0)
+
+
+def test_job_keeps_given_fractions_and_coerces_the_rest():
+    size, start = F(1, 2), F(1, 3)
+    jb = Job(size, start, "5/3")
+    assert jb.size is size and jb.start is start
+    assert jb.finish == F(5, 3) and type(jb.finish) is Fraction
+    assert type(Job(1, 0, 2).size) is Fraction
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,9 @@ def test_brute_force_respects_job_limit():
     with pytest.raises(ValueError, match="brute-force limit"):
         brute_force_opt(inst)
     assert brute_force_opt(inst, max_jobs=11).cost == 2
+    for limit in (0, -1):
+        with pytest.raises(ValueError, match=f"max_jobs must be at least 1, got {limit}"):
+            brute_force_opt(make_instance([(F(1, 2), 0, 1)]), max_jobs=limit)
 
 
 def test_brute_force_result_is_feasible_and_certified():

@@ -1,0 +1,273 @@
+"""Fast paths against the plain Fraction loops they replaced.
+
+The placement kernel works on integers scaled by the instance's
+denominators, and active_count_profile and check_schedule each sweep once.
+The references below are the direct Fraction versions, kept here only: the
+placement loop with Fraction loads, a per-time count over every job, and a
+capacity check that re-sums each server's load at each of its starts.
+"""
+
+import heapq
+import random
+from fractions import Fraction
+
+import pytest
+
+from rentlab import (
+    Instance,
+    Job,
+    Schedule,
+    Server,
+    Violation,
+    active_count_integral,
+    active_count_profile,
+    check_schedule,
+    event_times,
+    first_fit,
+    make_schedule,
+    next_fit,
+    scale_time,
+)
+from rentlab.algorithms import AlgorithmTrace, Decision
+from rentlab.generators import ggu_extended, nf_nemesis, random_equal_duration
+
+F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# References
+# ---------------------------------------------------------------------------
+
+class _RefServer:
+    def __init__(self, sid, open_time):
+        self.id, self.open_time = sid, open_time
+        self.indices, self.pending = [], []
+        self.termination, self.load_now = None, F(0)
+
+    def expire(self, t):
+        while self.pending and self.pending[0][0] <= t:
+            self.load_now -= heapq.heappop(self.pending)[1]
+
+
+def reference_place(instance, keep_earlier):
+    servers, candidates, decisions = [], [], []
+    for i, jb in enumerate(instance.jobs):
+        candidates = [srv for srv in candidates if srv.termination >= jb.start]
+        target, scanned = None, 0
+        for srv in candidates:
+            scanned += 1
+            srv.expire(jb.start)
+            if srv.load_now + jb.size <= 1:
+                target = srv
+                break
+        opened = target is None
+        if opened:
+            target = _RefServer(len(servers), jb.start)
+            servers.append(target)
+            candidates = candidates + [target] if keep_earlier else [target]
+        if not keep_earlier:
+            scanned = min(i, 1)
+        target.indices.append(i)
+        target.load_now += jb.size
+        heapq.heappush(target.pending, (jb.finish, jb.size))
+        if target.termination is None or jb.finish > target.termination:
+            target.termination = jb.finish
+        decisions.append(Decision(i, target.id, opened, scanned))
+    frozen = tuple(
+        Server(b.id, tuple(b.indices), b.open_time, b.termination) for b in servers
+    )
+    return AlgorithmTrace(Schedule(instance, frozen), tuple(decisions))
+
+
+def reference_profile(schedule):
+    jobs = schedule.instance.jobs
+    return [
+        (t, sum(
+            any(jobs[i].start <= t < jobs[i].finish for i in srv.job_indices)
+            for srv in schedule.servers
+        ))
+        for t in event_times(schedule.instance)
+    ]
+
+
+def reference_integral(schedule):
+    profile = reference_profile(schedule)
+    return sum(
+        (n * (right - left) for (left, n), (right, _) in zip(profile, profile[1:])),
+        F(0),
+    )
+
+
+def reference_check_schedule(schedule):
+    violations = []
+    jobs = schedule.instance.jobs
+    n = len(jobs)
+    assigned = {}
+    for server in schedule.servers:
+        if not server.job_indices:
+            violations.append(Violation("server holds no jobs", server_id=server.id))
+            continue
+        for i in server.job_indices:
+            if not 0 <= i < n:
+                violations.append(
+                    Violation("job index out of range", job_index=i, server_id=server.id)
+                )
+                continue
+            if i in assigned:
+                violations.append(
+                    Violation("job assigned twice", job_index=i, server_id=server.id)
+                )
+            assigned[i] = server.id
+        members = [jobs[i] for i in server.job_indices if 0 <= i < n]
+        if not members:
+            continue
+        if (server.open_time, server.close_time) != (
+            min(jb.start for jb in members), max(jb.finish for jb in members)
+        ):
+            violations.append(
+                Violation(
+                    "rental window must span min start to max finish",
+                    server_id=server.id,
+                )
+            )
+        for s in sorted({jb.start for jb in members}):
+            here = sum((jb.size for jb in members if jb.active_at(s)), F(0))
+            if here > 1:
+                violations.append(
+                    Violation("capacity exceeded", server_id=server.id, time=s, load=here)
+                )
+    violations += [Violation("job never assigned", job_index=i)
+                   for i in range(n) if i not in assigned]
+    return violations
+
+
+# ---------------------------------------------------------------------------
+# Inputs
+# ---------------------------------------------------------------------------
+
+def general_instance(rng, n, size_grid=12, start_grid=4, horizon=6):
+    """Sorted grid starts, sizes and durations of 1/4 to 3: idle gaps possible."""
+    rows = sorted(
+        (F(rng.randint(0, horizon * start_grid), start_grid),
+         F(rng.randint(1, size_grid), size_grid),
+         F(rng.randint(1, 12), 4))
+        for _ in range(n)
+    )
+    return Instance(tuple(Job(size, start, start + d) for start, size, d in rows))
+
+
+def online_instances():
+    for seed in range(40):
+        # starts up to 4n apart on an integer grid: servers expire between arrivals
+        n = 5 + seed
+        yield random_equal_duration(n, seed=seed, start_grid=1, horizon=4 * n)
+        yield random_equal_duration(n, seed=seed, size_grid=7, start_grid=3, horizon=n)
+    for t in (F(1, 28), F(1, 3), F(1, 2), F(3, 4)):
+        yield ggu_extended(6, t)[0]
+    # huge time denominators as well as huge size denominators
+    yield scale_time(ggu_extended(6, F(1, 2))[0], F(10**40 + 1, 3**50))
+    for pairs in range(1, 9):
+        yield nf_nemesis(pairs)
+    rng = random.Random(17)
+    for _ in range(40):
+        yield general_instance(rng, rng.randint(1, 30))
+
+
+def check_measures(schedule):
+    assert active_count_profile(schedule) == reference_profile(schedule)
+    assert active_count_integral(schedule) == reference_integral(schedule)
+    assert check_schedule(schedule) == reference_check_schedule(schedule)
+
+
+def check_policies(instance):
+    for policy, keep_earlier in ((first_fit, True), (next_fit, False)):
+        trace = policy(instance)
+        assert trace == reference_place(instance, keep_earlier)
+        check_measures(trace.schedule)
+        jobs = instance.jobs
+        for srv in trace.schedule.servers:
+            # the rental window reuses the jobs' own Fractions
+            assert srv.open_time is jobs[srv.job_indices[0]].start
+            assert any(srv.close_time is jobs[i].finish for i in srv.job_indices)
+
+
+# ---------------------------------------------------------------------------
+# Differential tests
+# ---------------------------------------------------------------------------
+
+def test_placement_matches_fraction_reference():
+    for instance in online_instances():
+        check_policies(instance)
+
+
+def test_sweeps_match_reference_on_random_partitions():
+    # arbitrary groupings overfill servers and hold them through idle gaps
+    rng = random.Random(29)
+    gapped = 0
+    for _ in range(300):
+        instance = general_instance(rng, rng.randint(1, 14))
+        n = len(instance.jobs)
+        labels = [rng.randrange(max(1, n // 3)) for _ in range(n)]
+        groups = [[i for i in range(n) if labels[i] == g] for g in sorted(set(labels))]
+        rng.shuffle(groups)
+        for group in groups:
+            rng.shuffle(group)
+        schedule = make_schedule(instance, groups)
+        check_measures(schedule)
+        gapped += reference_integral(schedule) < sum(
+            (srv.close_time - srv.open_time for srv in schedule.servers), F(0)
+        )
+    assert gapped > 0
+
+
+def test_check_schedule_matches_reference_on_broken_schedules():
+    jobs = [
+        (F(1, 2), 0, 2), (F(2, 3), 0, 1), (F(1, 3), 1, 3), (F(3, 4), 1, 2),
+        (F(1, 2), 2, 4), (F(1, 2), 2, 3), (F(1, 4), 5, 6),
+    ]
+    instance = Instance(tuple(Job(*row) for row in jobs))
+
+    def server(sid, *idx):
+        members = [instance.jobs[i] for i in idx if 0 <= i < len(instance.jobs)]
+        return Server(sid, idx, min(jb.start for jb in members),
+                      max(jb.finish for jb in members))
+
+    cases = [
+        # overfull at 0, 1 and 2 on one server, idle from 4 to 5
+        (server(0, 6, 0, 1, 2, 3, 4, 5),),
+        # duplicates, out-of-range indices, an empty server, a missing job
+        (server(0, 0, 1, 1), Server(1, (), F(0), F(1)),
+         server(2, 9, 3, -8, 2), server(3, 4, 5)),
+        # a wrong window and a job on two servers
+        (Server(0, (0, 2, 3), F(0), F(5)), server(1, 1, 4, 5, 6, 3)),
+    ]
+    for servers in cases:
+        schedule = Schedule(instance, servers)
+        violations = check_schedule(schedule)
+        assert violations == reference_check_schedule(schedule)
+        assert any(v.rule == "capacity exceeded" for v in violations)
+
+
+def test_fast_paths_match_reference_on_generated_instances():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    rows = st.lists(
+        st.tuples(
+            st.integers(1, 16), st.integers(1, 16),  # size p/q, kept <= 1
+            st.integers(0, 40), st.integers(1, 7),  # start s/d
+            st.integers(1, 30), st.integers(1, 5),  # duration p/q
+        ),
+        max_size=25,
+    )
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(rows)
+    def check(drawn):
+        jobs = sorted(
+            (F(s, d), F(min(p, q), q), F(a, b))
+            for p, q, s, d, a, b in drawn
+        )
+        check_policies(Instance(tuple(Job(size, s, s + dur) for s, size, dur in jobs)))
+
+    check()
