@@ -70,6 +70,7 @@ from .model import (
     parse_rational,
     read_instance,
     read_schedule,
+    require_valid,
     scale_time,
     schedule_from_dict,
     schedule_to_dict,

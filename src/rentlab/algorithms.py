@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import Instance, Schedule, Server, validate
+from .model import Instance, Schedule, Server, require_valid
 
 
 @dataclass(frozen=True)
@@ -89,12 +89,6 @@ class _ServerBuild:
         )
 
 
-def _require_valid(instance: Instance) -> None:
-    violations = validate(instance)
-    if violations:
-        raise ValueError(f"invalid instance: {violations[0]}")
-
-
 def _on_lattice(values: list[Fraction]) -> tuple[int, list[int]]:
     """(L, [v * L]) for L the lcm of the denominators: exact ints, in order."""
     scale = math.lcm(*{v.denominator for v in values})
@@ -109,7 +103,7 @@ def _place(instance: Instance, keep_earlier: bool) -> AlgorithmTrace:
     Both maps are exact and order-preserving, so every fit test and expiry
     decides as it would on the Fractions.
     """
-    _require_valid(instance)
+    require_valid(instance)
     jobs = instance.jobs
     capacity, sizes = _on_lattice([jb.size for jb in jobs])
     _, times = _on_lattice([jb.start for jb in jobs] + [jb.finish for jb in jobs])

@@ -33,10 +33,9 @@ from .generators import (
 from .model import (
     Instance,
     Schedule,
-    active_count,
+    active_count_profile,
     as_rational,
     cost,
-    event_times,
     format_rational,
     scale_time,
     utilization,
@@ -261,22 +260,21 @@ def verify_weights(trace: AlgorithmTrace, opt_schedule: Schedule, t) -> WeightRe
     verify_certificate(instance, opt_schedule)
     jobs = instance.jobs
 
-    def split_weight(indices) -> tuple[Fraction, Fraction]:
-        w1 = sum(
-            (weight_w1(jobs[i].size, t) for i in indices if jobs[i].start == 0),
-            Fraction(0),
-        )
-        w2 = sum(
-            (weight_w2(jobs[i].size, t) for i in indices if jobs[i].start != 0),
-            Fraction(0),
-        )
-        return w1, w2
+    weights = [
+        weight_w1(jb.size, t) if jb.start == 0 else weight_w2(jb.size, t)
+        for jb in jobs
+    ]
 
     server_weights = []
     violations = []
     ff_total = Fraction(0)
     for srv in trace.schedule.servers:
-        w1, w2 = split_weight(srv.job_indices)
+        w1 = sum(
+            (weights[i] for i in srv.job_indices if jobs[i].start == 0), Fraction(0)
+        )
+        w2 = sum(
+            (weights[i] for i in srv.job_indices if jobs[i].start != 0), Fraction(0)
+        )
         server_weights.append((srv.id, w1, w2))
         ff_total += w1 + w2
         if w1 + w2 < 1 + t:
@@ -285,8 +283,7 @@ def verify_weights(trace: AlgorithmTrace, opt_schedule: Schedule, t) -> WeightRe
     opt_checks = []
     opt_total = Fraction(0)
     for srv in opt_schedule.servers:
-        w1, w2 = split_weight(srv.job_indices)
-        weight = w1 + w2
+        weight = sum((weights[i] for i in srv.job_indices), Fraction(0))
         bound = _W2_RATE * (1 + t) * (srv.close_time - srv.open_time)
         opt_checks.append(
             OptServerCheck(
@@ -295,13 +292,7 @@ def verify_weights(trace: AlgorithmTrace, opt_schedule: Schedule, t) -> WeightRe
         )
         opt_total += weight
 
-    item_total = sum(
-        (
-            weight_w1(jb.size, t) if jb.start == 0 else weight_w2(jb.size, t)
-            for jb in jobs
-        ),
-        Fraction(0),
-    )
+    item_total = sum(weights, Fraction(0))
     return WeightReport(
         t=t,
         server_weights=tuple(server_weights),
@@ -467,13 +458,13 @@ def multiplier_sequences(n: int) -> MultiplierSequences:
     )
 
 
-def find_uniform_two_arrival(
-    t,
-    seed: int,
-    n_range: tuple[int, int] = (4, 8),
-    size_grid: int = 12,
-    max_attempts: int = 50000,
-):
+# find_uniform_two_arrival's draws: job count range, size grid, attempt cap
+_UNIFORM_N_RANGE = (4, 8)
+_UNIFORM_SIZE_GRID = 12
+_UNIFORM_MAX_ATTEMPTS = 50000
+
+
+def find_uniform_two_arrival(t, seed: int):
     """Rejection-sample a two-arrival instance whose FF servers are uniform.
 
     Draws seeded random instances until FirstFit rents every server over the
@@ -481,10 +472,12 @@ def find_uniform_two_arrival(
     returns (instance, trace, accepted seed).  Deterministic in (t, seed).
     """
     t = as_rational(t)
-    for attempt in range(max_attempts):
+    for attempt in range(_UNIFORM_MAX_ATTEMPTS):
         cand_seed = seed + attempt
-        n = random.Random(cand_seed).randint(*n_range)
-        instance = random_two_arrival(n=n, t=t, seed=cand_seed, size_grid=size_grid)
+        n = random.Random(cand_seed).randint(*_UNIFORM_N_RANGE)
+        instance = random_two_arrival(
+            n=n, t=t, seed=cand_seed, size_grid=_UNIFORM_SIZE_GRID
+        )
         trace = first_fit(instance)
         servers = trace.schedule.servers
         if servers and all(
@@ -492,7 +485,7 @@ def find_uniform_two_arrival(
         ):
             return instance, trace, cand_seed
     raise RuntimeError(
-        f"no uniform-server instance found in {max_attempts} attempts"
+        f"no uniform-server instance found in {_UNIFORM_MAX_ATTEMPTS} attempts"
     )
 
 
@@ -584,9 +577,8 @@ def suite_nextfit_2t(
         n = random.Random(trial_seed).randint(1, max_jobs)
         instance = random_equal_duration(n=n, seed=trial_seed)
         trace = next_fit(instance)
-        for tau in event_times(instance):
+        for tau, got in active_count_profile(trace.schedule):
             bound = active_ceil_bound(instance, tau)
-            got = active_count(trace.schedule, tau)
             if got > 2 * bound:
                 details = {
                     "trial": trial,

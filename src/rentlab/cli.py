@@ -29,7 +29,6 @@ from .model import (
     read_instance,
     span,
     utilization,
-    validate,
     write_instance,
     write_schedule,
 )
@@ -110,27 +109,13 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_run(args) -> int:
-    started = time.perf_counter()
-    instance = read_instance(args.input)
-    violations = validate(instance)
-    if violations:
-        for v in violations:
-            print(f"invalid instance: {v}", file=sys.stderr)
-        return 2
-    trace = _ALGORITHMS[args.alg](instance)
-    schedule = trace.schedule
+def _emit_solution(args, started, instance, schedule, fields) -> int:
+    """Emit a run/opt report: ``fields`` plus what both commands share."""
     report = {
-        "command": "run",
-        "algorithm": args.alg,
+        "command": args.command,
         "input": str(args.input),
         "instance": _instance_digest(instance),
-        "cost": _rational_pair(cost(schedule)),
-        "servers_opened": len(schedule.servers),
-        "active_counts": [
-            {"time": format_rational(tau), "count": count}
-            for tau, count in active_count_profile(schedule)
-        ],
+        **fields,
     }
     if args.timing:
         report["wall_time_s"] = time.perf_counter() - started
@@ -141,19 +126,27 @@ def cmd_run(args) -> int:
     return 0
 
 
+def cmd_run(args) -> int:
+    started = time.perf_counter()
+    instance = read_instance(args.input)
+    schedule = _ALGORITHMS[args.alg](instance).schedule
+    fields = {
+        "algorithm": args.alg,
+        "cost": _rational_pair(cost(schedule)),
+        "servers_opened": len(schedule.servers),
+        "active_counts": [
+            {"time": format_rational(tau), "count": count}
+            for tau, count in active_count_profile(schedule)
+        ],
+    }
+    return _emit_solution(args, started, instance, schedule, fields)
+
+
 def cmd_opt(args) -> int:
     started = time.perf_counter()
     instance = read_instance(args.input)
-    violations = validate(instance)
-    if violations:
-        for v in violations:
-            print(f"invalid instance: {v}", file=sys.stderr)
-        return 2
     result = brute_force_opt(instance, max_jobs=args.max_jobs)
-    report = {
-        "command": "opt",
-        "input": str(args.input),
-        "instance": _instance_digest(instance),
+    fields = {
         "cost": _rational_pair(result.cost),
         "servers": len(result.schedule.servers),
         "partitions_examined": result.partitions_examined,
@@ -162,13 +155,7 @@ def cmd_opt(args) -> int:
             "span": _rational_pair(result.span_bound),
         },
     }
-    if args.timing:
-        report["wall_time_s"] = time.perf_counter() - started
-    if args.schedule_out:
-        write_schedule(args.schedule_out, result.schedule)
-        report["schedule"] = str(args.schedule_out)
-    _emit(report, args.out)
-    return 0
+    return _emit_solution(args, started, instance, result.schedule, fields)
 
 
 def cmd_ratio(args) -> int:

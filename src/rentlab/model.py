@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 from pathlib import Path
@@ -168,6 +168,13 @@ def validate(instance: Instance) -> list[Violation]:
             violations.append(Violation("starts must be non-decreasing", job_index=i))
         prev_start = jb.start
     return violations
+
+
+def require_valid(instance: Instance) -> None:
+    """Raise ValueError naming every broken rule unless the instance is valid."""
+    violations = validate(instance)
+    if violations:
+        raise ValueError("invalid instance: " + "; ".join(str(v) for v in violations))
 
 
 def utilization(instance: Instance) -> Fraction:

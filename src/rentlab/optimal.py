@@ -27,9 +27,9 @@ from .model import (
     check_schedule,
     cost,
     make_schedule,
+    require_valid,
     span,
     utilization,
-    validate,
 )
 
 
@@ -72,9 +72,7 @@ def brute_force_opt(instance: Instance, max_jobs: int = 10) -> OptResult:
     """
     if max_jobs < 1:
         raise ValueError(f"max_jobs must be at least 1, got {max_jobs}")
-    bad = validate(instance)
-    if bad:
-        raise ValueError(f"invalid instance: {bad[0]}")
+    require_valid(instance)
     jobs = instance.jobs
     n = len(jobs)
     if n > max_jobs:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from rentlab import read_instance
+from rentlab import model, read_instance
 from rentlab.cli import main
 
 
@@ -112,6 +112,48 @@ def test_run_rejects_invalid_instance(tmp_path, capsys):
     rc = run_cli("run", "--alg", "nextfit", "--in", str(inst_path))
     assert rc == 2
     assert "invalid instance" in capsys.readouterr().err
+
+
+SOLVE_COMMANDS = [("run", "--alg", "firstfit"), ("run", "--alg", "nextfit"), ("opt",)]
+
+
+@pytest.mark.parametrize("command", SOLVE_COMMANDS)
+def test_solve_rejects_invalid_instance_in_one_line(tmp_path, capsys, command):
+    inst_path = tmp_path / "bad.jobs"
+    inst_path.write_text("3/2 0 1\n1/2 2 1\n")
+    out, sched = tmp_path / "report.json", tmp_path / "sched.json"
+    rc = run_cli(
+        *command, "--in", str(inst_path), "--out", str(out),
+        "--schedule-out", str(sched),
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: invalid instance: size must be at most 1: job 0; "
+        "finish must exceed start: job 1\n"
+    )
+    assert not out.exists() and not sched.exists()
+
+
+@pytest.mark.parametrize("command", SOLVE_COMMANDS)
+@pytest.mark.parametrize("jobs", ["1/2 0 2\n1/2 1 3\n", "3/2 0 1\n1/2 2 1\n"])
+def test_solve_validates_instance_once(tmp_path, monkeypatch, capsys, command, jobs):
+    calls = []
+    original = model.validate
+
+    def counting(instance):
+        calls.append(instance)
+        return original(instance)
+
+    # wrap every rentlab namespace that binds validate, not just model
+    for name, module in list(sys.modules.items()):
+        bound = getattr(module, "validate", None)
+        if name.split(".")[0] == "rentlab" and bound is original:
+            monkeypatch.setattr(module, "validate", counting)
+    inst_path = tmp_path / "inst.jobs"
+    inst_path.write_text(jobs)
+    run_cli(*command, "--in", str(inst_path))
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_run_report_is_byte_reproducible(tmp_path):

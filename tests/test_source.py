@@ -1,0 +1,54 @@
+"""Checks on the package source itself."""
+
+import ast
+from pathlib import Path
+
+import rentlab
+
+PACKAGE_DIR = Path(rentlab.__file__).parent
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads; ``from __future__`` is skipped."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [
+        f"line {line}: {name}"
+        for name, line in sorted(imported.items(), key=lambda item: item[1])
+        if name not in used
+    ]
+
+
+def test_unused_imports_finds_dead_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from dataclasses import dataclass, field\n"
+        "import json as js\n"
+        "@dataclass\n"
+        "class A:\n"
+        "    x: int = js.loads('1')\n"
+    )
+    assert unused_imports(source) == ["line 2: os", "line 3: field"]
+
+
+def test_modules_import_no_unused_names():
+    modules = sorted(PACKAGE_DIR.glob("*.py"))
+    assert len(modules) > 1
+    dead = {
+        path.name: found
+        for path in modules
+        if path.name != "__init__.py"
+        for found in [unused_imports(path.read_text())]
+        if found
+    }
+    assert dead == {}
