@@ -83,6 +83,7 @@ from .model import (
 from .optimal import (
     OptResult,
     active_ceil_bound,
+    arrival_ceiling_profile,
     brute_force_opt,
     lower_bounds,
     verify_certificate,

@@ -110,10 +110,15 @@ def _place(instance: Instance, keep_earlier: bool) -> AlgorithmTrace:
     starts, finishes = times[: len(jobs)], times[len(jobs) :]
     servers: list[_ServerBuild] = []
     candidates: list[_ServerBuild] = []
+    # At most every candidate's termination: terminations only grow, so the
+    # list needs rebuilding only once an arrival passes this bound.
+    earliest = math.inf
     decisions: list[Decision] = []
     for i, jb in enumerate(jobs):
         start, size = starts[i], sizes[i]
-        candidates = [srv for srv in candidates if srv.termination >= start]
+        if start > earliest:
+            candidates = [srv for srv in candidates if srv.termination >= start]
+            earliest = min((srv.termination for srv in candidates), default=math.inf)
         target = None
         scanned = 0
         for srv in candidates:
@@ -130,6 +135,7 @@ def _place(instance: Instance, keep_earlier: bool) -> AlgorithmTrace:
                 candidates.append(target)
             else:
                 candidates = [target]
+            earliest = min(earliest, finishes[i])
         if not keep_earlier:
             # NextFit's one open server counts as scanned even once expired
             scanned = min(i, 1)

@@ -25,6 +25,7 @@ import random
 
 from .algorithms import AlgorithmTrace, first_fit, next_fit, server_type_partition
 from .generators import (
+    _two_arrival_draws,
     ggu_extended,
     long_uniform,
     random_equal_duration,
@@ -40,7 +41,7 @@ from .model import (
     scale_time,
     utilization,
 )
-from .optimal import active_ceil_bound, brute_force_opt, verify_certificate
+from .optimal import arrival_ceiling_profile, brute_force_opt, verify_certificate
 
 T_MIN = Fraction(1, 28)
 
@@ -464,26 +465,53 @@ _UNIFORM_SIZE_GRID = 12
 _UNIFORM_MAX_ATTEMPTS = 50000
 
 
+def _uniform_first_fit(draws: list[tuple[int, bool]], capacity: int) -> bool:
+    """Whether FirstFit rents every server over [0, 1+t] for these draws.
+
+    Sizes are ints on the size grid, capacity its denominator.  Nothing
+    expires before t < 1, so FirstFit is bin packing of the time-0 sizes and
+    then the time-t sizes into the same loads: every server opens at 0 and
+    runs to 1+t iff some job opens one at 0, none opens one at t, and every
+    server takes a time-t job.
+    """
+    loads: list[int] = []
+    topped: list[bool] = []
+    # time-0 draws first, then time-t ones, each in draw order (a stable sort)
+    for size, late in sorted(draws, key=lambda draw: draw[1]):
+        for i, load in enumerate(loads):
+            if load + size <= capacity:
+                loads[i] += size
+                topped[i] |= late
+                break
+        else:
+            if late:
+                return False
+            loads.append(size)
+            topped.append(False)
+    return bool(loads) and all(topped)
+
+
 def find_uniform_two_arrival(t, seed: int):
     """Rejection-sample a two-arrival instance whose FF servers are uniform.
 
     Draws seeded random instances until FirstFit rents every server over the
     whole [0, 1+t] window (so the weight scheme's setting applies), then
     returns (instance, trace, accepted seed).  Deterministic in (t, seed).
+    Each draw is tested on the integer size grid; only the accepted one is
+    built as an Instance and run through first_fit.
     """
     t = as_rational(t)
+    if not 0 < t < 1:
+        raise ValueError("second arrival t must lie strictly between 0 and 1")
     for attempt in range(_UNIFORM_MAX_ATTEMPTS):
         cand_seed = seed + attempt
         n = random.Random(cand_seed).randint(*_UNIFORM_N_RANGE)
-        instance = random_two_arrival(
-            n=n, t=t, seed=cand_seed, size_grid=_UNIFORM_SIZE_GRID
-        )
-        trace = first_fit(instance)
-        servers = trace.schedule.servers
-        if servers and all(
-            srv.open_time == 0 and srv.close_time == 1 + t for srv in servers
-        ):
-            return instance, trace, cand_seed
+        draws = _two_arrival_draws(n, cand_seed, _UNIFORM_SIZE_GRID)
+        if _uniform_first_fit(draws, _UNIFORM_SIZE_GRID):
+            instance = random_two_arrival(
+                n=n, t=t, seed=cand_seed, size_grid=_UNIFORM_SIZE_GRID
+            )
+            return instance, first_fit(instance), cand_seed
     raise RuntimeError(
         f"no uniform-server instance found in {_UNIFORM_MAX_ATTEMPTS} attempts"
     )
@@ -524,6 +552,8 @@ def ratio_report(alg_cost, reference_cost, kind: str) -> RatioReport:
         raise ValueError(f"kind must be one of {RATIO_KINDS}")
     alg_cost = as_rational(alg_cost)
     reference_cost = as_rational(reference_cost)
+    if alg_cost < 0:
+        raise ValueError("alg cost must be non-negative")
     if reference_cost <= 0:
         raise ValueError("reference cost must be positive")
     relation = {"exact-opt": "=", "certificate-upper": ">=", "lower-bound": "<="}[kind]
@@ -577,8 +607,8 @@ def suite_nextfit_2t(
         n = random.Random(trial_seed).randint(1, max_jobs)
         instance = random_equal_duration(n=n, seed=trial_seed)
         trace = next_fit(instance)
-        for tau, got in active_count_profile(trace.schedule):
-            bound = active_ceil_bound(instance, tau)
+        ceilings = arrival_ceiling_profile(instance)
+        for (tau, got), bound in zip(active_count_profile(trace.schedule), ceilings):
             if got > 2 * bound:
                 details = {
                     "trial": trial,

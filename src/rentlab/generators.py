@@ -162,14 +162,18 @@ def random_two_arrival(n: int, t, seed: int, size_grid: int = 12) -> Instance:
     t = as_rational(t)
     if not 0 < t < 1:
         raise ValueError("second arrival t must lie strictly between 0 and 1")
-    rng = random.Random(seed)
-    drawn = []
-    for _ in range(n):
-        size = Fraction(rng.randint(1, size_grid), size_grid)
-        start = Fraction(0) if rng.random() < 0.5 else t
-        drawn.append((start, size))
+    drawn = [
+        (t if late else Fraction(0), Fraction(size, size_grid))
+        for size, late in _two_arrival_draws(n, seed, size_grid)
+    ]
     drawn.sort(key=lambda pair: pair[0])
     return Instance(tuple(Job(size, start, start + 1) for start, size in drawn))
+
+
+def _two_arrival_draws(n: int, seed: int, size_grid: int) -> list[tuple[int, bool]]:
+    """random_two_arrival's draws in order: (size * size_grid, arrives at t)."""
+    rng = random.Random(seed)
+    return [(rng.randint(1, size_grid), rng.random() >= 0.5) for _ in range(n)]
 
 
 def random_equal_duration(

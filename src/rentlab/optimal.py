@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .algorithms import _on_lattice
 from .model import (
     Instance,
     InfeasibleScheduleError,
@@ -134,19 +135,50 @@ def brute_force_opt(instance: Instance, max_jobs: int = 10) -> OptResult:
     )
 
 
-def active_ceil_bound(instance: Instance, t: Fraction) -> int:
-    """Ceiling of the size mass arriving in (t-1, t]; needs unit durations.
-
-    Any schedule must keep that many servers running at time t, because every
-    job arriving in the window is still active then and sizes are at most 1.
-    """
+def _require_unit_durations(instance: Instance) -> None:
     for i, jb in enumerate(instance.jobs):
         if jb.duration != 1:
             raise ValueError(
                 f"job {i} has duration {jb.duration}; bound requires unit durations"
             )
+
+
+def active_ceil_bound(instance: Instance, t: Fraction) -> int:
+    """Ceiling of the size mass arriving in (t-1, t]; needs unit durations.
+
+    Any schedule must keep that many servers running at time t, because every
+    job arriving in the window is still active then and sizes are at most 1.
+    A point query; arrival_ceiling_profile gives every event time in one sweep.
+    """
+    _require_unit_durations(instance)
     t = as_rational(t)
     return math.ceil(arrival_mass(instance, t - 1, t))
+
+
+def arrival_ceiling_profile(instance: Instance) -> list[int]:
+    """active_ceil_bound(instance, t) for every t in event_times, in one sweep.
+
+    Sizes go to ints by the lcm of their denominators (capacity becomes that
+    lcm) and starts by the lcm of theirs, so a unit of time is that lcm too
+    and each finish is its start plus it.  Two pointers over the sorted
+    starts keep the integer mass arriving in (t-1, t].
+    """
+    _require_unit_durations(instance)
+    jobs = instance.jobs
+    capacity, sizes = _on_lattice([jb.size for jb in jobs])
+    unit, starts = _on_lattice([jb.start for jb in jobs])
+    arrivals = sorted(zip(starts, sizes))
+    ceilings = []
+    mass = entered = left = 0
+    for t in sorted({*starts, *(s + unit for s in starts)}):
+        while entered < len(arrivals) and arrivals[entered][0] <= t:
+            mass += arrivals[entered][1]
+            entered += 1
+        while left < entered and arrivals[left][0] <= t - unit:
+            mass -= arrivals[left][1]
+            left += 1
+        ceilings.append(-(-mass // capacity))
+    return ceilings
 
 
 def verify_certificate(instance: Instance, claimed: Schedule) -> Fraction:

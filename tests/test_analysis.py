@@ -329,6 +329,10 @@ def test_ratio_report_examples():
     assert rep.value == 2
     assert rep.relation == "<="
 
+    # a zero algorithm cost is a valid ratio of 0; a negative one is not
+    assert ratio_report(F(0), F(2), "exact-opt").value == 0
+    with pytest.raises(ValueError, match="alg cost must be non-negative"):
+        ratio_report(F(-3), F(2), "exact-opt")
     with pytest.raises(ValueError):
         ratio_report(F(1), F(0), "exact-opt")
     with pytest.raises(ValueError):

@@ -225,6 +225,21 @@ def test_ratio_command(tmp_path):
     assert report["relation"] == ">="
 
 
+def test_ratio_rejects_negative_alg_cost(tmp_path, capsys):
+    report_path = tmp_path / "ratio.json"
+    rc = run_cli(
+        "ratio", "--alg-cost", "-3", "--opt", "2", "--kind", "exact-opt",
+        "--out", str(report_path),
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == "error: alg cost must be non-negative\n"
+    assert not report_path.exists()
+    # a zero cost stays a valid ratio
+    assert run_cli("ratio", "--alg-cost", "0", "--opt", "2", "--kind", "exact-opt",
+                   "--out", str(report_path)) == 0
+    assert json.loads(report_path.read_text())["ratio"] == "0"
+
+
 def test_verify_rejects_flags_the_suite_does_not_take(capsys):
     for suite, extra, named in [
         ("weights", ["--max-jobs", "3", "--n", "5"], "--max-jobs, --n"),
@@ -260,6 +275,10 @@ GOLDEN_REPORTS = {
         "be8710505d35c4fcc6692502a6c82b9fa9fbbf1455828e17b7fcd2804f1491d6",
     "verify --suite weights --trials 8":
         "158e7e6a4f1df775ce0e85a1117c1a93c02b49cf63aa0e66afb453ac1bbeb9b1",
+    "verify --suite nextfit-2t":
+        "1bfd3511de658a673b6917465504b75752f43ffdf5713a13d1de3928ba635043",
+    "verify --suite weights":
+        "1ca8742673d5d4aae32b4e8f0bbf0d4f8b3b4df98d843913a7918db65fc90ce9",
     "verify --suite layers":
         "0dae32f0d67910c0521cec941cc19d1b87a0b5dc55397adbab91226af8943cb7",
     "verify --suite recurrence":
@@ -321,6 +340,14 @@ def test_verify_sampled_suites_small(tmp_path, monkeypatch):
         "verify --suite strict-ff-2 --trials 40",
         "verify --suite weights --trials 8",
     ]:
+        report = run_golden(command, "--counterexample-dir", str(tmp_path))
+        assert report["passed"] is True, command
+
+
+def test_verify_default_reports(tmp_path, monkeypatch):
+    # the settings `rentlab verify` runs without flags, on the integer sweeps
+    monkeypatch.chdir(tmp_path)
+    for command in ["verify --suite nextfit-2t", "verify --suite weights"]:
         report = run_golden(command, "--counterexample-dir", str(tmp_path))
         assert report["passed"] is True, command
 

@@ -19,6 +19,7 @@ from rentlab import (
 from rentlab.generators import ggu_extended, random_equal_duration
 from rentlab.optimal import (
     active_ceil_bound,
+    arrival_ceiling_profile,
     brute_force_opt,
     lower_bounds,
     verify_certificate,
@@ -153,9 +154,11 @@ def test_active_ceil_bound_examples():
 
 
 def test_active_ceil_bound_requires_unit_durations():
-    inst = make_instance([(F(1, 2), 0, 2)])
-    with pytest.raises(ValueError):
+    inst = make_instance([(F(1, 2), 0, 1), (F(1, 2), 1, F(5, 2))])
+    with pytest.raises(ValueError, match="job 1 has duration 3/2"):
         active_ceil_bound(inst, F(1))
+    with pytest.raises(ValueError, match="job 1 has duration 3/2"):
+        arrival_ceiling_profile(inst)
 
 
 def test_active_ceil_bound_lower_bounds_opt_schedule():

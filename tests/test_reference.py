@@ -1,10 +1,13 @@
 """Fast paths against the plain Fraction loops they replaced.
 
 The placement kernel works on integers scaled by the instance's
-denominators, and active_count_profile and check_schedule each sweep once.
-The references below are the direct Fraction versions, kept here only: the
-placement loop with Fraction loads, a per-time count over every job, and a
-capacity check that re-sums each server's load at each of its starts.
+denominators, and active_count_profile, check_schedule and
+arrival_ceiling_profile each sweep once; find_uniform_two_arrival tests its
+draws on the integer size grid.  The references below are the direct
+Fraction versions, kept here only: the placement loop with Fraction loads, a
+per-time count over every job, a capacity check that re-sums each server's
+load at each of its starts, a point query of the arrival ceiling at each
+event time, and a sampler that builds every draw and runs first_fit on it.
 """
 
 import heapq
@@ -19,8 +22,10 @@ from rentlab import (
     Schedule,
     Server,
     Violation,
+    active_ceil_bound,
     active_count_integral,
     active_count_profile,
+    arrival_ceiling_profile,
     check_schedule,
     event_times,
     first_fit,
@@ -29,7 +34,13 @@ from rentlab import (
     scale_time,
 )
 from rentlab.algorithms import AlgorithmTrace, Decision
-from rentlab.generators import ggu_extended, nf_nemesis, random_equal_duration
+from rentlab.analysis import _WEIGHT_T_VALUES, find_uniform_two_arrival
+from rentlab.generators import (
+    ggu_extended,
+    nf_nemesis,
+    random_equal_duration,
+    random_two_arrival,
+)
 
 F = Fraction
 
@@ -141,6 +152,35 @@ def reference_check_schedule(schedule):
     return violations
 
 
+def reference_ceilings(instance):
+    return [active_ceil_bound(instance, t) for t in event_times(instance)]
+
+
+def reference_two_arrival(n, t, seed, size_grid=12):
+    rng = random.Random(seed)
+    drawn = []
+    for _ in range(n):
+        size = F(rng.randint(1, size_grid), size_grid)
+        start = F(0) if rng.random() < 0.5 else t
+        drawn.append((start, size))
+    drawn.sort(key=lambda pair: pair[0])
+    return Instance(tuple(Job(size, start, start + 1) for start, size in drawn))
+
+
+def reference_find_uniform(t, seed):
+    """(instance, accepted seed) of the sampler that runs first_fit on every draw."""
+    for attempt in range(50000):
+        cand_seed = seed + attempt
+        n = random.Random(cand_seed).randint(4, 8)
+        instance = reference_two_arrival(n, t, cand_seed)
+        servers = reference_place(instance, keep_earlier=True).schedule.servers
+        if servers and all(
+            srv.open_time == 0 and srv.close_time == 1 + t for srv in servers
+        ):
+            return instance, cand_seed
+    raise RuntimeError("no uniform-server instance found")
+
+
 # ---------------------------------------------------------------------------
 # Inputs
 # ---------------------------------------------------------------------------
@@ -171,6 +211,33 @@ def online_instances():
     rng = random.Random(17)
     for _ in range(40):
         yield general_instance(rng, rng.randint(1, 30))
+
+
+def unit_instances():
+    """Unit-duration instances with dense, sparse and huge-denominator starts."""
+    for start_grid in (1, 3, 4, 7):
+        for horizon in range(1, 10):
+            for seed in range(6):
+                n = 1 + (7 * seed + horizon) % 40
+                instance = random_equal_duration(
+                    n, seed=seed, size_grid=5 + seed, start_grid=start_grid,
+                    horizon=horizon,
+                )
+                yield instance
+                # the same arrivals on a stretched, shifted time axis with
+                # 80-bit denominators; durations stay 1
+                stretch, shift = F(10**20 + 1, 3**45), F(7, 2**70)
+                yield Instance(tuple(
+                    Job(jb.size, jb.start * stretch + shift, jb.start * stretch + shift + 1)
+                    for jb in instance.jobs
+                ))
+    rng = random.Random(31)
+    big = 3**40
+    for _ in range(20):
+        # sizes on a 64-bit grid, starts on the 1/5 grid
+        rows = sorted((F(rng.randint(0, 30), 5), F(rng.randint(1, big), big))
+                      for _ in range(rng.randint(0, 30)))
+        yield Instance(tuple(Job(size, s, s + 1) for s, size in rows))
 
 
 def check_measures(schedule):
@@ -271,3 +338,65 @@ def test_fast_paths_match_reference_on_generated_instances():
         check_policies(Instance(tuple(Job(size, s, s + dur) for s, size, dur in jobs)))
 
     check()
+
+
+def test_arrival_ceilings_match_point_queries():
+    for instance in unit_instances():
+        assert arrival_ceiling_profile(instance) == reference_ceilings(instance)
+
+
+def test_two_arrival_draws_match_reference():
+    for seed in range(60):
+        for t in _WEIGHT_T_VALUES:
+            for size_grid in (1, 7, 12):
+                n = seed % 11
+                assert random_two_arrival(n, t, seed, size_grid) == (
+                    reference_two_arrival(n, t, seed, size_grid)
+                )
+
+
+def test_uniform_sampler_matches_fraction_reference():
+    # the first 100 trials of the default weights suite, 25 per value of t
+    for trial in range(100):
+        t = _WEIGHT_T_VALUES[trial % len(_WEIGHT_T_VALUES)]
+        seed = 104729 * 1_000_003 + trial * 10_007
+        instance, trace, accepted = find_uniform_two_arrival(t, seed)
+        assert (instance, accepted) == reference_find_uniform(t, seed)
+        assert trace == reference_place(instance, keep_earlier=True)
+
+
+def test_uniform_sampler_refuses_t_before_drawing():
+    with pytest.raises(
+        ValueError, match="second arrival t must lie strictly between 0 and 1"
+    ):
+        find_uniform_two_arrival(F(3, 2), 1)
+
+
+def test_sweeps_match_reference_on_generated_unit_instances():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    rows = st.lists(
+        st.tuples(
+            st.integers(1, 16), st.integers(1, 16),  # size p/q, kept <= 1
+            st.integers(0, 40), st.integers(1, 7),  # start s/d
+        ),
+        max_size=25,
+    )
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(rows)
+    def check_ceilings(drawn):
+        jobs = sorted((F(s, d), F(min(p, q), q)) for p, q, s, d in drawn)
+        instance = Instance(tuple(Job(size, s, s + 1) for s, size in jobs))
+        assert arrival_ceiling_profile(instance) == reference_ceilings(instance)
+
+    @hypothesis.settings(max_examples=30, deadline=None)
+    @hypothesis.given(st.integers(1, 40), st.integers(2, 41), st.integers(0, 10**9))
+    def check_sampler(p, q, seed):
+        t = F(min(p, q - 1), q)
+        instance, _, accepted = find_uniform_two_arrival(t, seed)
+        assert (instance, accepted) == reference_find_uniform(t, seed)
+
+    check_ceilings()
+    check_sampler()
