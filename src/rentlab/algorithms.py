@@ -46,11 +46,11 @@ class AlgorithmTrace:
 class _ServerBuild:
     """Mutable server under construction, on the instance's integer lattice.
 
-    Loads, finishes and the termination are ints scaled by the instance's
-    size and time denominators (see _place).  Keeps the running load and a
-    min-heap of (finish, size) so departed jobs can be expired lazily as
-    arrivals advance; each job is expired once, so fit tests stay O(1)
-    amortised.  The rental window keeps the jobs' own Fractions.
+    Loads, finishes and the termination are ints on the instance's lattice
+    (see model.Lattice).  Keeps the running load and a min-heap of (finish,
+    size) so departed jobs can be expired lazily as arrivals advance; each
+    job is expired once, so fit tests stay O(1) amortised.  The rental
+    window keeps the jobs' own Fractions.
     """
 
     __slots__ = (
@@ -89,25 +89,17 @@ class _ServerBuild:
         )
 
 
-def _on_lattice(values: list[Fraction]) -> tuple[int, list[int]]:
-    """(L, [v * L]) for L the lcm of the denominators: exact ints, in order."""
-    scale = math.lcm(*{v.denominator for v in values})
-    return scale, [v.numerator * (scale // v.denominator) for v in values]
-
-
 def _place(instance: Instance, keep_earlier: bool) -> AlgorithmTrace:
     """The loop both policies share; keep_earlier selects FirstFit.
 
-    Sizes are scaled to ints by the lcm of their denominators, which turns
-    capacity 1 into that lcm, and starts and finishes by the lcm of theirs.
-    Both maps are exact and order-preserving, so every fit test and expiry
-    decides as it would on the Fractions.
+    Fit tests and expiries compare the instance's lattice ints (capacity 1
+    is ``lattice.capacity``), so each decides as it would on the Fractions.
     """
     require_valid(instance)
     jobs = instance.jobs
-    capacity, sizes = _on_lattice([jb.size for jb in jobs])
-    _, times = _on_lattice([jb.start for jb in jobs] + [jb.finish for jb in jobs])
-    starts, finishes = times[: len(jobs)], times[len(jobs) :]
+    lat = instance.lattice
+    capacity, sizes = lat.capacity, lat.sizes
+    starts, finishes = lat.starts, lat.finishes
     servers: list[_ServerBuild] = []
     candidates: list[_ServerBuild] = []
     # At most every candidate's termination: terminations only grow, so the

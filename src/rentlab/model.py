@@ -3,7 +3,10 @@
 Every size, time and cost in this package is a ``fractions.Fraction``.  The
 adversarial families in :mod:`rentlab.generators` separate servers by gaps far
 below float resolution, so fit tests and cost comparisons must be exact.
-Floats are rejected at the boundary rather than silently converted.
+Floats are rejected at the boundary rather than silently converted.  Inside,
+each instance keeps one integer lattice (``Instance.lattice``), on which the
+checks and measures below compare ints before turning results back into
+Fractions.
 
 Conventions:
 
@@ -20,10 +23,11 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
@@ -84,6 +88,44 @@ class Job:
         return self.start <= t < self.finish
 
 
+def _on_lattice(values: list[Fraction]) -> tuple[int, list[int]]:
+    """(L, [v * L]) for L the lcm of the denominators: exact ints, in order.
+
+    Equal values share one int object, so a lattice kept on an instance
+    costs little more than its lists when jobs repeat their sizes or times.
+    """
+    scale = math.lcm(*{v.denominator for v in values})
+    scaled = [v.numerator * (scale // v.denominator) for v in values]
+    shared: dict[int, int] = {}
+    return scale, [shared.setdefault(x, x) for x in scaled]
+
+
+@dataclass(frozen=True)
+class Lattice:
+    """An instance's jobs as exact ints, in presentation order.
+
+    Sizes are scaled by the lcm of their denominators, so capacity 1 becomes
+    ``capacity``; starts and finishes by the lcm of theirs, so time 1 becomes
+    ``unit``.  Both maps are exact and order-preserving: every comparison,
+    sum and difference decides on the ints as it would on the Fractions,
+    and an int ``v`` on an axis is ``Fraction(v, capacity)`` or
+    ``Fraction(v, unit)``.
+    """
+
+    capacity: int
+    sizes: tuple[int, ...]
+    unit: int
+    starts: tuple[int, ...]
+    finishes: tuple[int, ...]
+
+
+def _build_lattice(jobs: tuple[Job, ...]) -> Lattice:
+    capacity, sizes = _on_lattice([jb.size for jb in jobs])
+    unit, times = _on_lattice([jb.start for jb in jobs] + [jb.finish for jb in jobs])
+    n = len(jobs)
+    return Lattice(capacity, tuple(sizes), unit, tuple(times[:n]), tuple(times[n:]))
+
+
 @dataclass(frozen=True)
 class Instance:
     """An ordered sequence of jobs, presented to the algorithms one by one."""
@@ -95,6 +137,15 @@ class Instance:
 
     def __len__(self) -> int:
         return len(self.jobs)
+
+    @cached_property
+    def lattice(self) -> Lattice:
+        """The jobs on their integer lattice, built on first use and kept.
+
+        The cache lives in the instance's ``__dict__``; it is not a field,
+        so equality, hashing and repr ignore it.
+        """
+        return _build_lattice(self.jobs)
 
 
 def make_instance(rows: Iterable[Sequence]) -> Instance:
@@ -153,20 +204,22 @@ def validate(instance: Instance) -> list[Violation]:
     Rules: 0 < size <= 1, start >= 0, finish > start, and starts
     non-decreasing in presentation order.  Empty instances are valid.
     """
+    lat = instance.lattice
+    capacity = lat.capacity
     violations: list[Violation] = []
-    prev_start: Fraction | None = None
-    for i, jb in enumerate(instance.jobs):
-        if not 0 < jb.size:
+    prev_start: int | None = None
+    for i, (size, start, finish) in enumerate(zip(lat.sizes, lat.starts, lat.finishes)):
+        if not 0 < size:
             violations.append(Violation("size must be positive", job_index=i))
-        if jb.size > 1:
+        if size > capacity:
             violations.append(Violation("size must be at most 1", job_index=i))
-        if jb.start < 0:
+        if start < 0:
             violations.append(Violation("start must be non-negative", job_index=i))
-        if jb.finish <= jb.start:
+        if finish <= start:
             violations.append(Violation("finish must exceed start", job_index=i))
-        if prev_start is not None and jb.start < prev_start:
+        if prev_start is not None and start < prev_start:
             violations.append(Violation("starts must be non-decreasing", job_index=i))
-        prev_start = jb.start
+        prev_start = start
     return violations
 
 
@@ -179,16 +232,20 @@ def require_valid(instance: Instance) -> None:
 
 def utilization(instance: Instance) -> Fraction:
     """Total work: sum of size * duration over all jobs."""
-    return sum((jb.size * jb.duration for jb in instance.jobs), Fraction(0))
+    lat = instance.lattice
+    work = sum(
+        size * (finish - start)
+        for size, start, finish in zip(lat.sizes, lat.starts, lat.finishes)
+    )
+    return Fraction(work, lat.capacity * lat.unit)
 
 
 def span(instance: Instance) -> Fraction:
     """Total length of time during which at least one job is active."""
-    intervals = sorted((jb.start, jb.finish) for jb in instance.jobs)
-    total = Fraction(0)
-    cur_start: Fraction | None = None
-    cur_end: Fraction | None = None
-    for s, f in intervals:
+    lat = instance.lattice
+    total = 0
+    cur_start = cur_end = None
+    for s, f in sorted(zip(lat.starts, lat.finishes)):
         if cur_end is None or s > cur_end:
             if cur_end is not None:
                 total += cur_end - cur_start
@@ -197,15 +254,16 @@ def span(instance: Instance) -> Fraction:
             cur_end = f
     if cur_end is not None:
         total += cur_end - cur_start
-    return total
+    return Fraction(total, lat.unit)
 
 
 def mu(instance: Instance) -> Fraction:
     """Max-to-min duration ratio; 1 means equal-length jobs."""
     if not instance.jobs:
         raise ValueError("undefined on empty instance")
-    durations = [jb.duration for jb in instance.jobs]
-    return max(durations) / min(durations)
+    lat = instance.lattice
+    durations = [f - s for s, f in zip(lat.starts, lat.finishes)]
+    return Fraction(max(durations), min(durations))
 
 
 def arrival_mass(instance: Instance, t1: Fraction, t2: Fraction) -> Fraction:
@@ -269,13 +327,15 @@ def active_count_profile(schedule: Schedule) -> list[tuple[Fraction, int]]:
 
     Each server's job intervals are merged into disjoint segments, each
     segment adds +1 at its start and -1 at its end, and a running sum of
-    those deltas over the event times gives the count.
+    those deltas over the event times gives the count.  The sweep runs on
+    the instance's lattice times.
     """
-    jobs = schedule.instance.jobs
-    delta: dict[Fraction, int] = {}
+    lat = schedule.instance.lattice
+    starts, finishes = lat.starts, lat.finishes
+    delta: dict[int, int] = {}
     for server in schedule.servers:
-        segments: list[list[Fraction]] = []
-        for s, f in sorted((jobs[i].start, jobs[i].finish) for i in server.job_indices):
+        segments: list[list[int]] = []
+        for s, f in sorted((starts[i], finishes[i]) for i in server.job_indices):
             if s >= f:
                 continue  # never active
             if segments and s <= segments[-1][1]:
@@ -285,11 +345,12 @@ def active_count_profile(schedule: Schedule) -> list[tuple[Fraction, int]]:
         for s, f in segments:
             delta[s] = delta.get(s, 0) + 1
             delta[f] = delta.get(f, 0) - 1
+    unit = lat.unit
     profile = []
     count = 0
-    for t in event_times(schedule.instance):
+    for t in sorted({*starts, *finishes}):
         count += delta.get(t, 0)
-        profile.append((t, count))
+        profile.append((Fraction(t, unit), count))
     return profile
 
 
@@ -344,11 +405,14 @@ def check_schedule(schedule: Schedule) -> list[Violation]:
     is running, the concurrent load can only drop until the next start.  One
     sweep per server visits its members by start, adding the jobs that
     arrive at each distinct start and dropping, from a heap ordered by
-    finish, those that have left.
+    finish, those that have left.  The sweep runs on the instance's lattice.
     """
     violations: list[Violation] = []
-    n = len(schedule.instance.jobs)
     jobs = schedule.instance.jobs
+    n = len(jobs)
+    lat = schedule.instance.lattice
+    starts, finishes, sizes = lat.starts, lat.finishes, lat.sizes
+    capacity = lat.capacity
     assigned: dict[int, int] = {}
     for server in schedule.servers:
         if not server.job_indices:
@@ -365,36 +429,41 @@ def check_schedule(schedule: Schedule) -> list[Violation]:
                     Violation("job assigned twice", job_index=i, server_id=server.id)
                 )
             assigned[i] = server.id
-        members = [jobs[i] for i in server.job_indices if 0 <= i < n]
+        members = [i for i in server.job_indices if 0 <= i < n]
         if not members:
             continue
-        open_t = min(jb.start for jb in members)
-        close_t = max(jb.finish for jb in members)
-        if server.open_time != open_t or server.close_time != close_t:
+        members.sort(key=starts.__getitem__)
+        last = max(members, key=finishes.__getitem__)
+        if (
+            server.open_time != jobs[members[0]].start
+            or server.close_time != jobs[last].finish
+        ):
             violations.append(
                 Violation(
                     "rental window must span min start to max finish",
                     server_id=server.id,
                 )
             )
-        members.sort(key=attrgetter("start"))
-        running: list[tuple[Fraction, Fraction]] = []  # (finish, size) heap
-        here = Fraction(0)
+        running: list[tuple[int, int]] = []  # (finish, size) heap
+        here = 0
         k = 0
         while k < len(members):
-            s = members[k].start
+            s = starts[members[k]]
             while running and running[0][0] <= s:
                 here -= heapq.heappop(running)[1]
-            while k < len(members) and members[k].start == s:
-                jb = members[k]
+            while k < len(members) and starts[members[k]] == s:
+                i = members[k]
                 k += 1
-                if jb.finish > s:
-                    here += jb.size
-                    heapq.heappush(running, (jb.finish, jb.size))
-            if here > 1:
+                if finishes[i] > s:
+                    here += sizes[i]
+                    heapq.heappush(running, (finishes[i], sizes[i]))
+            if here > capacity:
                 violations.append(
                     Violation(
-                        "capacity exceeded", server_id=server.id, time=s, load=here
+                        "capacity exceeded",
+                        server_id=server.id,
+                        time=Fraction(s, lat.unit),
+                        load=Fraction(here, capacity),
                     )
                 )
     for i in range(n):
@@ -486,22 +555,47 @@ def schedule_to_dict(schedule: Schedule) -> dict:
     }
 
 
+def _server_from_entry(k: int, entry) -> Server:
+    """Server entry k of a stored schedule; refuses a field of the wrong type."""
+    try:
+        sid, indices = entry["id"], entry["jobs"]
+        windows = (("open", entry["open"]), ("close", entry["close"]))
+    except (KeyError, TypeError):
+        raise ValueError(
+            f"server entry {k}: expected an object with id, jobs, open and "
+            f"close, got {entry!r}"
+        ) from None
+    if type(sid) is not int:
+        raise ValueError(f"server entry {k}: id {sid!r} is not an integer")
+    if type(indices) is not list:
+        raise ValueError(f"server entry {k}: jobs {indices!r} is not a list")
+    for i in indices:
+        if type(i) is not int:
+            raise ValueError(f"server entry {k}: job index {i!r} is not an integer")
+    times = []
+    for name, text in windows:
+        if type(text) is not str:
+            raise ValueError(f"server entry {k}: {name} {text!r} is not a string")
+        try:
+            times.append(parse_rational(text))
+        except ValueError as exc:
+            raise ValueError(f"server entry {k}: {name}: {exc}") from None
+    return Server(sid, tuple(indices), *times)
+
+
 def schedule_from_dict(instance: Instance, data: dict) -> Schedule:
     """Rebuild a schedule against its instance.
 
-    Strict on structure: every job of the instance must appear exactly once
-    and indices must be in range (stored schedules are claims about a known
-    instance; a silent partial read would hide a mismatched file).
+    Strict on structure: ids and job indices must be integers (not bools,
+    floats or strings) and windows 'p/q' strings, every job of the instance
+    must appear exactly once and indices must be in range (stored schedules
+    are claims about a known instance; a silent partial read would hide a
+    mismatched file).
     """
-    servers = tuple(
-        Server(
-            id=entry["id"],
-            job_indices=tuple(entry["jobs"]),
-            open_time=parse_rational(entry["open"]),
-            close_time=parse_rational(entry["close"]),
-        )
-        for entry in data["servers"]
-    )
+    entries = data.get("servers") if isinstance(data, dict) else None
+    if type(entries) is not list:
+        raise ValueError("schedule must be an object with a 'servers' list")
+    servers = tuple(_server_from_entry(k, entry) for k, entry in enumerate(entries))
     n = len(instance.jobs)
     seen: set[int] = set()
     for server in servers:

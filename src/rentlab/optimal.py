@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algorithms import _on_lattice
 from .model import (
     Instance,
     InfeasibleScheduleError,
@@ -136,10 +135,12 @@ def brute_force_opt(instance: Instance, max_jobs: int = 10) -> OptResult:
 
 
 def _require_unit_durations(instance: Instance) -> None:
-    for i, jb in enumerate(instance.jobs):
-        if jb.duration != 1:
+    lat = instance.lattice
+    for i, (start, finish) in enumerate(zip(lat.starts, lat.finishes)):
+        if finish - start != lat.unit:
             raise ValueError(
-                f"job {i} has duration {jb.duration}; bound requires unit durations"
+                f"job {i} has duration {instance.jobs[i].duration}; "
+                "bound requires unit durations"
             )
 
 
@@ -158,19 +159,17 @@ def active_ceil_bound(instance: Instance, t: Fraction) -> int:
 def arrival_ceiling_profile(instance: Instance) -> list[int]:
     """active_ceil_bound(instance, t) for every t in event_times, in one sweep.
 
-    Sizes go to ints by the lcm of their denominators (capacity becomes that
-    lcm) and starts by the lcm of theirs, so a unit of time is that lcm too
-    and each finish is its start plus it.  Two pointers over the sorted
-    starts keep the integer mass arriving in (t-1, t].
+    On the instance's lattice capacity 1 is ``capacity`` and a unit of time
+    is ``unit``, so each finish is its start plus ``unit``.  Two pointers
+    over the sorted starts keep the integer mass arriving in (t-1, t].
     """
     _require_unit_durations(instance)
-    jobs = instance.jobs
-    capacity, sizes = _on_lattice([jb.size for jb in jobs])
-    unit, starts = _on_lattice([jb.start for jb in jobs])
-    arrivals = sorted(zip(starts, sizes))
+    lat = instance.lattice
+    capacity, unit = lat.capacity, lat.unit
+    arrivals = sorted(zip(lat.starts, lat.sizes))
     ceilings = []
     mass = entered = left = 0
-    for t in sorted({*starts, *(s + unit for s in starts)}):
+    for t in sorted({*lat.starts, *lat.finishes}):
         while entered < len(arrivals) and arrivals[entered][0] <= t:
             mass += arrivals[entered][1]
             entered += 1

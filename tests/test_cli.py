@@ -4,11 +4,12 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from rentlab import model, read_instance
+from rentlab import Instance, Job, model, read_instance, write_instance
 from rentlab.cli import main
 
 
@@ -156,6 +157,27 @@ def test_solve_validates_instance_once(tmp_path, monkeypatch, capsys, command, j
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command", SOLVE_COMMANDS)
+@pytest.mark.parametrize("jobs", ["1/2 0 2\n1/2 1 3\n1/4 5 6\n", "3/2 0 1\n1/2 2 1\n"])
+def test_solve_builds_instance_lattice_once(tmp_path, monkeypatch, capsys, command, jobs):
+    # validation, placement or search, the digest, the active-count profile
+    # and the written schedule all read the parsed instance's one lattice
+    builds = []
+    original = model._build_lattice
+
+    def counting(jobs):
+        builds.append(jobs)
+        return original(jobs)
+
+    monkeypatch.setattr(model, "_build_lattice", counting)
+    inst_path = tmp_path / "inst.jobs"
+    inst_path.write_text(jobs)
+    run_cli(*command, "--in", str(inst_path), "--out", str(tmp_path / "report.json"),
+            "--schedule-out", str(tmp_path / "sched.json"))
+    capsys.readouterr()
+    assert len(builds) == 1
+
+
 def test_run_report_is_byte_reproducible(tmp_path):
     inst_path = tmp_path / "inst.jobs"
     run_cli(
@@ -295,6 +317,18 @@ GOLDEN_REPORTS = {
         "d12a6422492c5959b15bf725a0c2aefe136b30ce7451f873ffc7c71bce54653d",
     "run --alg nextfit --in merge.jobs":
         "d09e63c586247aab0ba2b7595ece55c55936aec3ac43ab0a128d8a0942ea96b6",
+    "run --alg firstfit --in wide.jobs":
+        "0be0a57487d1c6a5a360f4949db421d30149d12b19ad13a598b56957235e2620",
+    "run --alg nextfit --in wide.jobs":
+        "107aa66751380284807cc7f63ed5177c98d63dfe50c7705799eed50ff50cb779",
+    "opt --in opt.jobs --schedule-out opt.schedule.json":
+        "73f23e48e3e1fc1ea3e221464770507f6d8536e6b0478650b64c5b6dbe6d2c9e",
+}
+
+# sha256 of the schedule file a GOLDEN_REPORTS command wrote next to its report
+GOLDEN_SCHEDULES = {
+    "opt --in opt.jobs --schedule-out opt.schedule.json":
+        "453c0e866e3a2a6d9872e4cd742a1ae64002061f1117744db95e84c887072f9f",
 }
 
 # Servers whose jobs overlap and touch, so the active-count sweep merges
@@ -313,12 +347,46 @@ MERGE_JOBS = """\
 """
 
 
+# Eight jobs of mixed durations with an idle stretch from 3 to 4: the optimum
+# (12) lies above both lower bounds and below FirstFit (13) and NextFit (14).
+OPT_JOBS = """\
+1/3 0 3/2
+1/3 0 5/2
+2/3 1 3
+1/2 3/2 3
+1/4 4 11/2
+1/3 4 13/2
+1/2 4 7
+1 5 15/2
+"""
+
+
+def write_wide_instance(path):
+    """random-equal-duration on 20-bit sizes, its time axis scaled by
+    1/(2^61-1) and shifted by 7/3^40, so times carry 127-bit denominators."""
+    assert run_cli(
+        "gen", "--family", "random-equal-duration", "--n", "40", "--seed", "7",
+        "--size-grid", "999983", "--horizon", "8", "--out", str(path),
+    ) == 0
+    scale, shift = Fraction(1, 2**61 - 1), Fraction(7, 3**40)
+    write_instance(path, Instance(tuple(
+        Job(jb.size, jb.start * scale + shift, jb.finish * scale + shift)
+        for jb in read_instance(path).jobs
+    )))
+
+
+def sha256_of(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def run_golden(command, *extra):
-    """Run a GOLDEN_REPORTS command, check its digest, return the report."""
+    """Run a GOLDEN_REPORTS command, check its digests, return the report."""
     assert run_cli(*command.split(), *extra, "--out", "report.json") == 0, command
-    data = Path("report.json").read_bytes()
-    assert hashlib.sha256(data).hexdigest() == GOLDEN_REPORTS[command], command
-    return json.loads(data)
+    assert sha256_of("report.json") == GOLDEN_REPORTS[command], command
+    if command in GOLDEN_SCHEDULES:
+        written = command.split("--schedule-out ")[1].split()[0]
+        assert sha256_of(written) == GOLDEN_SCHEDULES[command], command
+    return json.loads(Path("report.json").read_bytes())
 
 
 def test_verify_recurrence(tmp_path, monkeypatch):
@@ -361,9 +429,22 @@ def test_reports_match_golden_digests(tmp_path, monkeypatch):
     # ggu(6, 1/2) brings the 35-bit size denominators of its separations
     run_cli("gen", "--family", "ggu", "--k", "6", "--t", "1/2", "--out", "ggu.jobs")
     Path("merge.jobs").write_text(MERGE_JOBS)
-    for name in ("inst", "ggu", "merge"):
+    write_wide_instance("wide.jobs")
+    for name in ("inst", "ggu", "merge", "wide"):
         for alg in ("firstfit", "nextfit"):
             run_golden(f"run --alg {alg} --in {name}.jobs")
+
+
+def test_opt_report_and_schedule_match_golden_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("opt.jobs").write_text(OPT_JOBS)
+    report = run_golden("opt --in opt.jobs --schedule-out opt.schedule.json")
+    floor = max(Fraction(b["exact"]) for b in report["lower_bounds"].values())
+    assert floor < Fraction(report["cost"]["exact"])
+    for alg in ("firstfit", "nextfit"):
+        assert run_cli("run", "--alg", alg, "--in", "opt.jobs", "--out", "alg.json") == 0
+        alg_cost = json.loads(Path("alg.json").read_text())["cost"]["exact"]
+        assert Fraction(report["cost"]["exact"]) < Fraction(alg_cost), alg
 
 
 def test_unknown_subcommand_exits_with_usage_error(capsys):

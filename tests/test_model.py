@@ -1,5 +1,7 @@
 """Core data model: jobs, schedules, exact rational measures, file formats."""
 
+import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -29,6 +31,7 @@ from rentlab import (
     read_instance,
     read_schedule,
     scale_time,
+    schedule_from_dict,
     span,
     utilization,
     validate,
@@ -335,3 +338,42 @@ def test_read_schedule_checks_instance_consistency(tmp_path):
 def test_format_instance_emits_reduced_fractions():
     inst = make_instance([(F(2, 4), 0, 2)])
     assert format_instance(inst) == "1/2 0 2\n"
+
+
+def test_schedule_from_dict_refuses_wrongly_typed_fields(tmp_path):
+    inst = make_instance([(F(1, 2), 0, 1), (F(1, 2), 0, 1)])
+
+    def entry(**changes):
+        return {"id": 0, "jobs": [0, 1], "open": "0", "close": "1", **changes}
+
+    assert schedule_from_dict(inst, {"servers": [entry()]}).servers[0].job_indices == (0, 1)
+    cases = [
+        # True == 1 would cover job 1, and 0.0 or "0" would fail later on
+        (entry(jobs=[True, 0]), "server entry 0: job index True is not an integer"),
+        (entry(jobs=[0.0, 1]), "server entry 0: job index 0.0 is not an integer"),
+        (entry(jobs=["0", 1]), "server entry 0: job index '0' is not an integer"),
+        (entry(jobs="01"), "server entry 0: jobs '01' is not a list"),
+        (entry(id=True), "server entry 0: id True is not an integer"),
+        (entry(id="0"), "server entry 0: id '0' is not an integer"),
+        (entry(open=0), "server entry 0: open 0 is not a string"),
+        (entry(close=None), "server entry 0: close None is not a string"),
+        (entry(close="1.0"), "server entry 0: close: not an integer or p/q"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            schedule_from_dict(inst, {"servers": [bad]})
+    # the bad entry is named by its position
+    with pytest.raises(ValueError, match=r"^server entry 1: id 1\.5 "):
+        schedule_from_dict(inst, {"servers": [entry(jobs=[0]), entry(id=1.5, jobs=[1])]})
+    incomplete = {"id": 0, "jobs": [0, 1], "open": "0"}
+    for data in ({"servers": [incomplete]}, {"servers": [[0, 1]]}):
+        with pytest.raises(ValueError, match="^server entry 0: expected an object"):
+            schedule_from_dict(inst, data)
+    for data in ({}, {"servers": {}}, [entry()]):
+        with pytest.raises(ValueError, match="'servers' list"):
+            schedule_from_dict(inst, data)
+    # the file that used to be read as jobs (True, 0) and certified at cost 1
+    path = tmp_path / "sched.json"
+    path.write_text(json.dumps({"servers": [entry(jobs=[True, 0])]}))
+    with pytest.raises(ValueError, match="job index True is not an integer"):
+        read_schedule(path, inst)

@@ -154,11 +154,12 @@ def test_active_ceil_bound_examples():
 
 
 def test_active_ceil_bound_requires_unit_durations():
-    inst = make_instance([(F(1, 2), 0, 1), (F(1, 2), 1, F(5, 2))])
-    with pytest.raises(ValueError, match="job 1 has duration 3/2"):
-        active_ceil_bound(inst, F(1))
-    with pytest.raises(ValueError, match="job 1 has duration 3/2"):
-        arrival_ceiling_profile(inst)
+    for finish, shown in [(F(5, 2), "3/2"), (F(4, 3), "1/3")]:
+        inst = make_instance([(F(1, 2), 0, 1), (F(1, 2), 1, finish)])
+        with pytest.raises(ValueError, match=f"job 1 has duration {shown};"):
+            active_ceil_bound(inst, F(1))
+        with pytest.raises(ValueError, match=f"job 1 has duration {shown};"):
+            arrival_ceiling_profile(inst)
 
 
 def test_active_ceil_bound_lower_bounds_opt_schedule():

@@ -1,13 +1,15 @@
 """Fast paths against the plain Fraction loops they replaced.
 
-The placement kernel works on integers scaled by the instance's
-denominators, and active_count_profile, check_schedule and
-arrival_ceiling_profile each sweep once; find_uniform_two_arrival tests its
-draws on the integer size grid.  The references below are the direct
-Fraction versions, kept here only: the placement loop with Fraction loads, a
-per-time count over every job, a capacity check that re-sums each server's
-load at each of its starts, a point query of the arrival ceiling at each
-event time, and a sampler that builds every draw and runs first_fit on it.
+The placement kernel, validate, utilization, span, mu,
+active_count_profile, check_schedule and arrival_ceiling_profile all work
+on the instance's integer lattice, the sweeps in one pass each;
+find_uniform_two_arrival tests its draws on the integer size grid.  The
+references below are the direct Fraction versions, kept here only: the
+placement loop with Fraction loads, the instance checks and measures on the
+jobs' Fractions, a per-time count over every job, a capacity check that
+re-sums each server's load at each of its starts, a point query of the
+arrival ceiling at each event time, and a sampler that builds every draw
+and runs first_fit on it.
 """
 
 import heapq
@@ -29,9 +31,14 @@ from rentlab import (
     check_schedule,
     event_times,
     first_fit,
+    make_instance,
     make_schedule,
+    mu,
     next_fit,
     scale_time,
+    span,
+    utilization,
+    validate,
 )
 from rentlab.algorithms import AlgorithmTrace, Decision
 from rentlab.analysis import _WEIGHT_T_VALUES, find_uniform_two_arrival
@@ -88,6 +95,47 @@ def reference_place(instance, keep_earlier):
         Server(b.id, tuple(b.indices), b.open_time, b.termination) for b in servers
     )
     return AlgorithmTrace(Schedule(instance, frozen), tuple(decisions))
+
+
+def reference_validate(instance):
+    violations = []
+    prev_start = None
+    for i, jb in enumerate(instance.jobs):
+        if not 0 < jb.size:
+            violations.append(Violation("size must be positive", job_index=i))
+        if jb.size > 1:
+            violations.append(Violation("size must be at most 1", job_index=i))
+        if jb.start < 0:
+            violations.append(Violation("start must be non-negative", job_index=i))
+        if jb.finish <= jb.start:
+            violations.append(Violation("finish must exceed start", job_index=i))
+        if prev_start is not None and jb.start < prev_start:
+            violations.append(Violation("starts must be non-decreasing", job_index=i))
+        prev_start = jb.start
+    return violations
+
+
+def reference_utilization(instance):
+    return sum((jb.size * (jb.finish - jb.start) for jb in instance.jobs), F(0))
+
+
+def reference_span(instance):
+    total, cur = F(0), None
+    for s, f in sorted((jb.start, jb.finish) for jb in instance.jobs):
+        if cur is None or s > cur[1]:
+            if cur is not None:
+                total += cur[1] - cur[0]
+            cur = [s, f]
+        elif f > cur[1]:
+            cur[1] = f
+    return total + (cur[1] - cur[0] if cur is not None else 0)
+
+
+def reference_mu(instance):
+    if not instance.jobs:
+        raise ValueError("undefined on empty instance")
+    durations = [jb.finish - jb.start for jb in instance.jobs]
+    return max(durations) / min(durations)
 
 
 def reference_profile(schedule):
@@ -240,6 +288,65 @@ def unit_instances():
         yield Instance(tuple(Job(size, s, s + 1) for s, size in rows))
 
 
+def stretch(t, bits=100):
+    """t on a time axis scaled and shifted by denominators of more than
+    ``bits`` bits; order-preserving, and non-negative times stay so."""
+    return t * F(10**40 + 1, 2**bits + 1) + F(5, 3**(bits // 3) + 2)
+
+
+def stretched(instance, bits=100):
+    """The instance with every time stretched; sizes are untouched."""
+    return Instance(tuple(
+        Job(jb.size, stretch(jb.start, bits), stretch(jb.finish, bits))
+        for jb in instance.jobs
+    ))
+
+
+def invalid_instances():
+    """Instances breaking each validity rule, alone and together."""
+    ok = (F(1, 2), F(1), F(2))
+    bad_jobs = [
+        (F(0), F(1), F(2)), (F(-1, 3), F(1), F(2)),  # size not positive
+        (F(4, 3), F(1), F(2)), (F(1) + F(1, 2**90), F(1), F(2)),  # size above 1
+        (F(1, 2), F(-1, 5), F(2)), (F(1, 2), F(-1, 2**101), F(1)),  # start negative
+        (F(1, 2), F(1), F(1)), (F(1, 2), F(2), F(1, 2**100)),  # finish not after start
+        (F(2), F(-1), F(-3)), (F(0), F(-1, 7), F(-1, 7)),  # several at once
+    ]
+    for jb in bad_jobs:
+        yield Instance((Job(*jb),))
+        yield Instance((Job(*ok), Job(*jb), Job(*ok)))
+    # starts that go back, alone and with other broken rules
+    yield make_instance([ok, (F(1, 2), F(1, 2), F(3)), ok])
+    yield make_instance([(F(1, 2), F(1, 3**70), F(1)), (F(1, 2), F(1, 3**71), F(1))])
+    yield make_instance([(F(3, 2), F(5), F(4)), (F(0), F(-1), F(-1)), (F(1), F(0), F(1))])
+
+
+def arbitrary_instances():
+    """Rows drawn from a few small, huge-denominator and out-of-range values."""
+    rng = random.Random(41)
+    values = (F(-1), F(0), F(1, 3), F(1), F(7, 5), F(3), F(1, 2**100), F(-2**90 - 1, 2**90))
+    for _ in range(200):
+        yield make_instance(
+            [tuple(rng.choice(values) for _ in range(3)) for _ in range(rng.randint(1, 8))]
+        )
+
+
+def check_instance_measures(instance):
+    violations = validate(instance)
+    assert violations == reference_validate(instance)
+    assert [str(v) for v in violations] == [str(v) for v in reference_validate(instance)]
+    assert utilization(instance) == reference_utilization(instance)
+    assert span(instance) == reference_span(instance)
+    try:
+        expected = reference_mu(instance)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            mu(instance)
+    else:
+        assert mu(instance) == expected
+    return violations
+
+
 def check_measures(schedule):
     assert active_count_profile(schedule) == reference_profile(schedule)
     assert active_count_integral(schedule) == reference_integral(schedule)
@@ -309,10 +416,38 @@ def test_check_schedule_matches_reference_on_broken_schedules():
         (Server(0, (0, 2, 3), F(0), F(5)), server(1, 1, 4, 5, 6, 3)),
     ]
     for servers in cases:
-        schedule = Schedule(instance, servers)
-        violations = check_schedule(schedule)
-        assert violations == reference_check_schedule(schedule)
-        assert any(v.rule == "capacity exceeded" for v in violations)
+        for schedule in (
+            Schedule(instance, servers),
+            Schedule(stretched(instance), tuple(
+                Server(srv.id, srv.job_indices,
+                       stretch(srv.open_time), stretch(srv.close_time))
+                for srv in servers
+            )),
+        ):
+            violations = check_schedule(schedule)
+            expected = reference_check_schedule(schedule)
+            assert violations == expected
+            # time and load come back as Fractions, printed as the reference's
+            assert [str(v) for v in violations] == [str(v) for v in expected]
+            assert any(v.rule == "capacity exceeded" for v in violations)
+
+
+def test_instance_checks_and_measures_match_reference():
+    empty = Instance(())
+    assert check_instance_measures(empty) == []
+    with pytest.raises(ValueError, match="undefined on empty instance"):
+        mu(empty)
+    for instance in online_instances():
+        for copy in (instance, stretched(instance), stretched(instance, bits=140)):
+            assert check_instance_measures(copy) == []
+    rules = set()
+    for instance in invalid_instances():
+        violations = check_instance_measures(instance)
+        assert violations
+        rules |= {v.rule for v in violations}
+    assert len(rules) == 5
+    for instance in arbitrary_instances():
+        check_instance_measures(instance)
 
 
 def test_fast_paths_match_reference_on_generated_instances():
@@ -400,3 +535,20 @@ def test_sweeps_match_reference_on_generated_unit_instances():
 
     check_ceilings()
     check_sampler()
+
+
+def test_instance_measures_match_reference_on_generated_rows():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    # any rationals, so every rule can break, on denominators up to 2^110
+    rational = st.builds(
+        F, st.integers(-(2**40), 2**40), st.integers(1, 2**110)
+    ) | st.integers(-3, 3).map(F)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.lists(st.tuples(rational, rational, rational), max_size=12))
+    def check(rows):
+        check_instance_measures(make_instance(rows))
+
+    check()

@@ -1,11 +1,13 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import rentlab
 
 PACKAGE_DIR = Path(rentlab.__file__).parent
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -52,3 +54,28 @@ def test_modules_import_no_unused_names():
         if found
     }
     assert dead == {}
+
+
+def traced_names(source: str) -> dict:
+    """The ``TRACED`` table of the benchmark tracer, read from its source."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and [
+            target.id for target in node.targets if isinstance(target, ast.Name)
+        ] == ["TRACED"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("no TRACED assignment")
+
+
+def test_benchmark_traces_existing_functions():
+    # the tracer looks each name up in its rentlab module, so a rename here
+    # would only fail a benchmark run
+    traced = traced_names(SPANS.read_text())
+    assert set(traced) >= {"model", "algorithms", "optimal", "cli"}
+    missing = [
+        f"{layer}.{name}"
+        for layer, names in traced.items()
+        for module in [importlib.import_module(f"rentlab.{layer}")]
+        for name in names
+        if not callable(getattr(module, name, None))
+    ]
+    assert missing == []
