@@ -30,6 +30,7 @@ from .generators import (
     long_uniform,
     random_equal_duration,
     random_two_arrival,
+    second_arrival,
 )
 from .model import (
     Instance,
@@ -114,9 +115,7 @@ class ServerTypeInfo:
 
 def _check_two_arrival_uniform(trace: AlgorithmTrace, t: Fraction) -> Fraction:
     """Every job unit-duration starting at 0 or t; every server spans [0, 1+t]."""
-    t = as_rational(t)
-    if not 0 < t < 1:
-        raise ValueError("second arrival t must lie strictly between 0 and 1")
+    t = second_arrival(t)
     instance = trace.schedule.instance
     for i, jb in enumerate(instance.jobs):
         if jb.duration != 1:
@@ -500,9 +499,7 @@ def find_uniform_two_arrival(t, seed: int):
     Each draw is tested on the integer size grid; only the accepted one is
     built as an Instance and run through first_fit.
     """
-    t = as_rational(t)
-    if not 0 < t < 1:
-        raise ValueError("second arrival t must lie strictly between 0 and 1")
+    t = second_arrival(t)
     for attempt in range(_UNIFORM_MAX_ATTEMPTS):
         cand_seed = seed + attempt
         n = random.Random(cand_seed).randint(*_UNIFORM_N_RANGE)
@@ -517,7 +514,9 @@ def find_uniform_two_arrival(t, seed: int):
     )
 
 
-RATIO_KINDS = ("exact-opt", "certificate-upper", "lower-bound")
+# Each ratio kind and its relation: 'true ratio <relation> value'
+RATIO_RELATIONS = {"exact-opt": "=", "certificate-upper": ">=", "lower-bound": "<="}
+RATIO_KINDS = tuple(RATIO_RELATIONS)
 
 
 @dataclass(frozen=True)
@@ -556,7 +555,7 @@ def ratio_report(alg_cost, reference_cost, kind: str) -> RatioReport:
         raise ValueError("alg cost must be non-negative")
     if reference_cost <= 0:
         raise ValueError("reference cost must be positive")
-    relation = {"exact-opt": "=", "certificate-upper": ">=", "lower-bound": "<="}[kind]
+    relation = RATIO_RELATIONS[kind]
     return RatioReport(value=alg_cost / reference_cost, kind=kind, relation=relation)
 
 

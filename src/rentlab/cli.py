@@ -36,21 +36,33 @@ from .optimal import brute_force_opt
 
 _ALGORITHMS = {"nextfit": next_fit, "firstfit": first_fit}
 
-# verify flags, each passed on only to suites whose function takes it
-_SUITE_FLAGS = ("trials", "seed", "max_jobs", "n")
 
-# gen flags: every parameter of some family, each allowed only where it is used
-_FAMILY_FLAGS = tuple(
-    dict.fromkeys(
-        name
-        for required, optional in generators.FAMILIES.values()
-        for name in required + optional
-    )
-)
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
-def _flags(names) -> str:
-    return ", ".join("--" + name.replace("_", "-") for name in names)
+def _union(tables) -> dict:
+    """Every parameter of some table by name, in table order."""
+    return {name: parameter for table in tables for name, parameter in table.items()}
+
+
+# gen and verify flags: every parameter of some family or suite
+_FAMILY_PARAMETERS = _union(map(generators.family_parameters, generators.FAMILIES))
+_SUITE_PARAMETERS = _union(signature(s).parameters for s in analysis.SUITES.values())
+
+
+def _add_parameter_flags(parser, parameters: dict) -> None:
+    """One flag per parameter: an int annotation gives an int, none a rational."""
+    for name, parameter in parameters.items():
+        if parameter.annotation in (int, "int"):
+            parser.add_argument(_flag(name), dest=name, type=int)
+        else:
+            parser.add_argument(_flag(name), dest=name, help="rational, like 1/2")
+
+
+def _given(args, parameters: dict) -> dict:
+    """The parameters given on the command line, by name."""
+    return {name: v for name in parameters if (v := getattr(args, name)) is not None}
 
 
 def _emit(report: dict, out_path) -> None:
@@ -76,23 +88,16 @@ def _instance_digest(instance: Instance) -> dict:
 
 
 def cmd_gen(args) -> int:
-    params = {
-        name: getattr(args, name)
-        for name in _FAMILY_FLAGS
-        if getattr(args, name) is not None
-    }
-    required, optional = generators.FAMILIES[args.family]
-    missing = [name for name in required if name not in params]
-    if missing:
-        raise ValueError(f"family {args.family} requires {_flags(missing)}")
-    unused = [name for name in params if name not in required + optional]
-    if unused:
-        raise ValueError(f"family {args.family} does not take {_flags(unused)}")
-    for name in ("t", "delta"):
-        if name in params:
-            params[name] = parse_rational(params[name])
+    accepted = generators.family_parameters(args.family)
+    params = _given(args, _FAMILY_PARAMETERS)
+    generators.check_arguments(f"family {args.family}", accepted, params, _flag)
+    for name, value in params.items():
+        if isinstance(value, str):  # a rational flag, left as text by the parser
+            params[name] = parse_rational(value)
     spec = generators.GeneratorSpec(family=args.family, parameters=params)
     instance, certificate = spec.build()
+    if certificate is None and args.cert_out:
+        raise ValueError(f"family {args.family} has no certificate for --cert-out")
     shown = ", ".join(
         f"{key}={format_rational(v) if isinstance(v, Fraction) else v}"
         for key, v in sorted(params.items())
@@ -170,14 +175,10 @@ def cmd_ratio(args) -> int:
 
 def cmd_verify(args) -> int:
     suite = analysis.SUITES[args.suite]
-    settings = {
-        name: getattr(args, name)
-        for name in _SUITE_FLAGS
-        if getattr(args, name) is not None
-    }
-    rejected = [name for name in settings if name not in signature(suite).parameters]
-    if rejected:
-        raise ValueError(f"suite {args.suite} does not take {_flags(rejected)}")
+    settings = _given(args, _SUITE_PARAMETERS)
+    generators.check_arguments(
+        f"suite {args.suite}", signature(suite).parameters, settings, _flag
+    )
     result = suite(**settings)
     report = {
         "command": "verify",
@@ -208,16 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate an instance file")
     gen.add_argument("--family", required=True, choices=generators.FAMILIES)
-    gen.add_argument("--k", type=int)
-    gen.add_argument("--l", type=int)
-    gen.add_argument("--N", type=int)
-    gen.add_argument("--n", type=int)
-    gen.add_argument("--t", help="second arrival time, rational like 1/2")
-    gen.add_argument("--delta", help="perturbation scale, rational")
-    gen.add_argument("--seed", type=int)
-    gen.add_argument("--size-grid", dest="size_grid", type=int)
-    gen.add_argument("--start-grid", dest="start_grid", type=int)
-    gen.add_argument("--horizon", type=int)
+    _add_parameter_flags(gen, _FAMILY_PARAMETERS)
     gen.add_argument("--out", required=True)
     gen.add_argument("--cert-out", dest="cert_out")
     gen.set_defaults(func=cmd_gen)
@@ -232,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     opt = sub.add_parser("opt", help="brute-force optimum for a small instance")
     opt.add_argument("--in", dest="input", required=True)
-    opt.add_argument("--max-jobs", dest="max_jobs", type=int, default=10)
+    max_jobs = signature(brute_force_opt).parameters["max_jobs"].default
+    opt.add_argument("--max-jobs", dest="max_jobs", type=int, default=max_jobs)
     opt.add_argument("--out")
     opt.add_argument("--schedule-out", dest="schedule_out")
     opt.add_argument("--timing", action="store_true")
@@ -240,10 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("--suite", required=True, choices=sorted(analysis.SUITES))
-    verify.add_argument("--trials", type=int)
-    verify.add_argument("--seed", type=int)
-    verify.add_argument("--max-jobs", dest="max_jobs", type=int)
-    verify.add_argument("--n", type=int)
+    _add_parameter_flags(verify, _SUITE_PARAMETERS)
     verify.add_argument("--out")
     verify.add_argument(
         "--counterexample-dir", dest="counterexample_dir", default="."

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from inspect import Parameter, signature
 from typing import Optional
 
 from .model import Instance, Job, Schedule, as_rational, make_schedule
@@ -25,6 +26,14 @@ HALF = Fraction(1, 2)
 # into five servers of load 2/3+12d (twice) and 2/3+2d (three times).
 _WAVE1_MULTIPLES = (33, -3, -7, -7, -13, 9, -2, -2, -2, -2)
 _WAVE2_MULTIPLES = (46, -34, 6, 6, 12, -10, 1, 1, 1, 1)
+
+
+def second_arrival(t) -> Fraction:
+    """t as an exact rational, refused unless it lies strictly in (0, 1)."""
+    t = as_rational(t)
+    if not 0 < t < 1:
+        raise ValueError("second arrival t must lie strictly between 0 and 1")
+    return t
 
 
 def ggu_extended(
@@ -49,9 +58,7 @@ def ggu_extended(
     """
     if k <= 0 or k % 6 != 0:
         raise ValueError("k must be a positive multiple of 6")
-    t = as_rational(t)
-    if not 0 < t < 1:
-        raise ValueError("second arrival t must lie strictly between 0 and 1")
+    t = second_arrival(t)
     ceiling = Fraction(1, 100 * 18**k)
     if delta is None:
         delta = Fraction(1, 1000 * 18**k)
@@ -159,9 +166,7 @@ def random_two_arrival(n: int, t, seed: int, size_grid: int = 12) -> Instance:
         raise ValueError("n must be non-negative")
     if size_grid < 1:
         raise ValueError("size_grid must be at least 1")
-    t = as_rational(t)
-    if not 0 < t < 1:
-        raise ValueError("second arrival t must lie strictly between 0 and 1")
+    t = second_arrival(t)
     drawn = [
         (t if late else Fraction(0), Fraction(size, size_grid))
         for size, late in _two_arrival_draws(n, seed, size_grid)
@@ -202,17 +207,37 @@ def random_equal_duration(
     return Instance(tuple(Job(size, start, start + 1) for start, size in drawn))
 
 
-# Every family GeneratorSpec builds: (required parameters, optional ones).
+# Every family GeneratorSpec builds, by its generator, whose signature gives
+# the family's parameters: which are required, and the defaults of the rest.
 FAMILIES = {
-    "ggu": (("k", "t"), ("delta",)),
-    "long-uniform": (("k", "l"), ()),
-    "nf-nemesis": (("N",), ()),
-    "random-two-arrival": (("n", "t", "seed"), ("size_grid",)),
-    "random-equal-duration": (
-        ("n", "seed"),
-        ("size_grid", "start_grid", "horizon"),
-    ),
+    "ggu": ggu_extended,
+    "long-uniform": long_uniform,
+    "nf-nemesis": nf_nemesis,
+    "random-two-arrival": random_two_arrival,
+    "random-equal-duration": random_equal_duration,
 }
+
+# The family's name for a generator parameter, where the two differ
+ALIASES = {"level_count": "l", "n_pairs_half": "N"}
+
+
+def family_parameters(family: str) -> dict[str, Parameter]:
+    """The family's parameters by their family name, in signature order."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; choose from {tuple(FAMILIES)}")
+    parameters = signature(FAMILIES[family]).parameters.values()
+    return {ALIASES.get(p.name, p.name): p for p in parameters}
+
+
+def check_arguments(owner: str, parameters: dict, given, spell=str) -> None:
+    """Refuse ``given`` names unless they hold every required parameter, no other."""
+    required = [name for name, p in parameters.items() if p.default is p.empty]
+    missing = [name for name in required if name not in given]
+    if missing:
+        raise ValueError(f"{owner} requires {', '.join(map(spell, missing))}")
+    unused = [name for name in given if name not in parameters]
+    if unused:
+        raise ValueError(f"{owner} does not take {', '.join(map(spell, unused))}")
 
 
 @dataclass(frozen=True)
@@ -227,44 +252,9 @@ class GeneratorSpec:
     parameters: dict
 
     def build(self) -> tuple[Instance, Optional[Schedule]]:
-        if self.family not in FAMILIES:
-            raise ValueError(
-                f"unknown family {self.family!r}; choose from {tuple(FAMILIES)}"
-            )
-        p = self.parameters
-        required, optional = FAMILIES[self.family]
-        missing = [name for name in required if name not in p]
-        if missing:
-            raise ValueError(f"family {self.family} requires {', '.join(missing)}")
-        unused = [name for name in p if name not in required + optional]
-        if unused:
-            raise ValueError(f"family {self.family} does not take {', '.join(unused)}")
-        if self.family == "ggu":
-            instance, certificate = ggu_extended(
-                k=p["k"], t=p["t"], delta=p.get("delta")
-            )
-            return instance, certificate
-        if self.family == "long-uniform":
-            return long_uniform(k=p["k"], level_count=p["l"]), None
-        if self.family == "nf-nemesis":
-            return nf_nemesis(p["N"]), None
-        if self.family == "random-two-arrival":
-            return (
-                random_two_arrival(
-                    n=p["n"],
-                    t=p["t"],
-                    seed=p["seed"],
-                    size_grid=p.get("size_grid", 12),
-                ),
-                None,
-            )
-        return (
-            random_equal_duration(
-                n=p["n"],
-                seed=p["seed"],
-                size_grid=p.get("size_grid", 8),
-                start_grid=p.get("start_grid", 4),
-                horizon=p.get("horizon", 3),
-            ),
-            None,
+        parameters = family_parameters(self.family)
+        check_arguments(f"family {self.family}", parameters, self.parameters)
+        built = FAMILIES[self.family](
+            **{parameters[name].name: value for name, value in self.parameters.items()}
         )
+        return built if isinstance(built, tuple) else (built, None)

@@ -1,5 +1,6 @@
 """End-to-end command checks: generation, runs, optima, suites, reports."""
 
+import argparse
 import hashlib
 import json
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from rentlab import Instance, Job, model, read_instance, write_instance
-from rentlab.cli import main
+from rentlab.cli import build_parser, main
 
 
 def run_cli(*argv):
@@ -77,6 +78,190 @@ def test_gen_missing_parameter(tmp_path, capsys):
         "error: family nf-nemesis does not take --t, --seed\n"
     )
     assert not (tmp_path / "x").exists()
+
+
+def test_gen_refuses_cert_out_without_certificate(tmp_path, monkeypatch, capsys):
+    # only ggu carries a certificate; elsewhere --cert-out would write nothing
+    monkeypatch.chdir(tmp_path)
+    for flags in (["--family", "long-uniform", "--k", "2", "--l", "4"],
+                  ["--family", "nf-nemesis", "--N", "1"]):
+        assert run_cli("gen", *flags, "--cert-out", "c", "--out", "w") == 2
+        family = flags[1]
+        assert capsys.readouterr() == (
+            "", f"error: family {family} has no certificate for --cert-out\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+
+# Each `gen` flag set, run with `--out out.jobs` in an empty directory, as a
+# known-good build answered it: exit code, stdout, stderr and the sha256 of
+# every file left in the directory (instance header and certificate included).
+GOLDEN_GEN = {
+    "--family ggu --k 6 --t 1/2": (
+        0,
+        "wrote 282 jobs to out.jobs\n"
+        "wrote certificate (82 servers, cost 82) to out.jobs.cert.json\n",
+        "",
+        {"out.jobs": "08425faffa5fc75cb11db902876fe6223753722767e2781f4272d3c47d245a10",
+         "out.jobs.cert.json":
+             "f0d25607d86258bcae9c5a4cae8807c31b35947ae3acf005e584f0139e26ed6d"},
+    ),
+    # t is normalised before it reaches the header
+    "--family ggu --k 6 --t 2/4 --cert-out claim.json": (
+        0,
+        "wrote 282 jobs to out.jobs\n"
+        "wrote certificate (82 servers, cost 82) to claim.json\n",
+        "",
+        {"claim.json": "f0d25607d86258bcae9c5a4cae8807c31b35947ae3acf005e584f0139e26ed6d",
+         "out.jobs": "08425faffa5fc75cb11db902876fe6223753722767e2781f4272d3c47d245a10"},
+    ),
+    "--family ggu --k 6 --t 1/3 --delta 1/4000000000": (
+        0,
+        "wrote 282 jobs to out.jobs\n"
+        "wrote certificate (82 servers, cost 82) to out.jobs.cert.json\n",
+        "",
+        {"out.jobs": "cb1e1c893442b9244feb017f82c0873887450cb4b1840f50805c8ca7db5d72b7",
+         "out.jobs.cert.json":
+             "89b924ff8e482432a57c66e6d44a905098b45e5644f8ec52467d78d476a71339"},
+    ),
+    "--family long-uniform --k 2 --l 4": (
+        0, "wrote 10 jobs to out.jobs\n", "",
+        {"out.jobs": "f23ce0640970d91e515998c189d2efee39702588ee7c971fdffaabdcf0855b54"},
+    ),
+    "--family nf-nemesis --N 3": (
+        0, "wrote 12 jobs to out.jobs\n", "",
+        {"out.jobs": "1bd480d096cbb62c0f6ac7964262e5501b9b547080fdc8ae3a471f7962abdda7"},
+    ),
+    "--family random-two-arrival --n 9 --t 1/2 --seed 11": (
+        0, "wrote 9 jobs to out.jobs\n", "",
+        {"out.jobs": "7fe5da9a4d787f944f28ccedcc6f12dba228f74f904e3b25ac651c09ad561032"},
+    ),
+    "--family random-two-arrival --n 9 --t 2/3 --seed 11 --size-grid 5": (
+        0, "wrote 9 jobs to out.jobs\n", "",
+        {"out.jobs": "635729a9e3fc5dd6568f6c04c43a854ddbbd23ee847d5235e8935bddffc331d5"},
+    ),
+    "--family random-equal-duration --n 12 --seed 5": (
+        0, "wrote 12 jobs to out.jobs\n", "",
+        {"out.jobs": "42d5e071ad88a3480f369de68bb6986f79ddf17a9649b4f080546a6fbd5ec1d7"},
+    ),
+    "--family random-equal-duration --n 12 --seed 5 --size-grid 3 --start-grid 2 "
+    "--horizon 6": (
+        0, "wrote 12 jobs to out.jobs\n", "",
+        {"out.jobs": "aca6b7b5acc6f128884e0f2a24953e1d4aca25ecd3912fd310659391bf83e4ca"},
+    ),
+    "--family ggu --k 6": (2, "", "error: family ggu requires --t\n", {}),
+    "--family random-two-arrival --size-grid 4": (
+        2, "", "error: family random-two-arrival requires --n, --t, --seed\n", {},
+    ),
+    "--family nf-nemesis --N 1 --seed 9 --t 1/2": (
+        2, "", "error: family nf-nemesis does not take --t, --seed\n", {},
+    ),
+    "--family long-uniform --k 2 --l 4 --delta 1/9 --horizon 2": (
+        2, "", "error: family long-uniform does not take --delta, --horizon\n", {},
+    ),
+    "--family ggu --k 6 --t 0.5": (
+        2, "", "error: not an integer or p/q rational: '0.5'\n", {},
+    ),
+    "--family random-two-arrival --n 3 --t 1 --seed 2": (
+        2, "", "error: second arrival t must lie strictly between 0 and 1\n", {},
+    ),
+    "--family long-uniform --k 2 --l 3": (
+        2, "", "error: level_count must be a positive even integer\n", {},
+    ),
+    "--family ggu --k 6 --t 1/2 --delta 1/9": (
+        2, "", "error: delta must lie in (0, 1/3401222400)\n", {},
+    ),
+}
+
+
+@pytest.mark.parametrize("flags", GOLDEN_GEN)
+def test_gen_matches_golden(tmp_path, monkeypatch, capsys, flags):
+    monkeypatch.chdir(tmp_path)
+    rc = run_cli("gen", *flags.split(), "--out", "out.jobs")
+    captured = capsys.readouterr()
+    written = {path.name: sha256_of(path) for path in sorted(tmp_path.iterdir())}
+    assert (rc, captured.out, captured.err, written) == GOLDEN_GEN[flags]
+
+
+# Every subcommand's options as a known-good build declared them:
+# dest -> (option strings, type, default, required, choices).  The order in
+# which `gen` and `verify` list their parameter flags is not pinned here.
+PARSER_SURFACE = {
+    "gen": {
+        "family": (("--family",), None, None, True, (
+            "ggu", "long-uniform", "nf-nemesis", "random-two-arrival",
+            "random-equal-duration",
+        )),
+        "k": (("--k",), "int", None, False, None),
+        "l": (("--l",), "int", None, False, None),
+        "N": (("--N",), "int", None, False, None),
+        "n": (("--n",), "int", None, False, None),
+        "t": (("--t",), None, None, False, None),
+        "delta": (("--delta",), None, None, False, None),
+        "seed": (("--seed",), "int", None, False, None),
+        "size_grid": (("--size-grid",), "int", None, False, None),
+        "start_grid": (("--start-grid",), "int", None, False, None),
+        "horizon": (("--horizon",), "int", None, False, None),
+        "out": (("--out",), None, None, True, None),
+        "cert_out": (("--cert-out",), None, None, False, None),
+    },
+    "run": {
+        "alg": (("--alg",), None, None, True, ("firstfit", "nextfit")),
+        "input": (("--in",), None, None, True, None),
+        "out": (("--out",), None, None, False, None),
+        "schedule_out": (("--schedule-out",), None, None, False, None),
+        "timing": (("--timing",), None, False, False, None),
+    },
+    "opt": {
+        "input": (("--in",), None, None, True, None),
+        "max_jobs": (("--max-jobs",), "int", 10, False, None),
+        "out": (("--out",), None, None, False, None),
+        "schedule_out": (("--schedule-out",), None, None, False, None),
+        "timing": (("--timing",), None, False, False, None),
+    },
+    "verify": {
+        "suite": (("--suite",), None, None, True, (
+            "layers", "nextfit-2t", "recurrence", "strict-ff-2", "weights",
+        )),
+        "trials": (("--trials",), "int", None, False, None),
+        "seed": (("--seed",), "int", None, False, None),
+        "max_jobs": (("--max-jobs",), "int", None, False, None),
+        "n": (("--n",), "int", None, False, None),
+        "out": (("--out",), None, None, False, None),
+        "counterexample_dir": (("--counterexample-dir",), None, ".", False, None),
+    },
+    "ratio": {
+        "alg_cost": (("--alg-cost",), None, None, True, None),
+        "opt": (("--opt",), None, None, True, None),
+        "kind": (("--kind",), None, None, True, (
+            "exact-opt", "certificate-upper", "lower-bound",
+        )),
+        "out": (("--out",), None, None, False, None),
+    },
+}
+
+
+def test_parser_surface_is_unchanged():
+    parser = build_parser()
+    [commands] = [
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    surface = {
+        name: {
+            action.dest: (
+                tuple(action.option_strings),
+                getattr(action.type, "__name__", action.type),
+                action.default,
+                action.required,
+                None if action.choices is None else tuple(action.choices),
+            )
+            for action in subparser._actions
+            if action.dest != "help"
+        }
+        for name, subparser in commands.choices.items()
+    }
+    assert surface == PARSER_SURFACE
 
 
 def test_run_firstfit_on_adversarial_family(tmp_path):
