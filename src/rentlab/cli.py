@@ -9,9 +9,12 @@ explicit seeds, echo them in the report, and default to fixed values.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from inspect import signature
 from pathlib import Path
@@ -65,6 +68,35 @@ def _given(args, parameters: dict) -> dict:
     return {name: v for name in parameters if (v := getattr(args, name)) is not None}
 
 
+def _check_writable(*paths) -> None:
+    """Raise the error writing any of ``paths`` would raise, before writing any.
+
+    A command that fails writes nothing, so each command checks all of its
+    output paths before the first write.  A ``None`` path (stdout) passes.
+    """
+    for path in map(Path, filter(None, paths)):
+        parent = path.parent
+        if path.is_dir():
+            code = errno.EISDIR
+        elif not parent.exists():
+            code = errno.ENOENT
+        elif not parent.is_dir():
+            code = errno.ENOTDIR
+        elif not os.access(path if path.exists() else parent, os.W_OK):
+            code = errno.EACCES
+        else:
+            continue
+        raise OSError(code, os.strerror(code), str(path))
+
+
+@contextmanager
+def _phase(phases: dict, name: str):
+    """Add the wall time of the ``with`` body to ``phases[name]``."""
+    started = time.perf_counter()
+    yield
+    phases[name] = phases.get(name, 0.0) + time.perf_counter() - started
+
+
 def _emit(report: dict, out_path) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out_path:
@@ -102,10 +134,11 @@ def cmd_gen(args) -> int:
         f"{key}={format_rational(v) if isinstance(v, Fraction) else v}"
         for key, v in sorted(params.items())
     )
+    cert_path = None if certificate is None else args.cert_out or f"{args.out}.cert.json"
+    _check_writable(args.out, cert_path)
     write_instance(args.out, instance, header=f"family {args.family}: {shown}")
     print(f"wrote {len(instance.jobs)} jobs to {args.out}")
     if certificate is not None:
-        cert_path = args.cert_out or f"{args.out}.cert.json"
         write_schedule(cert_path, certificate)
         print(
             f"wrote certificate ({len(certificate.servers)} servers, "
@@ -114,43 +147,60 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _emit_solution(args, started, instance, schedule, fields) -> int:
-    """Emit a run/opt report: ``fields`` plus what both commands share."""
+def _emit_solution(args, started, phases, instance, schedule, fields) -> int:
+    """Emit a run/opt report: ``fields`` plus what both commands share.
+
+    ``phases`` holds the seconds each step of the command took so far; the
+    instance digest adds to ``measure`` and the schedule file is timed as
+    ``write_schedule``.  Both timings are reported only under ``--timing``.
+    """
+    with _phase(phases, "measure"):
+        digest = _instance_digest(instance)
     report = {
         "command": args.command,
         "input": str(args.input),
-        "instance": _instance_digest(instance),
+        "instance": digest,
         **fields,
     }
+    _check_writable(args.schedule_out, args.out)
+    if args.schedule_out:
+        with _phase(phases, "write_schedule"):
+            write_schedule(args.schedule_out, schedule)
+        report["schedule"] = str(args.schedule_out)
     if args.timing:
         report["wall_time_s"] = time.perf_counter() - started
-    if args.schedule_out:
-        write_schedule(args.schedule_out, schedule)
-        report["schedule"] = str(args.schedule_out)
+        report["phases_s"] = phases
     _emit(report, args.out)
     return 0
 
 
 def cmd_run(args) -> int:
     started = time.perf_counter()
-    instance = read_instance(args.input)
-    schedule = _ALGORITHMS[args.alg](instance).schedule
-    fields = {
-        "algorithm": args.alg,
-        "cost": _rational_pair(cost(schedule)),
-        "servers_opened": len(schedule.servers),
-        "active_counts": [
-            {"time": format_rational(tau), "count": count}
-            for tau, count in active_count_profile(schedule)
-        ],
-    }
-    return _emit_solution(args, started, instance, schedule, fields)
+    phases: dict[str, float] = {}
+    with _phase(phases, "parse"):
+        instance = read_instance(args.input)
+    with _phase(phases, "place"):
+        schedule = _ALGORITHMS[args.alg](instance).schedule
+    with _phase(phases, "measure"):
+        fields = {
+            "algorithm": args.alg,
+            "cost": _rational_pair(cost(schedule)),
+            "servers_opened": len(schedule.servers),
+            "active_counts": [
+                {"time": format_rational(tau), "count": count}
+                for tau, count in active_count_profile(schedule)
+            ],
+        }
+    return _emit_solution(args, started, phases, instance, schedule, fields)
 
 
 def cmd_opt(args) -> int:
     started = time.perf_counter()
-    instance = read_instance(args.input)
-    result = brute_force_opt(instance, max_jobs=args.max_jobs)
+    phases: dict[str, float] = {}
+    with _phase(phases, "parse"):
+        instance = read_instance(args.input)
+    with _phase(phases, "solve"):
+        result = brute_force_opt(instance, max_jobs=args.max_jobs)
     fields = {
         "cost": _rational_pair(result.cost),
         "servers": len(result.schedule.servers),
@@ -160,7 +210,7 @@ def cmd_opt(args) -> int:
             "span": _rational_pair(result.span_bound),
         },
     }
-    return _emit_solution(args, started, instance, result.schedule, fields)
+    return _emit_solution(args, started, phases, instance, result.schedule, fields)
 
 
 def cmd_ratio(args) -> int:

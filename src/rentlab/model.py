@@ -63,7 +63,7 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Render in lowest terms, as 'p' when the denominator is 1, else 'p/q'."""
-    return str(Fraction(value))
+    return str(value if type(value) is Fraction else Fraction(value))
 
 
 @dataclass(frozen=True)
@@ -316,9 +316,18 @@ def active_count(schedule: Schedule, t: Fraction) -> int:
 
 
 def cost(schedule: Schedule) -> Fraction:
-    """Total rented time: sum over servers of close - open."""
+    """Total rented time: sum over servers of close - open.
+
+    Window ends are summed as int numerators, one running sum per
+    denominator, so only one Fraction is built per distinct denominator.
+    """
+    by_denominator: dict[int, int] = {}
+    for srv in schedule.servers:
+        for end, sign in ((srv.close_time, 1), (srv.open_time, -1)):
+            d = end.denominator
+            by_denominator[d] = by_denominator.get(d, 0) + sign * end.numerator
     return sum(
-        (srv.close_time - srv.open_time for srv in schedule.servers), Fraction(0)
+        (Fraction(n, d) for d, n in by_denominator.items()), Fraction(0)
     )
 
 
@@ -497,23 +506,29 @@ def parse_instance(text: str) -> Instance:
     """Parse an instance file: one 'size start finish' line per job.
 
     Fields are integers or p/q rationals; '#' starts a comment line and
-    blank lines are skipped.
+    blank lines are skipped.  Each distinct line is parsed once: jobs whose
+    lines read the same (after stripping) share one frozen ``Job``, and a
+    malformed line is reported at its first occurrence.
     """
     jobs = []
+    parsed: dict[str, Job] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != 3:
-            raise ValueError(
-                f"line {lineno}: expected 'size start finish', got {raw!r}"
-            )
-        try:
-            size, start, finish = (parse_rational(f) for f in fields)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        jobs.append(Job(size, start, finish))
+        job = parsed.get(line)
+        if job is None:
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split()
+            if len(fields) != 3:
+                raise ValueError(
+                    f"line {lineno}: expected 'size start finish', got {raw!r}"
+                )
+            try:
+                size, start, finish = (parse_rational(f) for f in fields)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+            job = parsed[line] = Job(size, start, finish)
+        jobs.append(job)
     return Instance(tuple(jobs))
 
 
@@ -555,8 +570,12 @@ def schedule_to_dict(schedule: Schedule) -> dict:
     }
 
 
-def _server_from_entry(k: int, entry) -> Server:
-    """Server entry k of a stored schedule; refuses a field of the wrong type."""
+def _server_from_entry(k: int, entry, parsed: dict[str, Fraction]) -> Server:
+    """Server entry k of a stored schedule; refuses a field of the wrong type.
+
+    ``parsed`` maps each window text seen so far to its value, so a text
+    shared by many entries is parsed once.
+    """
     try:
         sid, indices = entry["id"], entry["jobs"]
         windows = (("open", entry["open"]), ("close", entry["close"]))
@@ -576,10 +595,13 @@ def _server_from_entry(k: int, entry) -> Server:
     for name, text in windows:
         if type(text) is not str:
             raise ValueError(f"server entry {k}: {name} {text!r} is not a string")
-        try:
-            times.append(parse_rational(text))
-        except ValueError as exc:
-            raise ValueError(f"server entry {k}: {name}: {exc}") from None
+        value = parsed.get(text)
+        if value is None:
+            try:
+                value = parsed[text] = parse_rational(text)
+            except ValueError as exc:
+                raise ValueError(f"server entry {k}: {name}: {exc}") from None
+        times.append(value)
     return Server(sid, tuple(indices), *times)
 
 
@@ -595,7 +617,10 @@ def schedule_from_dict(instance: Instance, data: dict) -> Schedule:
     entries = data.get("servers") if isinstance(data, dict) else None
     if type(entries) is not list:
         raise ValueError("schedule must be an object with a 'servers' list")
-    servers = tuple(_server_from_entry(k, entry) for k, entry in enumerate(entries))
+    parsed: dict[str, Fraction] = {}
+    servers = tuple(
+        _server_from_entry(k, entry, parsed) for k, entry in enumerate(entries)
+    )
     n = len(instance.jobs)
     seen: set[int] = set()
     for server in servers:
@@ -615,5 +640,33 @@ def read_schedule(path, instance: Instance) -> Schedule:
     return schedule_from_dict(instance, json.loads(Path(path).read_text()))
 
 
+def _schedule_text(schedule: Schedule) -> str:
+    """The schedule file's text, built without ``json``'s indenting encoder.
+
+    It equals ``json.dumps(schedule_to_dict(schedule), indent=2)`` plus a
+    newline, byte for byte: ``json.dumps`` indents with its pure-Python
+    encoder, and this is its layout for this one shape of document.  Ids and
+    job indices are ints and windows 'p/q' strings, which need no escaping.
+    """
+    entries = []
+    for srv in schedule.servers:
+        jobs = ",\n        ".join(map(str, srv.job_indices))
+        jobs = f"[\n        {jobs}\n      ]" if jobs else "[]"
+        entries.append(
+            f'    {{\n      "id": {srv.id},\n      "jobs": {jobs},\n'
+            f'      "open": "{format_rational(srv.open_time)}",\n'
+            f'      "close": "{format_rational(srv.close_time)}"\n    }}'
+        )
+    if not entries:
+        return '{\n  "servers": []\n}\n'
+    return '{\n  "servers": [\n' + ",\n".join(entries) + "\n  ]\n}\n"
+
+
 def write_schedule(path, schedule: Schedule) -> None:
-    Path(path).write_text(json.dumps(schedule_to_dict(schedule), indent=2) + "\n")
+    """Write ``schedule`` as indented JSON, one line per job index.
+
+    The bytes are those of ``json.dumps(schedule_to_dict(schedule),
+    indent=2)`` plus a newline; the schedule files of ``rentlab run``,
+    ``opt`` and ``gen`` are pinned to them.
+    """
+    Path(path).write_text(_schedule_text(schedule))

@@ -1,8 +1,10 @@
 """End-to-end command checks: generation, runs, optima, suites, reports."""
 
 import argparse
+import errno
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -91,6 +93,53 @@ def test_gen_refuses_cert_out_without_certificate(tmp_path, monkeypatch, capsys)
             "", f"error: family {family} has no certificate for --cert-out\n"
         )
         assert list(tmp_path.iterdir()) == []
+
+
+def _os_error(code, path):
+    return f"error: {OSError(code, os.strerror(code), path)}\n"
+
+
+# A command whose output cannot be written, as (argv, the error it prints).
+# Every output path is checked before the first write.
+UNWRITABLE = [
+    ("gen --family ggu --k 6 --t 1/2 --out w.jobs --cert-out nodir/c.json",
+     _os_error(errno.ENOENT, "nodir/c.json")),
+    ("gen --family ggu --k 6 --t 1/2 --out sub", _os_error(errno.EISDIR, "sub")),
+    ("gen --family ggu --k 6 --t 1/2 --out in.jobs/w.jobs",
+     _os_error(errno.ENOTDIR, "in.jobs/w.jobs")),
+    ("run --alg firstfit --in in.jobs --schedule-out s.json --out nodir/r.json",
+     _os_error(errno.ENOENT, "nodir/r.json")),
+    ("run --alg nextfit --in in.jobs --schedule-out sub --out r.json",
+     _os_error(errno.EISDIR, "sub")),
+    ("opt --in in.jobs --schedule-out s.json --out in.jobs/r.json",
+     _os_error(errno.ENOTDIR, "in.jobs/r.json")),
+    ("verify --suite recurrence --n 3 --out nodir/r.json",
+     _os_error(errno.ENOENT, "nodir/r.json")),
+]
+
+
+@pytest.mark.parametrize("argv, error", UNWRITABLE, ids=[argv for argv, _ in UNWRITABLE])
+def test_unwritable_output_writes_nothing(tmp_path, monkeypatch, capsys, argv, error):
+    monkeypatch.chdir(tmp_path)
+    Path("in.jobs").write_text("1/2 0 1\n1/2 0 2\n")
+    Path("s.json").write_text("an earlier schedule\n")
+    Path("sub").mkdir()
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    assert run_cli(*argv.split()) == 2
+    assert capsys.readouterr() == ("", error)
+    after = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    assert after == before
+
+
+def test_read_only_output_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("in.jobs").write_text("1/2 0 1\n")
+    monkeypatch.setattr(os, "access", lambda path, mode: Path(path).name != "locked")
+    Path("locked").mkdir()
+    assert run_cli("run", "--alg", "nextfit", "--in", "in.jobs",
+                   "--schedule-out", "s.json", "--out", "locked/r.json") == 2
+    assert capsys.readouterr() == ("", _os_error(errno.EACCES, "locked/r.json"))
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["in.jobs", "locked"]
 
 
 # Each `gen` flag set, run with `--out out.jobs` in an empty directory, as a
@@ -379,12 +428,22 @@ def test_run_timing_flag_adds_wall_time(tmp_path):
     inst_path = tmp_path / "one.jobs"
     inst_path.write_text("1/2 0 1\n")
     report_path = tmp_path / "report.json"
-    rc = run_cli(
-        "run", "--alg", "nextfit", "--in", str(inst_path),
-        "--out", str(report_path), "--timing",
-    )
-    assert rc == 0
-    assert "wall_time_s" in json.loads(report_path.read_text())
+    argv = ["run", "--alg", "nextfit", "--in", str(inst_path),
+            "--out", str(report_path), "--schedule-out", str(tmp_path / "s.json")]
+    assert run_cli(*argv, "--timing") == 0
+    report = json.loads(report_path.read_text())
+    assert report["wall_time_s"] >= 0
+    phases = report["phases_s"]
+    assert sorted(phases) == ["measure", "parse", "place", "write_schedule"]
+    assert all(seconds >= 0 for seconds in phases.values())
+    assert sum(phases.values()) <= report["wall_time_s"]
+    assert run_cli(*argv) == 0
+    report = json.loads(report_path.read_text())
+    assert "wall_time_s" not in report and "phases_s" not in report
+    # opt shares the report path; its search is the "solve" phase
+    assert run_cli("opt", *argv[3:], "--timing") == 0
+    phases = json.loads(report_path.read_text())["phases_s"]
+    assert sorted(phases) == ["measure", "parse", "solve", "write_schedule"]
 
 
 def test_opt_command(tmp_path):
@@ -508,12 +567,36 @@ GOLDEN_REPORTS = {
         "107aa66751380284807cc7f63ed5177c98d63dfe50c7705799eed50ff50cb779",
     "opt --in opt.jobs --schedule-out opt.schedule.json":
         "73f23e48e3e1fc1ea3e221464770507f6d8536e6b0478650b64c5b6dbe6d2c9e",
+    "run --alg firstfit --in inst.jobs --schedule-out inst.firstfit.json":
+        "ab13eaf53c360eb8f14d9043a94ab53921412873ad3f3604b8623aa7ee592b5e",
+    "run --alg nextfit --in inst.jobs --schedule-out inst.nextfit.json":
+        "6f26eb13d692993de959faa45859f26f06150eaa4a3a89222648ed1d3aa763e3",
+    "run --alg firstfit --in ggu.jobs --schedule-out ggu.firstfit.json":
+        "98f0bb898976b0de1da304f8e48aa615dad2bceed3fcfbe6c5df50c9678ffe78",
+    "run --alg nextfit --in ggu.jobs --schedule-out ggu.nextfit.json":
+        "46625ce31603b45c4a792fd469012c84ed3ea7e154bfc0499c5abbae61946e57",
+    "run --alg firstfit --in wide.jobs --schedule-out wide.firstfit.json":
+        "b81025fb9b201ea96bdb34668d799d5a9d9d52baffcc37e369727a6cb2f3a303",
+    "run --alg nextfit --in wide.jobs --schedule-out wide.nextfit.json":
+        "78a55a0b012179cd298447b7e65406b34022c991b264a2605ce6c35922e7eb02",
 }
 
 # sha256 of the schedule file a GOLDEN_REPORTS command wrote next to its report
 GOLDEN_SCHEDULES = {
     "opt --in opt.jobs --schedule-out opt.schedule.json":
         "453c0e866e3a2a6d9872e4cd742a1ae64002061f1117744db95e84c887072f9f",
+    "run --alg firstfit --in inst.jobs --schedule-out inst.firstfit.json":
+        "c57706b5eadebb7370cafa857a140c599ffb4985471b1b0028066d1c40d84c34",
+    "run --alg nextfit --in inst.jobs --schedule-out inst.nextfit.json":
+        "e99798bdefa56b89eaae20c2f2ff07042da9f4df741b22cf27ad512d21d572a8",
+    "run --alg firstfit --in ggu.jobs --schedule-out ggu.firstfit.json":
+        "841c4bc6fe8cfce285465289b6fd77ba14061d455f32eaac6984827ebb914160",
+    "run --alg nextfit --in ggu.jobs --schedule-out ggu.nextfit.json":
+        "ba7aaa79eb8b1c9903e37daece91dcd5218fd3905e4f323c09b11e460c9694c2",
+    "run --alg firstfit --in wide.jobs --schedule-out wide.firstfit.json":
+        "ec2318aa75bcb0a8aedce077a875cf073b6779c5cbc3e2f68a2b176d94bdaf0e",
+    "run --alg nextfit --in wide.jobs --schedule-out wide.nextfit.json":
+        "b39717837b9f5d0d435ecae3aceadd3a4df10e8f2be30da814b55a78556b5393",
 }
 
 # Servers whose jobs overlap and touch, so the active-count sweep merges
@@ -618,6 +701,9 @@ def test_reports_match_golden_digests(tmp_path, monkeypatch):
     for name in ("inst", "ggu", "merge", "wide"):
         for alg in ("firstfit", "nextfit"):
             run_golden(f"run --alg {alg} --in {name}.jobs")
+    for name in ("inst", "ggu", "wide"):
+        for alg in ("firstfit", "nextfit"):
+            run_golden(f"run --alg {alg} --in {name}.jobs --schedule-out {name}.{alg}.json")
 
 
 def test_opt_report_and_schedule_match_golden_digests(tmp_path, monkeypatch):

@@ -10,9 +10,14 @@ jobs' Fractions, a per-time count over every job, a capacity check that
 re-sums each server's load at each of its starts, a point query of the
 arrival ceiling at each event time, and a sampler that builds every draw
 and runs first_fit on it.
+
+The file paths keep their plain versions here too: parse_instance parses
+every line, the schedule text comes from ``json.dumps(indent=2)``, cost sums
+Fraction windows and schedule_from_dict parses every window text.
 """
 
 import heapq
+import json
 import random
 from fractions import Fraction
 
@@ -29,19 +34,28 @@ from rentlab import (
     active_count_profile,
     arrival_ceiling_profile,
     check_schedule,
+    cost,
     event_times,
     first_fit,
+    format_instance,
     make_instance,
     make_schedule,
     mu,
     next_fit,
+    parse_instance,
+    parse_rational,
+    read_schedule,
     scale_time,
+    schedule_from_dict,
+    schedule_to_dict,
     span,
     utilization,
     validate,
+    write_schedule,
 )
 from rentlab.algorithms import AlgorithmTrace, Decision
 from rentlab.analysis import _WEIGHT_T_VALUES, find_uniform_two_arrival
+from rentlab.model import _schedule_text
 from rentlab.generators import (
     ggu_extended,
     nf_nemesis,
@@ -227,6 +241,82 @@ def reference_find_uniform(t, seed):
         ):
             return instance, cand_seed
     raise RuntimeError("no uniform-server instance found")
+
+
+def reference_parse_instance(text):
+    jobs = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) != 3:
+            raise ValueError(
+                f"line {lineno}: expected 'size start finish', got {raw!r}"
+            )
+        try:
+            size, start, finish = (parse_rational(f) for f in fields)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        jobs.append(Job(size, start, finish))
+    return Instance(tuple(jobs))
+
+
+def reference_schedule_text(schedule):
+    return json.dumps(schedule_to_dict(schedule), indent=2) + "\n"
+
+
+def reference_cost(schedule):
+    return sum((srv.close_time - srv.open_time for srv in schedule.servers), F(0))
+
+
+def reference_server_from_entry(k, entry):
+    try:
+        sid, indices = entry["id"], entry["jobs"]
+        windows = (("open", entry["open"]), ("close", entry["close"]))
+    except (KeyError, TypeError):
+        raise ValueError(
+            f"server entry {k}: expected an object with id, jobs, open and "
+            f"close, got {entry!r}"
+        ) from None
+    if type(sid) is not int:
+        raise ValueError(f"server entry {k}: id {sid!r} is not an integer")
+    if type(indices) is not list:
+        raise ValueError(f"server entry {k}: jobs {indices!r} is not a list")
+    for i in indices:
+        if type(i) is not int:
+            raise ValueError(f"server entry {k}: job index {i!r} is not an integer")
+    times = []
+    for name, text in windows:
+        if type(text) is not str:
+            raise ValueError(f"server entry {k}: {name} {text!r} is not a string")
+        try:
+            times.append(parse_rational(text))
+        except ValueError as exc:
+            raise ValueError(f"server entry {k}: {name}: {exc}") from None
+    return Server(sid, tuple(indices), *times)
+
+
+def reference_schedule_from_dict(instance, data):
+    entries = data.get("servers") if isinstance(data, dict) else None
+    if type(entries) is not list:
+        raise ValueError("schedule must be an object with a 'servers' list")
+    servers = tuple(
+        reference_server_from_entry(k, entry) for k, entry in enumerate(entries)
+    )
+    n = len(instance.jobs)
+    seen = set()
+    for server in servers:
+        for i in server.job_indices:
+            if not 0 <= i < n:
+                raise ValueError(f"job index {i} out of range for this instance")
+            if i in seen:
+                raise ValueError(f"job index {i} assigned twice")
+            seen.add(i)
+    if len(seen) != n:
+        missing = sorted(set(range(n)) - seen)
+        raise ValueError(f"schedule does not cover jobs {missing}")
+    return Schedule(instance=instance, servers=servers)
 
 
 # ---------------------------------------------------------------------------
@@ -552,3 +642,177 @@ def test_instance_measures_match_reference_on_generated_rows():
         check_instance_measures(make_instance(rows))
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# File paths: instance text, schedule text and cost
+# ---------------------------------------------------------------------------
+
+def same_outcome(fast, reference, *args):
+    """fast(*args) returns what reference(*args) does, or fails with its message."""
+    try:
+        expected = reference(*args)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as caught:
+            fast(*args)
+        assert str(caught.value) == str(exc)
+        return None
+    got = fast(*args)
+    assert got == expected
+    return got
+
+
+def check_schedule_file(schedule):
+    text = _schedule_text(schedule)
+    assert text == reference_schedule_text(schedule)
+    assert cost(schedule) == reference_cost(schedule)
+    same_outcome(
+        schedule_from_dict, reference_schedule_from_dict,
+        schedule.instance, json.loads(text),
+    )
+
+
+def file_instances():
+    yield Instance(())
+    for instance in online_instances():
+        yield instance
+        yield stretched(instance)
+
+
+def test_instance_text_matches_reference():
+    for instance in file_instances():
+        text = format_instance(instance, header="provenance\nsecond line")
+        assert same_outcome(parse_instance, reference_parse_instance, text) == instance
+
+
+def test_schedule_files_match_reference(tmp_path):
+    certificate = ggu_extended(6, F(1, 2))[1]
+    schedules = [Schedule(Instance(()), ()), certificate]
+    for instance in file_instances():
+        schedules += [first_fit(instance).schedule, next_fit(instance).schedule]
+    for schedule in schedules:
+        check_schedule_file(schedule)
+        assert schedule_from_dict(
+            schedule.instance, json.loads(_schedule_text(schedule))
+        ) == schedule
+    # an empty server, negative ids and indices, windows of any sign: claims
+    # that schedule_from_dict refuses, written and summed all the same
+    odd = Schedule(Instance(()), (
+        Server(-3, (), F(-1, 2), F(0)),
+        Server(7, (-1, 0, 12), F(5, 3), F(-2**70, 3**41)),
+    ))
+    check_schedule_file(odd)
+    path = tmp_path / "certificate.json"
+    write_schedule(path, certificate)
+    assert path.read_text() == reference_schedule_text(certificate)
+    assert read_schedule(path, certificate.instance) == certificate
+
+
+MESSY_TEXT = (
+    "# header, then a blank line\n"
+    "\n"
+    "1/2 0 1\r\n"
+    "  1/2\t0   1  \n"
+    "\t# an indented comment\n"
+    "1/3 0\t2 \r\n"
+    "1/2 0 1\n"
+    "   \n"
+    "2/4 0/5 3/3\n"
+    "1/3 0\t2 \r\n"
+    "+1/3 -0 2\n"
+)
+
+
+def test_parse_instance_matches_reference_on_messy_text():
+    for text in (MESSY_TEXT, MESSY_TEXT.replace("\n", "\r\n"), MESSY_TEXT.rstrip("\n")):
+        instance = same_outcome(parse_instance, reference_parse_instance, text)
+        assert len(instance) == 7
+        jobs = instance.jobs
+        # lines that read the same after stripping share one Job
+        assert jobs[0] is jobs[3]
+        assert jobs[2] is jobs[5]
+        # equal values written differently are parsed apart, and still equal
+        for i, j in ((1, 0), (4, 0), (6, 2)):
+            assert jobs[i] == jobs[j] and jobs[i] is not jobs[j]
+
+
+@pytest.mark.parametrize("bad", [
+    "1/2 0", "1/2 0 1 2", "0.5 0 1", "1/2 0 1/0", "1/0 0 1", "1/2 x 1", "1 / 2 0 1",
+])
+def test_parse_errors_match_reference(bad):
+    # the malformed line sits at lines 3 and 7; the error names line 3
+    lines = ["# c", "1/2 0 1", bad, "1/2 0 1", "", "1/3 0 1", bad, "1/2 0 1"]
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(ValueError, match="^line 3: "):
+        parse_instance(text)
+    same_outcome(parse_instance, reference_parse_instance, text)
+
+
+def test_schedule_from_dict_errors_match_reference():
+    instance = make_instance([(F(1, 2), 0, 1), (F(1, 2), 0, 2), (F(1, 3), 1, 2)])
+
+    def entry(sid, jobs, open_text="0", close_text="2"):
+        return {"id": sid, "jobs": jobs, "open": open_text, "close": close_text}
+
+    good = [entry(0, [0, 1]), entry(1, [2], "1", "2")]
+    cases = [
+        {"servers": good},
+        # the same bad window text in entries 1 and 2: entry 1 is named
+        {"servers": [good[0], entry(1, [2], "1/0"), entry(2, [], "1/0")]},
+        {"servers": [entry(0, [0, 1], "0", "x/2"), entry(1, [2], "0", "x/2")]},
+        {"servers": [entry(0, [0, 1], "0", 2), good[1]]},
+        {"servers": [entry(0, [0, 1], "0", "2.0"), good[1]]},
+        {"servers": [entry(0, [0, 1]), {"id": 1, "jobs": [2]}]},
+        {"servers": [entry(True, [0, 1]), good[1]]},
+        {"servers": [entry(0, [0, 1.0]), good[1]]},
+        {"servers": [entry(0, [0, 1]), entry(1, [2, 3], "1", "2")]},
+        {"servers": [entry(0, [0, 1]), entry(1, [2, 1], "1", "2")]},
+        {"servers": [entry(0, [0, 1])]},
+        {"servers": None},
+        [],
+    ]
+    failures = 0
+    for data in cases:
+        failures += same_outcome(schedule_from_dict, reference_schedule_from_dict,
+                                 instance, data) is None
+    assert failures == len(cases) - 1
+    with pytest.raises(ValueError, match=r"^server entry 1: open: zero denominator"):
+        schedule_from_dict(instance, cases[1])
+
+
+def test_file_paths_match_reference_on_generated_text():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    field = st.sampled_from(
+        ["0", "1", "-1", "+2", "1/2", "2/4", "1/3", "7/5", "1/0", "0.5", "x", "3/1"]
+    ) | st.builds(lambda p, q: f"{p}/{q}", st.integers(-50, 50), st.integers(0, 9))
+    space = st.sampled_from([" ", "\t", "  ", " \t"])
+    line = st.one_of(
+        st.tuples(field, space, field, space, field).map("".join),
+        st.lists(field, max_size=4).map(" ".join),
+        st.sampled_from(["", "#", "# note", "   ", "\t#x"]),
+    )
+    padded = st.tuples(st.sampled_from(["", " ", "\t"]), line,
+                       st.sampled_from(["", " ", "\t", "\r"])).map("".join)
+    ending = st.sampled_from(["\n", "\r\n"])
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.lists(padded, max_size=12), ending)
+    def check_text(lines, eol):
+        # repeat the drawn lines so that every line also comes back later
+        same_outcome(parse_instance, reference_parse_instance, eol.join(lines * 2))
+
+    rational = st.builds(F, st.integers(-(2**70), 2**70), st.integers(1, 2**70))
+    server = st.builds(
+        Server, st.integers(-5, 50), st.lists(st.integers(-3, 40), max_size=5).map(tuple),
+        rational, rational,
+    )
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.lists(server, max_size=8))
+    def check_schedule_text(servers):
+        check_schedule_file(Schedule(Instance(()), tuple(servers)))
+
+    check_text()
+    check_schedule_text()
