@@ -6,28 +6,45 @@ start, plus the job's size, stays within capacity 1; because earlier jobs
 start no later, the concurrent load after that start can only shrink, so a
 single test at the start time is exact.
 
-One placement loop serves both.  It drops the candidate servers that
-terminated strictly before the arrival, places the job into the first
-candidate that fits, in opening order, and opens a new server only when
-none does.  The policies differ only in what a new server does to the
-candidates: under FirstFit it joins them, so every server that has not
-terminated stays a candidate; under NextFit it replaces them, so a server
-closed on overflow or expiry is never reused, even if a later job would fit.
+One placement kernel serves both.  Its candidates are the servers that have
+not terminated before the arrival, in opening order; the job goes into the
+first candidate that fits, and a new server opens only when none does.  The
+policies differ only in what a new server does to the candidates: under
+FirstFit it joins them, so every server that has not terminated stays a
+candidate; under NextFit it replaces them, so a server closed on overflow or
+expiry is never reused, even if a later job would fit.
+
+The kernel finds that first candidate without testing the others.  A tree
+over the candidates, in opening order, holds at each node the largest free
+capacity of any candidate below it (Johnson's tree-based FirstFit, with
+departures raising free capacity), so each placement walks one path from
+the root.  A Decision's ``servers_scanned`` is therefore not a measure of
+work: it is the chosen server's 1-based rank among the live candidates, the
+count a linear scan in opening order would test.  The kernel's own work is
+in ``AlgorithmTrace.counters``.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heappop, heappush
 
 from .model import Instance, Schedule, Server, require_valid
 
 
 @dataclass(frozen=True)
 class Decision:
-    """What happened when one job was placed."""
+    """What happened when one job was placed.
+
+    ``servers_scanned`` is the chosen server's 1-based rank among the live
+    candidates in opening order, or their count when a new server opens:
+    the servers a linear FirstFit scan would test.  The kernel reaches the
+    server through an index, so this is the policy's choice, not its work.
+    NextFit's one open server counts as scanned for every job after the
+    first, even once it has expired.
+    """
 
     job_index: int
     server_id: int
@@ -37,111 +54,182 @@ class Decision:
 
 @dataclass(frozen=True)
 class AlgorithmTrace:
-    """The resulting schedule plus one decision record per job."""
+    """The resulting schedule plus one decision record per job.
+
+    ``counters`` holds the kernel's work: ``index_rebuilds`` (the times an
+    arrival outlived a candidate and the tree was rebuilt over the
+    survivors), ``tree_steps`` (the tree depth, added once per job) and
+    ``servers_opened``.  It takes no part in equality or repr.
+    """
 
     schedule: Schedule
     decisions: tuple[Decision, ...]
+    counters: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
 
 
-class _ServerBuild:
-    """Mutable server under construction, on the instance's integer lattice.
+def _max_tree(values: list[int]) -> tuple[list[int], int]:
+    """A max tree over ``values`` as leaves, and its leaf count (a power of 2).
 
-    Loads, finishes and the termination are ints on the instance's lattice
-    (see model.Lattice).  Keeps the running load and a min-heap of (finish,
-    size) so departed jobs can be expired lazily as arrivals advance; each
-    job is expired once, so fit tests stay O(1) amortised.  The rental
-    window keeps the jobs' own Fractions.
+    Node ``v`` has children ``2v`` and ``2v + 1``; the root is node 1 and
+    leaf ``k`` is node ``width + k``.  Unused leaves hold 0, which no job
+    fits, since every size is positive.
     """
+    width = 1
+    while width < len(values):
+        width *= 2
+    tree = [0] * width + values + [0] * (width - len(values))
+    for node in range(width - 1, 0, -1):
+        left, right = tree[2 * node], tree[2 * node + 1]
+        tree[node] = left if left > right else right
+    return tree, width
 
-    __slots__ = (
-        "id", "indices", "open_time", "close_time", "termination", "load_now",
-        "pending",
-    )
 
-    def __init__(self, sid: int, open_time: Fraction):
-        self.id = sid
-        self.indices: list[int] = []
-        self.open_time = open_time
-        self.close_time: Fraction | None = None
-        self.termination = -1
-        self.load_now = 0
-        self.pending: list[tuple[int, int]] = []
+def _doubled(tree: list[int], width: int) -> list[int]:
+    """The tree with twice the leaves, the old tree its root's left subtree.
 
-    def expire(self, t: int) -> None:
-        while self.pending and self.pending[0][0] <= t:
-            _, size = heapq.heappop(self.pending)
-            self.load_now -= size
+    Each level is copied as one slice (node ``v`` of the level that starts
+    at ``level`` moves to ``v + level``); the new right half holds 0s.
+    """
+    grown = [0] * (4 * width)
+    grown[1] = tree[1]
+    level = 1
+    while level <= width:
+        grown[2 * level:3 * level] = tree[level:2 * level]
+        level *= 2
+    return grown
 
-    def assign(self, index: int, size: int, finish: int, close_time: Fraction) -> None:
-        self.indices.append(index)
-        self.load_now += size
-        heapq.heappush(self.pending, (finish, size))
-        if finish > self.termination:
-            self.termination = finish
-            self.close_time = close_time
 
-    def freeze(self) -> Server:
-        return Server(
-            id=self.id,
-            job_indices=tuple(self.indices),
-            open_time=self.open_time,
-            close_time=self.close_time,
-        )
+def _raise_leaf(tree: list[int], node: int, value: int) -> None:
+    """Raise leaf ``node`` to ``value``, and each ancestor lower than that.
+
+    The walk up stops at the first ancestor already at ``value`` or more:
+    every node above it is at least as high.
+    """
+    tree[node] = value
+    node >>= 1
+    while node and tree[node] < value:
+        tree[node] = value
+        node >>= 1
 
 
 def _place(instance: Instance, keep_earlier: bool) -> AlgorithmTrace:
-    """The loop both policies share; keep_earlier selects FirstFit.
+    """The kernel both policies share; keep_earlier selects FirstFit.
 
-    Fit tests and expiries compare the instance's lattice ints (capacity 1
-    is ``lattice.capacity``), so each decides as it would on the Fractions.
+    Sizes, free capacities and times are the instance's lattice ints
+    (capacity 1 is ``lattice.capacity``), so each test decides as it would
+    on the Fractions.  Servers live in parallel lists indexed by id; one
+    heap of (finish, id, size) returns each job's size to its server once
+    an arrival reaches its finish.
+
+    The tree's leaves are the candidates in opening order.  It is rebuilt
+    over the survivors only when an arrival outlives a candidate, so
+    between rebuilds every leaf is live and leaf ``k`` has rank ``k + 1``.
+    FirstFit adds a new server as the next leaf, doubling the tree when it
+    is full; NextFit replaces the tree with a one-leaf tree, so it stays
+    O(1) per job.
     """
     require_valid(instance)
     jobs = instance.jobs
     lat = instance.lattice
     capacity, sizes = lat.capacity, lat.sizes
     starts, finishes = lat.starts, lat.finishes
-    servers: list[_ServerBuild] = []
-    candidates: list[_ServerBuild] = []
+    free: list[int] = []
+    termination: list[int] = []
+    members: list[list[int]] = []
+    open_times: list[Fraction] = []
+    close_times: list[Fraction] = []
+    departures: list[tuple[int, int, int]] = []
+    candidates: list[int] = []  # server ids in opening order, one per leaf
+    slot: dict[int, int] = {}  # leaf of each candidate
+    tree, width, depth = [0, 0], 1, 0
     # At most every candidate's termination: terminations only grow, so the
-    # list needs rebuilding only once an arrival passes this bound.
+    # candidates need rebuilding only once an arrival passes this bound.
     earliest = math.inf
-    decisions: list[Decision] = []
-    for i, jb in enumerate(jobs):
-        start, size = starts[i], sizes[i]
+    rebuilds = steps = 0
+    chosen: list[int] = []
+    opened: list[bool] = []
+    scanned: list[int] = []
+    for i, start in enumerate(starts):
+        size, finish = sizes[i], finishes[i]
+        while departures and departures[0][0] <= start:
+            _, sid, returned = heappop(departures)
+            value = free[sid] = free[sid] + returned
+            if (k := slot.get(sid)) is not None:
+                _raise_leaf(tree, width + k, value)
         if start > earliest:
-            candidates = [srv for srv in candidates if srv.termination >= start]
-            earliest = min((srv.termination for srv in candidates), default=math.inf)
-        target = None
-        scanned = 0
-        for srv in candidates:
-            scanned += 1
-            srv.expire(start)
-            if srv.load_now + size <= capacity:
-                target = srv
-                break
-        opened = target is None
-        if opened:
-            target = _ServerBuild(len(servers), jb.start)
-            servers.append(target)
+            # a server whose last job ends exactly at this start stays
+            live = [sid for sid in candidates if termination[sid] >= start]
+            earliest = min(map(termination.__getitem__, live), default=math.inf)
+            if len(live) < len(candidates):
+                candidates = live
+                slot = {sid: k for k, sid in enumerate(live)}
+                tree, width = _max_tree([free[sid] for sid in live])
+                depth = width.bit_length() - 1
+                rebuilds += 1
+        steps += depth
+        if tree[1] >= size:
+            node = 1
+            while node < width:
+                node <<= 1
+                if tree[node] < size:
+                    node += 1
+            k = node - width
+            sid = candidates[k]
+            opened.append(False)
+            scanned.append(k + 1)
+            value = free[sid] = free[sid] - size
+            tree[node] = value
+            node >>= 1
+            while node:
+                left, right = tree[2 * node], tree[2 * node + 1]
+                value = left if left > right else right
+                if tree[node] == value:
+                    break
+                tree[node] = value
+                node >>= 1
+            members[sid].append(i)
+            if finish > termination[sid]:
+                termination[sid] = finish
+                close_times[sid] = jobs[i].finish
+        else:
+            opened.append(True)
+            scanned.append(len(candidates))
+            sid = len(free)
+            value = capacity - size
+            free.append(value)
+            termination.append(finish)
+            members.append([i])
+            open_times.append(jobs[i].start)
+            close_times.append(jobs[i].finish)
             if keep_earlier:
-                candidates.append(target)
+                k = slot[sid] = len(candidates)
+                candidates.append(sid)
+                if finish < earliest:
+                    earliest = finish
+                if k == width:
+                    tree, width, depth = _doubled(tree, width), 2 * width, depth + 1
+                _raise_leaf(tree, width + k, value)
             else:
-                candidates = [target]
-            earliest = min(earliest, finishes[i])
-        if not keep_earlier:
-            # NextFit's one open server counts as scanned even once expired
-            scanned = min(i, 1)
-        target.assign(i, size, finishes[i], jb.finish)
-        decisions.append(
-            Decision(
-                job_index=i,
-                server_id=target.id,
-                opened_new_server=opened,
-                servers_scanned=scanned,
-            )
-        )
-    schedule = Schedule(instance=instance, servers=tuple(b.freeze() for b in servers))
-    return AlgorithmTrace(schedule=schedule, decisions=tuple(decisions))
+                candidates, slot = [sid], {sid: 0}
+                tree, width, depth = [0, value], 1, 0
+                earliest = finish
+        chosen.append(sid)
+        heappush(departures, (finish, sid, size))
+    if not keep_earlier:
+        # NextFit's one open server counts as scanned even once expired; the
+        # first job found no server, so its 0 stands
+        scanned[1:] = [1] * (len(jobs) - 1)
+    # the dataclasses take their fields in order: keyword calls cost more
+    decisions = tuple(map(Decision, range(len(jobs)), chosen, opened, scanned))
+    servers = tuple(
+        map(Server, range(len(members)), map(tuple, members), open_times, close_times)
+    )
+    counters = {
+        "index_rebuilds": rebuilds,
+        "tree_steps": steps,
+        "servers_opened": len(servers),
+    }
+    return AlgorithmTrace(Schedule(instance, servers), decisions, counters)
 
 
 def next_fit(instance: Instance) -> AlgorithmTrace:

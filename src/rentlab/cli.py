@@ -73,8 +73,16 @@ def _check_writable(*paths) -> None:
 
     A command that fails writes nothing, so each command checks all of its
     output paths before the first write.  A ``None`` path (stdout) passes.
+    Two paths that resolve to the same file raise ``ValueError``: the
+    second write would replace the first.
     """
-    for path in map(Path, filter(None, paths)):
+    paths = [Path(path) for path in paths if path]
+    first_named: dict[Path, Path] = {}
+    for path in paths:
+        same = first_named.setdefault(path.resolve(), path)
+        if same is not path:
+            raise ValueError(f"{same} and {path} are the same file")
+    for path in paths:
         parent = path.parent
         if path.is_dir():
             code = errno.EISDIR
@@ -180,7 +188,8 @@ def cmd_run(args) -> int:
     with _phase(phases, "parse"):
         instance = read_instance(args.input)
     with _phase(phases, "place"):
-        schedule = _ALGORITHMS[args.alg](instance).schedule
+        trace = _ALGORITHMS[args.alg](instance)
+    schedule = trace.schedule
     with _phase(phases, "measure"):
         fields = {
             "algorithm": args.alg,
@@ -191,6 +200,8 @@ def cmd_run(args) -> int:
                 for tau, count in active_count_profile(schedule)
             ],
         }
+    if args.timing:
+        fields["counters"] = trace.counters
     return _emit_solution(args, started, phases, instance, schedule, fields)
 
 

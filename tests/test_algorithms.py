@@ -14,6 +14,7 @@ from rentlab import (
     scale_time,
     server_type_partition,
 )
+from rentlab.algorithms import AlgorithmTrace
 from rentlab.generators import (
     ggu_extended,
     long_uniform,
@@ -197,6 +198,26 @@ def test_traces_match_golden_digest():
     assert digest.hexdigest() == (
         "996dfaef913532871e2738aa7e49a7714e66029afc82f6bbb17838bb5d888293"
     )
+
+
+def test_counters_record_kernel_work_outside_equality():
+    ggu = ggu_extended(6, F(1, 2))[0]
+    sparse = random_equal_duration(30, seed=4, start_grid=1, horizon=20)
+    expected = {
+        # 282 queries on a tree of up to 128 leaves, none rebuilt
+        (first_fit, ggu): {"index_rebuilds": 0, "tree_steps": 1582, "servers_opened": 102},
+        # NextFit's tree has one leaf, so its queries take no steps
+        (next_fit, ggu): {"index_rebuilds": 0, "tree_steps": 0, "servers_opened": 123},
+        (first_fit, sparse): {"index_rebuilds": 5, "tree_steps": 11, "servers_opened": 11},
+        # the one leaf is rebuilt empty each time its server expires
+        (next_fit, sparse): {"index_rebuilds": 4, "tree_steps": 0, "servers_opened": 15},
+    }
+    for (policy, inst), counters in expected.items():
+        trace = policy(inst)
+        assert trace.counters == counters
+        bare = AlgorithmTrace(trace.schedule, trace.decisions)
+        assert bare.counters == {}
+        assert bare == trace and repr(bare) == repr(trace)
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,32 @@ def test_unwritable_output_writes_nothing(tmp_path, monkeypatch, capsys, argv, e
     assert after == before
 
 
+# Two outputs of one command that name the same file, as (argv, the pair the
+# error names).  The second write would replace the first.
+SAME_FILE = [
+    ("gen --family ggu --k 6 --t 1/2 --out w.jobs --cert-out sub/../w.jobs",
+     ("w.jobs", "sub/../w.jobs")),
+    ("run --alg firstfit --in in.jobs --schedule-out s.json --out ./sub/../s.json",
+     ("s.json", "sub/../s.json")),
+    ("opt --in in.jobs --schedule-out r.json --out link.json", ("r.json", "link.json")),
+]
+
+
+@pytest.mark.parametrize("argv, pair", SAME_FILE, ids=[argv for argv, _ in SAME_FILE])
+def test_outputs_naming_one_file_write_nothing(tmp_path, monkeypatch, capsys, argv, pair):
+    monkeypatch.chdir(tmp_path)
+    Path("in.jobs").write_text("1/2 0 1\n1/2 0 2\n")
+    Path("s.json").write_text("an earlier schedule\n")
+    Path("sub").mkdir()
+    Path("link.json").symlink_to("r.json")
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    assert run_cli(*argv.split()) == 2
+    assert capsys.readouterr() == ("", f"error: {pair[0]} and {pair[1]} are the same file\n")
+    after = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    assert after == before
+    assert not Path("r.json").exists()
+
+
 def test_read_only_output_writes_nothing(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     Path("in.jobs").write_text("1/2 0 1\n")
@@ -437,9 +463,11 @@ def test_run_timing_flag_adds_wall_time(tmp_path):
     assert sorted(phases) == ["measure", "parse", "place", "write_schedule"]
     assert all(seconds >= 0 for seconds in phases.values())
     assert sum(phases.values()) <= report["wall_time_s"]
+    # the kernel's counters: one server, a one-leaf tree, no rebuild
+    assert report["counters"] == {"index_rebuilds": 0, "servers_opened": 1, "tree_steps": 0}
     assert run_cli(*argv) == 0
     report = json.loads(report_path.read_text())
-    assert "wall_time_s" not in report and "phases_s" not in report
+    assert not {"wall_time_s", "phases_s", "counters"} & set(report)
     # opt shares the report path; its search is the "solve" phase
     assert run_cli("opt", *argv[3:], "--timing") == 0
     phases = json.loads(report_path.read_text())["phases_s"]

@@ -2,14 +2,15 @@
 
 The placement kernel, validate, utilization, span, mu,
 active_count_profile, check_schedule and arrival_ceiling_profile all work
-on the instance's integer lattice, the sweeps in one pass each;
-find_uniform_two_arrival tests its draws on the integer size grid.  The
-references below are the direct Fraction versions, kept here only: the
-placement loop with Fraction loads, the instance checks and measures on the
-jobs' Fractions, a per-time count over every job, a capacity check that
-re-sums each server's load at each of its starts, a point query of the
-arrival ceiling at each event time, and a sampler that builds every draw
-and runs first_fit on it.
+on the instance's integer lattice, the sweeps in one pass each, and the
+kernel finds each job's server through a max-free tree over the
+candidates; find_uniform_two_arrival tests its draws on the integer size
+grid.  The references below are the direct Fraction versions, kept here
+only: the linear placement scan with Fraction loads, the instance checks
+and measures on the jobs' Fractions, a per-time count over every job, a
+capacity check that re-sums each server's load at each of its starts, a
+point query of the arrival ceiling at each event time, and a sampler that
+builds every draw and runs first_fit on it.
 
 The file paths keep their plain versions here too: parse_instance parses
 every line, the schedule text comes from ``json.dumps(indent=2)``, cost sums
@@ -462,6 +463,91 @@ def check_policies(instance):
 def test_placement_matches_fraction_reference():
     for instance in online_instances():
         check_policies(instance)
+
+
+def placed(policy, keep_earlier, rows):
+    """The policy's trace on ``rows``, checked against the reference."""
+    instance = make_instance(rows)
+    trace = policy(instance)
+    assert trace == reference_place(instance, keep_earlier)
+    return trace
+
+
+def test_server_ending_at_an_arrival_stays_a_candidate():
+    # at 1 the candidates are rebuilt, as server 1's first job ended at 1/2;
+    # server 1's last job ends exactly at 1, so it stays a candidate, and
+    # the job arriving then fits there, after full server 0: rank 2
+    rows = [(F(3, 4), 0, 3), (F(1, 2), 0, F(1, 2)), (F(1, 2), 0, 1), (F(1, 2), 1, 2)]
+    trace = placed(first_fit, True, rows)
+    assert trace.decisions[3] == Decision(3, 1, False, 2)
+    # NextFit reuses its open server 1 the same way
+    trace = placed(next_fit, False, rows)
+    assert trace.decisions[3] == Decision(3, 1, False, 1)
+
+
+def test_server_ended_before_an_arrival_is_dropped():
+    # at 2 server 1 has ended, so only full server 0 is a candidate
+    rows = [(F(3, 4), 0, 3), (F(3, 4), 0, 1), (F(1, 2), 2, 3)]
+    trace = placed(first_fit, True, rows)
+    assert trace.decisions[2] == Decision(2, 2, True, 1)
+    # NextFit's open server expired before the arrival: a new server opens,
+    # and the expired one still counts as scanned
+    trace = placed(next_fit, False, [(F(3, 4), 0, 1), (F(1, 4), 2, 3), (F(1, 4), 2, 3)])
+    assert trace.decisions[1:] == (Decision(1, 1, True, 1), Decision(2, 1, False, 1))
+
+
+@pytest.mark.parametrize("m", [33, 65, 130])
+def test_index_grows_past_powers_of_two(m):
+    # m jobs above 1/2 open m servers at once, with free room 2/5, 3/10,
+    # 1/5 and 1/10 in turn, so FirstFit's tree doubles past 32, 64 or 128
+    # leaves that differ; jobs of 3/10 then fill the servers with room for
+    # one in opening order, and at 1 two thirds of the first jobs leave
+    rows = (
+        [(F(1, 2) + F(k % 4 + 1, 10), 0, 1 + (k % 3 == 0)) for k in range(m)]
+        + [(F(3, 10), 0, 2)] * m
+        + [(F(1, 2), 1, 2)] * m
+    )
+    trace = placed(first_fit, True, rows)
+    assert [d.server_id for d in trace.decisions[:m]] == list(range(m))
+    roomy = [k for k in range(m) if k % 4 < 2]
+    for j, k in enumerate(roomy):
+        assert trace.decisions[m + j] == Decision(m + j, k, False, k + 1)
+    # every query after the first m walks at least the depth of m leaves
+    assert trace.counters["tree_steps"] >= 2 * m * (m - 1).bit_length()
+    assert trace.counters["servers_opened"] == len(trace.schedule.servers)
+    placed(next_fit, False, rows)
+
+
+def test_placement_matches_reference_with_many_live_candidates():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    # large sizes and long durations keep 64 or more servers live at once
+    rows = st.lists(
+        st.tuples(
+            st.integers(4, 12),  # size /12
+            st.integers(0, 20),  # start /4
+            st.integers(1, 60),  # duration /4
+        ),
+        min_size=100,
+        max_size=300,
+    )
+    peak = 0
+
+    @hypothesis.settings(max_examples=20, deadline=None)
+    @hypothesis.given(rows)
+    def check(drawn):
+        nonlocal peak
+        jobs = sorted((F(s, 4), F(p, 12), F(d, 4)) for p, s, d in drawn)
+        instance = make_instance([(size, s, s + d) for s, size, d in jobs])
+        for policy, keep_earlier in ((first_fit, True), (next_fit, False)):
+            # trace equality covers every decision as well as the schedule
+            assert policy(instance) == reference_place(instance, keep_earlier)
+        profile = active_count_profile(first_fit(instance).schedule)
+        peak = max(peak, max(count for _, count in profile))
+
+    check()
+    assert peak >= 64
 
 
 def test_sweeps_match_reference_on_random_partitions():
