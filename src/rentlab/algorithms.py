@@ -67,17 +67,21 @@ class AlgorithmTrace:
     counters: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
 
 
-def _max_tree(values: list[int]) -> tuple[list[int], int]:
-    """A max tree over ``values`` as leaves, and its leaf count (a power of 2).
+def _max_tree(
+    sids: list[int], free: list[int], leaf: list[int]
+) -> tuple[list[int], int]:
+    """A max tree over the free capacities of servers ``sids``, in order, and
+    its leaf count (a power of 2); ``leaf[sid]`` is set to each one's leaf.
 
     Node ``v`` has children ``2v`` and ``2v + 1``; the root is node 1 and
     leaf ``k`` is node ``width + k``.  Unused leaves hold 0, which no job
     fits, since every size is positive.
     """
-    width = 1
-    while width < len(values):
-        width *= 2
-    tree = [0] * width + values + [0] * (width - len(values))
+    width = 1 << (len(sids) - 1).bit_length() if sids else 1
+    tree = [0] * (2 * width)
+    for k, sid in enumerate(sids, width):
+        tree[k] = free[sid]
+        leaf[sid] = k - width
     for node in range(width - 1, 0, -1):
         left, right = tree[2 * node], tree[2 * node + 1]
         tree[node] = left if left > right else right
@@ -140,7 +144,7 @@ def _place(instance: Instance, keep_earlier: bool) -> AlgorithmTrace:
     close_times: list[Fraction] = []
     departures: list[tuple[int, int, int]] = []
     candidates: list[int] = []  # server ids in opening order, one per leaf
-    slot: dict[int, int] = {}  # leaf of each candidate
+    leaf: list[int] = []  # per server, its leaf, or -1 once not a candidate
     tree, width, depth = [0, 0], 1, 0
     # At most every candidate's termination: terminations only grow, so the
     # candidates need rebuilding only once an arrival passes this bound.
@@ -154,16 +158,17 @@ def _place(instance: Instance, keep_earlier: bool) -> AlgorithmTrace:
         while departures and departures[0][0] <= start:
             _, sid, returned = heappop(departures)
             value = free[sid] = free[sid] + returned
-            if (k := slot.get(sid)) is not None:
+            if (k := leaf[sid]) >= 0:
                 _raise_leaf(tree, width + k, value)
         if start > earliest:
             # a server whose last job ends exactly at this start stays
             live = [sid for sid in candidates if termination[sid] >= start]
             earliest = min(map(termination.__getitem__, live), default=math.inf)
             if len(live) < len(candidates):
+                for sid in candidates:
+                    leaf[sid] = -1
                 candidates = live
-                slot = {sid: k for k, sid in enumerate(live)}
-                tree, width = _max_tree([free[sid] for sid in live])
+                tree, width = _max_tree(live, free, leaf)
                 depth = width.bit_length() - 1
                 rebuilds += 1
         steps += depth
@@ -202,7 +207,8 @@ def _place(instance: Instance, keep_earlier: bool) -> AlgorithmTrace:
             open_times.append(jobs[i].start)
             close_times.append(jobs[i].finish)
             if keep_earlier:
-                k = slot[sid] = len(candidates)
+                k = len(candidates)
+                leaf.append(k)
                 candidates.append(sid)
                 if finish < earliest:
                     earliest = finish
@@ -210,7 +216,10 @@ def _place(instance: Instance, keep_earlier: bool) -> AlgorithmTrace:
                     tree, width, depth = _doubled(tree, width), 2 * width, depth + 1
                 _raise_leaf(tree, width + k, value)
             else:
-                candidates, slot = [sid], {sid: 0}
+                if candidates:
+                    leaf[candidates[0]] = -1
+                leaf.append(0)
+                candidates = [sid]
                 tree, width, depth = [0, value], 1, 0
                 earliest = finish
         chosen.append(sid)

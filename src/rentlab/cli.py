@@ -221,6 +221,8 @@ def cmd_opt(args) -> int:
             "span": _rational_pair(result.span_bound),
         },
     }
+    if args.timing:
+        fields["counters"] = result.counters
     return _emit_solution(args, started, phases, instance, result.schedule, fields)
 
 

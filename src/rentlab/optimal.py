@@ -10,12 +10,16 @@ Two prunings keep this usable: a group extension is rejected as soon as the
 accumulated cost reaches the incumbent, and the search stops outright when
 the incumbent meets the utilization/span lower bound, since nothing can beat
 a proven floor.
+
+The search runs on the instance's integer lattice: sizes, loads, times and
+costs are ints, so every fit test, cost step and comparison decides exactly
+as it would on the Fractions, and only the result goes back to a Fraction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .model import (
@@ -35,31 +39,26 @@ from .model import (
 
 @dataclass(frozen=True)
 class OptResult:
-    """Outcome of the exact search."""
+    """Outcome of the exact search.
+
+    ``counters`` holds the search's work: ``nodes`` (calls of the
+    recursion, one per partial partition extended), ``incumbent_updates``
+    (the times a complete partition beat the best so far) and
+    ``stopped_at_floor`` (whether the incumbent met the lower bound and
+    ended the search early).  It takes no part in equality or repr.
+    """
 
     schedule: Schedule
     cost: Fraction
     partitions_examined: int
     util_bound: Fraction
     span_bound: Fraction
+    counters: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def lower_bounds(instance: Instance) -> tuple[Fraction, Fraction]:
     """(utilization, span): every feasible schedule costs at least each."""
     return (utilization(instance), span(instance))
-
-
-class _Group:
-    __slots__ = ("indices", "members", "max_finish")
-
-    def __init__(self, index: int, finish: Fraction, size: Fraction):
-        self.indices = [index]
-        self.members: list[tuple[Fraction, Fraction]] = [(finish, size)]
-        self.max_finish = finish
-
-    def load_at(self, t: Fraction) -> Fraction:
-        # Earlier members all started at or before t, so only departures matter.
-        return sum((size for fin, size in self.members if fin > t), Fraction(0))
 
 
 def brute_force_opt(instance: Instance, max_jobs: int = 10) -> OptResult:
@@ -69,68 +68,90 @@ def brute_force_opt(instance: Instance, max_jobs: int = 10) -> OptResult:
     keeps worst-case enumeration around the 115975 partitions of ten items).
     partitions_examined counts complete partitions reached; pruned branches
     never produce one.
+
+    Each group keeps its members' lattice (finish, size) ints and its
+    latest finish; a job fits when the group's load at its start, the sizes
+    of the members still running then, is at most ``capacity`` minus its
+    size.  The running cost is an int in lattice time units (``unit`` is
+    time 1), so the floor max(utilization, span) becomes the int
+    ``floor(max(utilization, span) * unit)``: for an int cost ``c``,
+    ``c / unit <= bound`` holds exactly when ``c <= floor(bound * unit)``.
     """
     if max_jobs < 1:
         raise ValueError(f"max_jobs must be at least 1, got {max_jobs}")
     require_valid(instance)
-    jobs = instance.jobs
-    n = len(jobs)
+    n = len(instance.jobs)
     if n > max_jobs:
         raise ValueError(f"{n} jobs exceeds brute-force limit of {max_jobs}")
     util_b, span_b = lower_bounds(instance)
-    if n == 0:
-        return OptResult(Schedule(instance, ()), Fraction(0), 1, util_b, span_b)
-    floor = max(util_b, span_b)
+    lat = instance.lattice
+    capacity, sizes = lat.capacity, lat.sizes
+    starts, finishes = lat.starts, lat.finishes
+    floor = math.floor(max(util_b, span_b) * lat.unit)
 
-    best_cost: Fraction | None = None
-    best_groups: list[list[int]] | None = None
-    examined = 0
+    best: int | None = None
+    best_groups: list[list[int]] = []
+    examined = nodes = updates = 0
     finished = False
-    groups: list[_Group] = []
+    indices: list[list[int]] = []  # per group, its job indices in order
+    members: list[list[tuple[int, int]]] = []  # per group, (finish, size)
+    max_finish: list[int] = []  # per group, its latest finish
 
-    def descend(i: int, acc: Fraction) -> None:
-        nonlocal best_cost, best_groups, examined, finished
-        if finished:
-            return
+    def descend(i: int, acc: int) -> None:
+        nonlocal best, best_groups, examined, nodes, updates, finished
+        nodes += 1
         if i == n:
             examined += 1
-            if best_cost is None or acc < best_cost:
-                best_cost = acc
-                best_groups = [list(g.indices) for g in groups]
-                if best_cost <= floor:
+            if best is None or acc < best:
+                best = acc
+                best_groups = [list(g) for g in indices]
+                updates += 1
+                if best <= floor:
                     finished = True
             return
-        jb = jobs[i]
-        for g in groups:
-            if g.load_at(jb.start) + jb.size <= 1:
-                old_max = g.max_finish
-                grown = acc + (jb.finish - old_max if jb.finish > old_max else 0)
-                if best_cost is None or grown < best_cost:
-                    g.indices.append(i)
-                    g.members.append((jb.finish, jb.size))
-                    if jb.finish > g.max_finish:
-                        g.max_finish = jb.finish
+        start, finish, size = starts[i], finishes[i], sizes[i]
+        room = capacity - size
+        for g, group in enumerate(members):
+            # earlier members all started at or before this start, so only
+            # departures lower the load
+            if sum(s for f, s in group if f > start) <= room:
+                old_max = max_finish[g]
+                grown = acc + finish - old_max if finish > old_max else acc
+                if best is None or grown < best:
+                    indices[g].append(i)
+                    group.append((finish, size))
+                    if finish > old_max:
+                        max_finish[g] = finish
                     descend(i + 1, grown)
-                    g.indices.pop()
-                    g.members.pop()
-                    g.max_finish = old_max
+                    indices[g].pop()
+                    group.pop()
+                    max_finish[g] = old_max
                 if finished:
                     return
-        grown = acc + jb.duration
-        if best_cost is None or grown < best_cost:
-            groups.append(_Group(i, jb.finish, jb.size))
+        grown = acc + finish - start
+        if best is None or grown < best:
+            indices.append([i])
+            members.append([(finish, size)])
+            max_finish.append(finish)
             descend(i + 1, grown)
-            groups.pop()
+            indices.pop()
+            members.pop()
+            max_finish.pop()
 
-    descend(0, Fraction(0))
-    assert best_groups is not None  # a partition into singletons always exists
-    schedule = make_schedule(instance, best_groups)
+    descend(0, 0)
+    # a partition into singletons always exists, and the empty instance has
+    # the empty partition, so best is set
     return OptResult(
-        schedule=schedule,
-        cost=best_cost,
+        schedule=make_schedule(instance, best_groups),
+        cost=Fraction(best, lat.unit),
         partitions_examined=examined,
         util_bound=util_b,
         span_bound=span_b,
+        counters={
+            "nodes": nodes,
+            "incumbent_updates": updates,
+            "stopped_at_floor": finished,
+        },
     )
 
 

@@ -474,6 +474,25 @@ def test_run_timing_flag_adds_wall_time(tmp_path):
     assert sorted(phases) == ["measure", "parse", "solve", "write_schedule"]
 
 
+def test_opt_timing_reports_search_counters(tmp_path):
+    inst_path = tmp_path / "three.jobs"
+    inst_path.write_text("1/2 0 2\n1/2 0 2\n1/2 1 3\n")
+    report_path = tmp_path / "report.json"
+    argv = ["opt", "--in", str(inst_path), "--out", str(report_path)]
+    assert run_cli(*argv, "--timing") == 0
+    report = json.loads(report_path.read_text())
+    # job 2 does not fit beside jobs 0 and 1 at time 1, so {0, 1}, {2} is
+    # the first partition; its cost 4 is above the floor 3, and a server of
+    # its own for job 1 already costs 4: four calls, one incumbent, no stop
+    assert report["counters"] == {
+        "incumbent_updates": 1, "nodes": 4, "stopped_at_floor": False,
+    }
+    assert report["partitions_examined"] == 1
+    assert run_cli(*argv) == 0
+    report = json.loads(report_path.read_text())
+    assert not {"wall_time_s", "phases_s", "counters"} & set(report)
+
+
 def test_opt_command(tmp_path):
     inst_path = tmp_path / "three.jobs"
     inst_path.write_text("1/2 0 2\n1/2 0 2\n1/2 1 3\n")

@@ -1,5 +1,6 @@
 """Exact reference costs: exhaustive partition search and certificate checks."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -120,6 +121,41 @@ def test_brute_force_matches_bin_packing_on_shared_interval():
         inst = make_instance([(s, 0, 3) for s in sizes])
         opt = brute_force_opt(inst)
         assert opt.cost == 3 * min_bins(sizes)
+
+
+def effort_instances():
+    """24 instances of 10-12 jobs in the exact-small benchmark's shape: sizes
+    on the 1/12 grid, starts on the 1/4 grid in [0, 2], durations 1/4 to 2."""
+    rng = random.Random(20261018)
+    for k in range(24):
+        rows = []
+        for _ in range(10 + k % 3):
+            start = F(rng.randint(0, 8), 4)
+            rows.append((F(rng.randint(1, 12), 12), start, start + F(rng.randint(1, 8), 4)))
+        rows.sort(key=lambda row: row[1])
+        yield make_instance(rows)
+
+
+# The search effort on effort_instances, recorded from the Fraction solver
+# that the lattice search replaced: nodes are its recursive calls.  A change
+# of search order (seeding, new floors, symmetry breaking) changes these on
+# purpose, and is re-pinned with its reason.
+EFFORT_EXAMINED = [4, 2, 3, 4, 2, 5, 2, 2, 10, 2, 3, 3, 4, 5, 3, 2, 2, 3, 4, 4, 4, 2, 4, 3]
+EFFORT_NODES = [
+    117, 1728, 3265, 139, 652, 781, 368, 1400, 1575, 76, 194, 3361,
+    571, 5089, 1060, 472, 1606, 11492, 275, 90, 800, 360, 4548, 376,
+]
+# sha256 over the job indices of every optimal schedule's servers
+EFFORT_SCHEDULES = "775b3ca2459284b4a9e67c5169a44e123900c451a830bbeab0a10e3ac15b9b5e"
+
+
+def test_search_effort_is_pinned():
+    results = [brute_force_opt(inst, max_jobs=12) for inst in effort_instances()]
+    assert [r.partitions_examined for r in results] == EFFORT_EXAMINED
+    assert [r.counters["nodes"] for r in results] == EFFORT_NODES
+    partitions = [[srv.job_indices for srv in r.schedule.servers] for r in results]
+    digest = hashlib.sha256(repr(partitions).encode()).hexdigest()
+    assert digest == EFFORT_SCHEDULES
 
 
 # ---------------------------------------------------------------------------

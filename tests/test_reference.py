@@ -10,7 +10,9 @@ only: the linear placement scan with Fraction loads, the instance checks
 and measures on the jobs' Fractions, a per-time count over every job, a
 capacity check that re-sums each server's load at each of its starts, a
 point query of the arrival ceiling at each event time, and a sampler that
-builds every draw and runs first_fit on it.
+builds every draw and runs first_fit on it.  brute_force_opt searches on
+the lattice too; its reference is the same partition search with Fraction
+loads, costs and floor.
 
 The file paths keep their plain versions here too: parse_instance parses
 every line, the schedule text comes from ``json.dumps(indent=2)``, cost sums
@@ -27,6 +29,7 @@ import pytest
 from rentlab import (
     Instance,
     Job,
+    OptResult,
     Schedule,
     Server,
     Violation,
@@ -34,11 +37,13 @@ from rentlab import (
     active_count_integral,
     active_count_profile,
     arrival_ceiling_profile,
+    brute_force_opt,
     check_schedule,
     cost,
     event_times,
     first_fit,
     format_instance,
+    lower_bounds,
     make_instance,
     make_schedule,
     mu,
@@ -46,6 +51,7 @@ from rentlab import (
     parse_instance,
     parse_rational,
     read_schedule,
+    require_valid,
     scale_time,
     schedule_from_dict,
     schedule_to_dict,
@@ -318,6 +324,78 @@ def reference_schedule_from_dict(instance, data):
         missing = sorted(set(range(n)) - seen)
         raise ValueError(f"schedule does not cover jobs {missing}")
     return Schedule(instance=instance, servers=servers)
+
+
+class _RefGroup:
+    __slots__ = ("indices", "members", "max_finish")
+
+    def __init__(self, index, finish, size):
+        self.indices = [index]
+        self.members = [(finish, size)]
+        self.max_finish = finish
+
+    def load_at(self, t):
+        # Earlier members all started at or before t, so only departures matter.
+        return sum((size for fin, size in self.members if fin > t), F(0))
+
+
+def reference_brute_force_opt(instance, max_jobs=10):
+    if max_jobs < 1:
+        raise ValueError(f"max_jobs must be at least 1, got {max_jobs}")
+    require_valid(instance)
+    jobs = instance.jobs
+    n = len(jobs)
+    if n > max_jobs:
+        raise ValueError(f"{n} jobs exceeds brute-force limit of {max_jobs}")
+    util_b, span_b = lower_bounds(instance)
+    if n == 0:
+        return OptResult(Schedule(instance, ()), F(0), 1, util_b, span_b)
+    floor = max(util_b, span_b)
+
+    best_cost = None
+    best_groups = None
+    examined = 0
+    finished = False
+    groups = []
+
+    def descend(i, acc):
+        nonlocal best_cost, best_groups, examined, finished
+        if finished:
+            return
+        if i == n:
+            examined += 1
+            if best_cost is None or acc < best_cost:
+                best_cost = acc
+                best_groups = [list(g.indices) for g in groups]
+                if best_cost <= floor:
+                    finished = True
+            return
+        jb = jobs[i]
+        for g in groups:
+            if g.load_at(jb.start) + jb.size <= 1:
+                old_max = g.max_finish
+                grown = acc + (jb.finish - old_max if jb.finish > old_max else 0)
+                if best_cost is None or grown < best_cost:
+                    g.indices.append(i)
+                    g.members.append((jb.finish, jb.size))
+                    if jb.finish > g.max_finish:
+                        g.max_finish = jb.finish
+                    descend(i + 1, grown)
+                    g.indices.pop()
+                    g.members.pop()
+                    g.max_finish = old_max
+                if finished:
+                    return
+        grown = acc + jb.duration
+        if best_cost is None or grown < best_cost:
+            groups.append(_RefGroup(i, jb.finish, jb.size))
+            descend(i + 1, grown)
+            groups.pop()
+
+    descend(0, F(0))
+    return OptResult(
+        make_schedule(instance, best_groups), best_cost, examined, util_b, span_b
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -902,3 +980,82 @@ def test_file_paths_match_reference_on_generated_text():
 
     check_text()
     check_schedule_text()
+
+
+# ---------------------------------------------------------------------------
+# Exact optimum
+# ---------------------------------------------------------------------------
+
+def check_opt(instance, max_jobs=10):
+    """brute_force_opt matches the reference in every field, or in its error."""
+    got = same_outcome(brute_force_opt, reference_brute_force_opt, instance, max_jobs)
+    if got is not None:
+        counters = got.counters
+        assert got.partitions_examined <= counters["nodes"]
+        assert 1 <= counters["incumbent_updates"] <= got.partitions_examined
+        # the cost never beats a floor, so it stops there only by meeting it
+        floor = max(got.util_bound, got.span_bound)
+        assert counters["stopped_at_floor"] == (got.cost == floor)
+    return got
+
+
+def opt_instances():
+    yield Instance(())
+    rng = random.Random(43)
+    for k in range(30):
+        # a short horizon keeps more jobs running together: a longer search
+        instance = general_instance(rng, rng.randint(1, 9), horizon=2 + 4 * (k % 2))
+        yield instance
+        yield stretched(instance)
+    # the strict-ff-2 setting: arrivals at 0 and 1, duration 2
+    for seed in range(12):
+        yield scale_time(random_two_arrival(rng.randint(1, 9), F(1, 2), seed), F(2))
+
+
+def test_opt_matches_fraction_reference():
+    for instance in opt_instances():
+        check_opt(instance)
+
+
+def test_opt_stops_at_a_first_partition_on_the_floor():
+    # one server holds every job for the span: the first partition is optimal
+    instance = make_instance([(F(1, 3), 0, 2), (F(1, 3), F(1, 2), 2), (F(1, 3), 1, 2)])
+    got = check_opt(instance)
+    assert got.partitions_examined == 1
+    assert got.counters == {"nodes": 4, "incumbent_updates": 1, "stopped_at_floor": True}
+    got = check_opt(stretched(instance))
+    assert got.counters["stopped_at_floor"]
+
+
+def test_opt_errors_match_reference():
+    # check_opt gives None only when both raise a ValueError with one message
+    for instance in invalid_instances():
+        for limit in (10, 1, 0):
+            assert check_opt(instance, limit) is None
+    one = make_instance([(F(1, 2), 0, 1)])
+    for limit in (0, -1):
+        assert check_opt(one, limit) is None
+    assert check_opt(make_instance([(F(1, 2), 0, 1)] * 4), 3) is None
+
+
+def test_opt_matches_reference_on_generated_instances():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    rows = st.lists(
+        st.tuples(
+            st.integers(1, 12),  # size /12
+            st.integers(0, 12),  # start /4
+            st.integers(1, 12),  # duration /4
+        ),
+        max_size=8,
+    )
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(rows, st.booleans())
+    def check(drawn, stretch_times):
+        jobs = sorted((F(s, 4), F(p, 12), F(d, 4)) for p, s, d in drawn)
+        instance = make_instance([(size, s, s + d) for s, size, d in jobs])
+        check_opt(stretched(instance) if stretch_times else instance)
+
+    check()
