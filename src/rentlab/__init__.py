@@ -37,7 +37,6 @@ from .analysis import (
     weight_w2,
 )
 from .generators import (
-    GeneratorSpec,
     ggu_extended,
     long_uniform,
     nf_nemesis,

@@ -677,7 +677,7 @@ def suite_weights(trials: int = 200, seed: int = 104729) -> SuiteResult:
         instance, trace, used_seed = find_uniform_two_arrival(
             t, seed * 1_000_003 + trial * 10_007
         )
-        opt = brute_force_opt(instance, max_jobs=8)
+        opt = brute_force_opt(instance, max_jobs=_UNIFORM_N_RANGE[1])
         reason = verify_weights(trace, opt.schedule, t).failure
         if reason is not None:
             details = {

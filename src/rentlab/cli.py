@@ -22,7 +22,6 @@ from pathlib import Path
 from . import analysis, generators
 from .algorithms import first_fit, next_fit
 from .model import (
-    InfeasibleScheduleError,
     Instance,
     active_count_profile,
     cost,
@@ -66,6 +65,17 @@ def _add_parameter_flags(parser, parameters: dict) -> None:
 def _given(args, parameters: dict) -> dict:
     """The parameters given on the command line, by name."""
     return {name: v for name in parameters if (v := getattr(args, name)) is not None}
+
+
+def _check_arguments(owner: str, parameters: dict, given) -> None:
+    """Refuse ``given`` names unless they hold every required parameter, no other."""
+    required = [name for name, p in parameters.items() if p.default is p.empty]
+    missing = [_flag(name) for name in required if name not in given]
+    if missing:
+        raise ValueError(f"{owner} requires {', '.join(missing)}")
+    unused = [_flag(name) for name in given if name not in parameters]
+    if unused:
+        raise ValueError(f"{owner} does not take {', '.join(unused)}")
 
 
 def _check_writable(*paths) -> None:
@@ -130,12 +140,15 @@ def _instance_digest(instance: Instance) -> dict:
 def cmd_gen(args) -> int:
     accepted = generators.family_parameters(args.family)
     params = _given(args, _FAMILY_PARAMETERS)
-    generators.check_arguments(f"family {args.family}", accepted, params, _flag)
+    _check_arguments(f"family {args.family}", accepted, params)
     for name, value in params.items():
         if isinstance(value, str):  # a rational flag, left as text by the parser
             params[name] = parse_rational(value)
-    spec = generators.GeneratorSpec(family=args.family, parameters=params)
-    instance, certificate = spec.build()
+    built = generators.FAMILIES[args.family](
+        **{accepted[name].name: value for name, value in params.items()}
+    )
+    # only the ggu family returns a packing certificate with its instance
+    instance, certificate = built if isinstance(built, tuple) else (built, None)
     if certificate is None and args.cert_out:
         raise ValueError(f"family {args.family} has no certificate for --cert-out")
     shown = ", ".join(
@@ -239,9 +252,8 @@ def cmd_ratio(args) -> int:
 def cmd_verify(args) -> int:
     suite = analysis.SUITES[args.suite]
     settings = _given(args, _SUITE_PARAMETERS)
-    generators.check_arguments(
-        f"suite {args.suite}", signature(suite).parameters, settings, _flag
-    )
+    _check_arguments(f"suite {args.suite}", signature(suite).parameters, settings)
+    _check_writable(args.out)
     result = suite(**settings)
     report = {
         "command": "verify",
@@ -253,6 +265,7 @@ def cmd_verify(args) -> int:
         dump_dir = Path(args.counterexample_dir)
         dump_dir.mkdir(parents=True, exist_ok=True)
         dump = dump_dir / f"counterexample-{args.suite}.jobs"
+        _check_writable(args.out, dump)
         header = f"suite {args.suite} failed: " + json.dumps(
             result.details, sort_keys=True
         )
@@ -320,7 +333,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError, InfeasibleScheduleError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,10 +9,8 @@ separation between groups is why everything downstream runs on Fractions.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from inspect import Parameter, signature
-from typing import Optional
 
 from .model import Instance, Job, Schedule, as_rational, make_schedule
 
@@ -207,8 +205,8 @@ def random_equal_duration(
     return Instance(tuple(Job(size, start, start + 1) for start, size in drawn))
 
 
-# Every family GeneratorSpec builds, by its generator, whose signature gives
-# the family's parameters: which are required, and the defaults of the rest.
+# Every family by its generator, whose signature gives the family's
+# parameters: which are required, and the defaults of the rest.
 FAMILIES = {
     "ggu": ggu_extended,
     "long-uniform": long_uniform,
@@ -227,34 +225,3 @@ def family_parameters(family: str) -> dict[str, Parameter]:
         raise ValueError(f"unknown family {family!r}; choose from {tuple(FAMILIES)}")
     parameters = signature(FAMILIES[family]).parameters.values()
     return {ALIASES.get(p.name, p.name): p for p in parameters}
-
-
-def check_arguments(owner: str, parameters: dict, given, spell=str) -> None:
-    """Refuse ``given`` names unless they hold every required parameter, no other."""
-    required = [name for name, p in parameters.items() if p.default is p.empty]
-    missing = [name for name in required if name not in given]
-    if missing:
-        raise ValueError(f"{owner} requires {', '.join(map(spell, missing))}")
-    unused = [name for name in given if name not in parameters]
-    if unused:
-        raise ValueError(f"{owner} does not take {', '.join(map(spell, unused))}")
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """A named family plus its parameters; builds on demand.
-
-    build() returns (instance, certificate-or-None): only the ggu family
-    carries a packing certificate.
-    """
-
-    family: str
-    parameters: dict
-
-    def build(self) -> tuple[Instance, Optional[Schedule]]:
-        parameters = family_parameters(self.family)
-        check_arguments(f"family {self.family}", parameters, self.parameters)
-        built = FAMILIES[self.family](
-            **{parameters[name].name: value for name, value in self.parameters.items()}
-        )
-        return built if isinstance(built, tuple) else (built, None)

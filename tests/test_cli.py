@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from rentlab import Instance, Job, model, read_instance, write_instance
+from rentlab import Instance, Job, analysis, model, read_instance, write_instance
 from rentlab.cli import build_parser, main
 
 
@@ -166,6 +166,41 @@ def test_read_only_output_writes_nothing(tmp_path, monkeypatch, capsys):
                    "--schedule-out", "s.json", "--out", "locked/r.json") == 2
     assert capsys.readouterr() == ("", _os_error(errno.EACCES, "locked/r.json"))
     assert sorted(path.name for path in tmp_path.iterdir()) == ["in.jobs", "locked"]
+
+
+def test_verify_checks_out_before_the_suite_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    calls = []
+
+    def recording_suite():
+        calls.append(1)
+        return analysis.SuiteResult(True, {})
+
+    monkeypatch.setitem(analysis.SUITES, "recurrence", recording_suite)
+    assert run_cli("verify", "--suite", "recurrence", "--out", "nodir/r.json") == 2
+    assert capsys.readouterr() == ("", _os_error(errno.ENOENT, "nodir/r.json"))
+    assert calls == []
+
+
+def _failing_suite():
+    return analysis.SuiteResult(False, {"case": "planted"}, Instance((Job(1, 0, 1),)))
+
+
+def test_failing_verify_with_unwritable_out_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setitem(analysis.SUITES, "recurrence", _failing_suite)
+    assert run_cli("verify", "--suite", "recurrence", "--out", "nodir/r.json") == 2
+    assert capsys.readouterr() == ("", _os_error(errno.ENOENT, "nodir/r.json"))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_out_naming_the_counterexample_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setitem(analysis.SUITES, "recurrence", _failing_suite)
+    dump = "counterexample-recurrence.jobs"
+    assert run_cli("verify", "--suite", "recurrence", "--out", dump) == 2
+    assert capsys.readouterr() == ("", f"error: {dump} and {dump} are the same file\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 # Each `gen` flag set, run with `--out out.jobs` in an empty directory, as a

@@ -16,7 +16,7 @@ from rentlab import (
 )
 from rentlab.generators import (
     FAMILIES,
-    GeneratorSpec,
+    family_parameters,
     ggu_extended,
     long_uniform,
     nf_nemesis,
@@ -217,7 +217,7 @@ def test_random_equal_duration_determinism_and_shape():
     assert starts == sorted(starts)
 
 
-def test_generator_spec_dispatch():
+def test_family_dispatch():
     assert set(FAMILIES) == {
         "ggu",
         "long-uniform",
@@ -225,23 +225,24 @@ def test_generator_spec_dispatch():
         "random-two-arrival",
         "random-equal-duration",
     }
-    inst, cert = GeneratorSpec("ggu", {"k": 6, "t": F(1, 2)}).build()
+    # each family built by name, its parameters named as the family names them
+    built = {}
+    for family, given in [
+        ("ggu", {"k": 6, "t": F(1, 2)}),
+        ("long-uniform", {"k": 2, "l": 4}),
+        ("nf-nemesis", {"N": 1}),
+    ]:
+        parameters = family_parameters(family)
+        built[family] = FAMILIES[family](
+            **{parameters[name].name: value for name, value in given.items()}
+        )
+    inst, cert = built.pop("ggu")
     assert len(inst) == 282
-    assert cert is not None
-    inst, cert = GeneratorSpec("long-uniform", {"k": 2, "l": 4}).build()
-    assert len(inst) == 10
-    assert cert is None
-    inst, _ = GeneratorSpec("nf-nemesis", {"N": 1}).build()
-    assert len(inst) == 4
-    with pytest.raises(ValueError):
-        GeneratorSpec("no-such-family", {}).build()
-    with pytest.raises(ValueError, match="family ggu requires t$"):
-        GeneratorSpec("ggu", {"k": 6}).build()
-    with pytest.raises(ValueError, match="requires n, t, seed"):
-        GeneratorSpec("random-two-arrival", {}).build()
-    with pytest.raises(ValueError, match="family long-uniform does not take seed$"):
-        GeneratorSpec("long-uniform", {"k": 2, "l": 4, "seed": 1}).build()
-    with pytest.raises(ValueError, match="random-two-arrival does not take horizon$"):
-        GeneratorSpec(
-            "random-two-arrival", {"n": 3, "t": F(1, 2), "seed": 1, "horizon": 2}
-        ).build()
+    assert verify_certificate(inst, cert) == 82
+    assert {family: len(inst) for family, inst in built.items()} == {
+        "long-uniform": 10,
+        "nf-nemesis": 4,
+    }
+    assert list(family_parameters("long-uniform")) == ["k", "l"]
+    with pytest.raises(ValueError, match="unknown family 'no-such-family'"):
+        family_parameters("no-such-family")

@@ -56,6 +56,65 @@ def test_modules_import_no_unused_names():
     assert dead == {}
 
 
+def dead_private_names(sources: dict) -> list[str]:
+    """Module-level ``_name`` definitions that no module in ``sources`` reads.
+
+    ``sources`` maps module names to their source.  A definition is a
+    function, a class or an assignment at module level; dunder names are
+    skipped.  A read is a loaded name, an attribute or a ``from`` import.
+    """
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [
+                    leaf.id
+                    for target in targets
+                    for leaf in ast.walk(target)
+                    if isinstance(leaf, ast.Name)
+                ]
+            else:
+                names = []
+            defined += [
+                (module, name)
+                for name in names
+                if name.startswith("_") and not name.startswith("__")
+            ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return [f"{module}: {name}" for module, name in defined if name not in read]
+
+
+def test_dead_private_names_finds_orphans():
+    sources = {
+        "a": (
+            "_used = 1\n"
+            "_orphan, _pair = 2, 3\n"
+            "__dunder__ = 4\n"
+            "def _helper(): return _used + _pair\n"
+            "class _Shadow: pass\n"
+            "_typed: int = 5\n"
+        ),
+        "b": "from .a import _helper\nimport a\nprint(a._typed)\n",
+    }
+    assert dead_private_names(sources) == ["a: _orphan", "a: _Shadow"]
+
+
+def test_package_reads_every_private_name():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert len(sources) > 1
+    assert dead_private_names(sources) == []
+
+
 def traced_names(source: str) -> dict:
     """The ``TRACED`` table of the benchmark tracer, read from its source."""
     for node in ast.parse(source).body:
