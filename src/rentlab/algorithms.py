@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
 
-from .model import Instance, Schedule, Server, require_valid
+from .model import Instance, Schedule, Server, require_shape, require_valid
 
 
 @dataclass(frozen=True)
@@ -88,21 +88,6 @@ def _max_tree(
     return tree, width
 
 
-def _doubled(tree: list[int], width: int) -> list[int]:
-    """The tree with twice the leaves, the old tree its root's left subtree.
-
-    Each level is copied as one slice (node ``v`` of the level that starts
-    at ``level`` moves to ``v + level``); the new right half holds 0s.
-    """
-    grown = [0] * (4 * width)
-    grown[1] = tree[1]
-    level = 1
-    while level <= width:
-        grown[2 * level:3 * level] = tree[level:2 * level]
-        level *= 2
-    return grown
-
-
 def _raise_leaf(tree: list[int], node: int, value: int) -> None:
     """Raise leaf ``node`` to ``value``, and each ancestor lower than that.
 
@@ -128,9 +113,9 @@ def _place(instance: Instance, keep_earlier: bool) -> AlgorithmTrace:
     The tree's leaves are the candidates in opening order.  It is rebuilt
     over the survivors only when an arrival outlives a candidate, so
     between rebuilds every leaf is live and leaf ``k`` has rank ``k + 1``.
-    FirstFit adds a new server as the next leaf, doubling the tree when it
-    is full; NextFit replaces the tree with a one-leaf tree, so it stays
-    O(1) per job.
+    FirstFit adds a new server as the next leaf, building the tree anew at
+    twice the width when it is full; NextFit replaces the tree with a
+    one-leaf tree, so it stays O(1) per job.
     """
     require_valid(instance)
     jobs = instance.jobs
@@ -213,8 +198,12 @@ def _place(instance: Instance, keep_earlier: bool) -> AlgorithmTrace:
                 if finish < earliest:
                     earliest = finish
                 if k == width:
-                    tree, width, depth = _doubled(tree, width), 2 * width, depth + 1
-                _raise_leaf(tree, width + k, value)
+                    # the same candidates in the same order on twice the
+                    # leaves, so no leaf moves
+                    tree, width = _max_tree(candidates, free, leaf)
+                    depth += 1
+                else:
+                    _raise_leaf(tree, width + k, value)
             else:
                 if candidates:
                     leaf[candidates[0]] = -1
@@ -276,12 +265,7 @@ class ServerTypePartition:
 def server_type_partition(trace: AlgorithmTrace) -> ServerTypePartition:
     """Partition a trace's servers for the two-round, duration-2 setting."""
     instance = trace.schedule.instance
-    for i, jb in enumerate(instance.jobs):
-        if jb.duration != 2 or jb.start not in (0, 1):
-            raise ValueError(
-                f"job {i} must have duration 2 and start in {{0, 1}}, "
-                f"got ({jb.size}, {jb.start}, {jb.finish})"
-            )
+    require_shape(instance, 2, {0, 1})
     type1, type2, type3 = [], [], []
     mass0_t1 = Fraction(0)
     mass0_t2 = Fraction(0)

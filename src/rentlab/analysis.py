@@ -39,6 +39,7 @@ from .model import (
     as_rational,
     cost,
     format_rational,
+    require_shape,
     scale_time,
     utilization,
 )
@@ -55,16 +56,19 @@ _W1_BONUS = Fraction(12, 131)
 _W2_RATE = Fraction(168, 131)
 
 
+def _weight_arrival(t) -> Fraction:
+    """t as an exact rational, refused outside the weight scheme's [1/28, 1)."""
+    t = as_rational(t)
+    if not T_MIN <= t < 1:
+        raise ValueError(f"second arrival {format_rational(t)} outside [1/28, 1)")
+    return t
+
+
 def _check_weight_domain(x: Fraction, t: Fraction) -> tuple[Fraction, Fraction]:
     x = as_rational(x)
-    t = as_rational(t)
     if not 0 < x <= 1:
         raise ValueError(f"size {format_rational(x)} outside (0, 1]")
-    if not T_MIN <= t < 1:
-        raise ValueError(
-            f"second arrival {format_rational(t)} outside [1/28, 1)"
-        )
-    return x, t
+    return x, _weight_arrival(t)
 
 
 def weight_w1(x, t) -> Fraction:
@@ -116,15 +120,7 @@ class ServerTypeInfo:
 def _check_two_arrival_uniform(trace: AlgorithmTrace, t: Fraction) -> Fraction:
     """Every job unit-duration starting at 0 or t; every server spans [0, 1+t]."""
     t = second_arrival(t)
-    instance = trace.schedule.instance
-    for i, jb in enumerate(instance.jobs):
-        if jb.duration != 1:
-            raise ValueError(f"job {i} is not unit duration")
-        if jb.start not in (0, t):
-            raise ValueError(
-                f"job {i} starts at {format_rational(jb.start)}, "
-                f"expected 0 or {format_rational(t)}"
-            )
+    require_shape(trace.schedule.instance, 1, {0, t})
     for srv in trace.schedule.servers:
         if srv.open_time != 0 or srv.close_time != 1 + t:
             raise ValueError(
@@ -253,9 +249,7 @@ def verify_weights(trace: AlgorithmTrace, opt_schedule: Schedule, t) -> WeightRe
     it is checked for feasibility first.  Requires the uniform two-arrival
     setting and t in [1/28, 1).
     """
-    t = _check_two_arrival_uniform(trace, t)
-    if t < T_MIN:
-        raise ValueError("weight scheme needs t >= 1/28")
+    t = _weight_arrival(_check_two_arrival_uniform(trace, t))
     instance = trace.schedule.instance
     verify_certificate(instance, opt_schedule)
     jobs = instance.jobs
@@ -316,13 +310,7 @@ class LayerProfile:
 def _check_escalating(trace: AlgorithmTrace, level_count: int) -> None:
     if level_count <= 0:
         raise ValueError("level_count must be positive")
-    for i, jb in enumerate(trace.schedule.instance.jobs):
-        if jb.duration != 2:
-            raise ValueError(f"job {i} is not duration 2")
-        if jb.start.denominator != 1 or not 0 <= jb.start <= level_count:
-            raise ValueError(
-                f"job {i} must arrive at an integer time in [0, {level_count}]"
-            )
+    require_shape(trace.schedule.instance, 2, range(level_count + 1))
 
 
 def layer_profile(trace: AlgorithmTrace, k: int, level_count: int) -> LayerProfile:

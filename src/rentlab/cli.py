@@ -78,21 +78,25 @@ def _check_arguments(owner: str, parameters: dict, given) -> None:
         raise ValueError(f"{owner} does not take {', '.join(unused)}")
 
 
-def _check_writable(*paths) -> None:
-    """Raise the error writing any of ``paths`` would raise, before writing any.
-
-    A command that fails writes nothing, so each command checks all of its
-    output paths before the first write.  A ``None`` path (stdout) passes.
-    Two paths that resolve to the same file raise ``ValueError``: the
-    second write would replace the first.
-    """
+def _check_distinct(*paths) -> list[Path]:
+    """The given ``paths`` (``None`` is stdout); ``ValueError`` names the
+    first two that resolve to one file, where a write would replace the other."""
     paths = [Path(path) for path in paths if path]
     first_named: dict[Path, Path] = {}
     for path in paths:
         same = first_named.setdefault(path.resolve(), path)
         if same is not path:
             raise ValueError(f"{same} and {path} are the same file")
-    for path in paths:
+    return paths
+
+
+def _check_writable(*paths) -> None:
+    """Raise the error writing any of ``paths`` would raise, before writing any.
+
+    A command that fails writes nothing, so each command checks all of its
+    output paths, ``_check_distinct`` included, before the first write.
+    """
+    for path in _check_distinct(*paths):
         parent = path.parent
         if path.is_dir():
             code = errno.EISDIR
@@ -183,6 +187,7 @@ def _emit_solution(args, started, phases, instance, schedule, fields) -> int:
         "instance": digest,
         **fields,
     }
+    _check_distinct(args.input, args.schedule_out, args.out)
     _check_writable(args.schedule_out, args.out)
     if args.schedule_out:
         with _phase(phases, "write_schedule"):

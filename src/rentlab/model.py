@@ -230,6 +230,28 @@ def require_valid(instance: Instance) -> None:
         raise ValueError("invalid instance: " + "; ".join(str(v) for v in violations))
 
 
+def require_shape(instance: Instance, duration: int, starts=None) -> None:
+    """Raise ValueError at the first job whose duration is not ``duration``
+    or, when ``starts`` (a collection of rationals) is given, whose start is
+    not among them: the setting each of the paper's bounds holds in.  Both
+    tests compare lattice ints, where a time ``x`` is ``x * unit``.
+    """
+    lat = instance.lattice
+    unit = lat.unit
+    length = duration * unit
+    # a start off the lattice scales to a non-integer, which no job's equals
+    allowed = None if starts is None else {s * unit for s in starts}
+    for i, (start, finish) in enumerate(zip(lat.starts, lat.finishes)):
+        if finish - start != length:
+            shown = format_rational(Fraction(finish - start, unit))
+            raise ValueError(f"job {i} has duration {shown}; expected {duration}")
+        if allowed is not None and start not in allowed:
+            *others, last = map(format_rational, sorted(starts))
+            expected = f"{', '.join(others)} or {last}" if others else last
+            shown = format_rational(Fraction(start, unit))
+            raise ValueError(f"job {i} starts at {shown}; expected {expected}")
+
+
 def utilization(instance: Instance) -> Fraction:
     """Total work: sum of size * duration over all jobs."""
     lat = instance.lattice

@@ -31,6 +31,7 @@ from .model import (
     check_schedule,
     cost,
     make_schedule,
+    require_shape,
     require_valid,
     span,
     utilization,
@@ -155,16 +156,6 @@ def brute_force_opt(instance: Instance, max_jobs: int = 10) -> OptResult:
     )
 
 
-def _require_unit_durations(instance: Instance) -> None:
-    lat = instance.lattice
-    for i, (start, finish) in enumerate(zip(lat.starts, lat.finishes)):
-        if finish - start != lat.unit:
-            raise ValueError(
-                f"job {i} has duration {instance.jobs[i].duration}; "
-                "bound requires unit durations"
-            )
-
-
 def active_ceil_bound(instance: Instance, t: Fraction) -> int:
     """Ceiling of the size mass arriving in (t-1, t]; needs unit durations.
 
@@ -172,7 +163,7 @@ def active_ceil_bound(instance: Instance, t: Fraction) -> int:
     job arriving in the window is still active then and sizes are at most 1.
     A point query; arrival_ceiling_profile gives every event time in one sweep.
     """
-    _require_unit_durations(instance)
+    require_shape(instance, 1)
     t = as_rational(t)
     return math.ceil(arrival_mass(instance, t - 1, t))
 
@@ -184,7 +175,7 @@ def arrival_ceiling_profile(instance: Instance) -> list[int]:
     is ``unit``, so each finish is its start plus ``unit``.  Two pointers
     over the sorted starts keep the integer mass arriving in (t-1, t].
     """
-    _require_unit_durations(instance)
+    require_shape(instance, 1)
     lat = instance.lattice
     capacity, unit = lat.capacity, lat.unit
     arrivals = sorted(zip(lat.starts, lat.sizes))

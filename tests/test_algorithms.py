@@ -254,10 +254,10 @@ def test_partition_cost_identity():
 
 def test_partition_requires_strict_shape():
     inst = make_instance([(F(1, 2), 0, 1)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^job 0 has duration 1; expected 2$"):
         server_type_partition(first_fit(inst))
     inst = make_instance([(F(1, 2), F(1, 2), F(5, 2))])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^job 0 starts at 1/2; expected 0 or 1$"):
         server_type_partition(first_fit(inst))
 
 

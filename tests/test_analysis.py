@@ -1,11 +1,12 @@
 """Weight ledgers, server taxonomy, layer inequalities, multiplier sequences."""
 
+import re
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from rentlab import first_fit, make_instance
+from rentlab import first_fit, make_instance, server_type_partition
 from rentlab.analysis import (
     IGNORED_BUDGET,
     T_MIN,
@@ -22,7 +23,7 @@ from rentlab.analysis import (
     weight_w2,
 )
 from rentlab.generators import ggu_extended, long_uniform
-from rentlab.optimal import brute_force_opt
+from rentlab.optimal import active_ceil_bound, arrival_ceiling_profile, brute_force_opt
 
 
 F = Fraction
@@ -147,7 +148,7 @@ def test_classify_gap_inequalities():
 
 def test_classify_rejects_non_uniform_shapes():
     inst = make_instance([(F(1, 2), 0, 2)])
-    with pytest.raises(ValueError, match="not unit duration"):
+    with pytest.raises(ValueError, match="job 0 has duration 2; expected 1"):
         classify_servers(first_fit(inst), T)
 
     inst = make_instance([(F(1, 2), 0, 1), (F(1, 2), F(1, 4), F(5, 4))])
@@ -208,7 +209,7 @@ def test_verify_weights_requires_t_at_least_minimum():
     inst = two_arrival([F(9, 10)], [F(1, 10)], t=F(1, 50))
     trace = first_fit(inst)
     opt = brute_force_opt(inst)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^second arrival 1/50 outside \[1/28, 1\)$"):
         verify_weights(trace, opt.schedule, F(1, 50))
 
 
@@ -242,8 +243,42 @@ def test_layer_profile_errors():
     with pytest.raises(ValueError, match="no server spans"):
         layer_profile(trace, 2, 6)
     inst = make_instance([(F(1, 2), 0, 1)])
-    with pytest.raises(ValueError, match="not duration 2"):
+    with pytest.raises(ValueError, match="job 0 has duration 1; expected 2"):
         layer_profile(first_fit(inst), 2, 2)
+
+
+# Every caller of model.require_shape, as (the call, the duration it needs,
+# the starts it allows as the message shows them, or None for any start).
+SHAPE_CALLERS = {
+    "active_ceil_bound": (lambda inst: active_ceil_bound(inst, F(1)), 1, None),
+    "arrival_ceiling_profile": (arrival_ceiling_profile, 1, None),
+    "classify_servers": (lambda inst: classify_servers(first_fit(inst), T), 1, "0 or 1/2"),
+    "verify_weights": (
+        lambda inst: verify_weights(trace := first_fit(inst), trace.schedule, T),
+        1,
+        "0 or 1/2",
+    ),
+    "layer_profile": (lambda inst: layer_profile(first_fit(inst), 2, 2), 2, "0, 1 or 2"),
+    "server_type_partition": (
+        lambda inst: server_type_partition(first_fit(inst)), 2, "0 or 1"
+    ),
+}
+
+
+@pytest.mark.parametrize("caller", SHAPE_CALLERS)
+def test_shape_messages_at_every_caller(caller):
+    call, duration, shown = SHAPE_CALLERS[caller]
+    long = make_instance([(F(1, 2), 0, duration), (F(1, 2), 0, duration + F(1, 3))])
+    message = f"job 1 has duration {duration + F(1, 3)}; expected {duration}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(long)
+    late = make_instance([(F(1, 2), 0, duration), (F(1, 2), F(1, 3), duration + F(1, 3))])
+    if shown is None:
+        call(late)
+    else:
+        message = f"job 1 starts at 1/3; expected {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(late)
 
 
 def test_util_ratio_bound_values():

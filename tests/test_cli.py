@@ -131,14 +131,16 @@ def test_unwritable_output_writes_nothing(tmp_path, monkeypatch, capsys, argv, e
     assert after == before
 
 
-# Two outputs of one command that name the same file, as (argv, the pair the
-# error names).  The second write would replace the first.
+# Two paths of one command that name the same file, as (argv, the pair the
+# error names).  The second write would replace the first, or the input.
 SAME_FILE = [
     ("gen --family ggu --k 6 --t 1/2 --out w.jobs --cert-out sub/../w.jobs",
      ("w.jobs", "sub/../w.jobs")),
     ("run --alg firstfit --in in.jobs --schedule-out s.json --out ./sub/../s.json",
      ("s.json", "sub/../s.json")),
     ("opt --in in.jobs --schedule-out r.json --out link.json", ("r.json", "link.json")),
+    ("run --alg firstfit --in in.jobs --out in.jobs", ("in.jobs", "in.jobs")),
+    ("opt --in in.jobs --schedule-out sub/../in.jobs", ("in.jobs", "sub/../in.jobs")),
 ]
 
 
@@ -155,6 +157,15 @@ def test_outputs_naming_one_file_write_nothing(tmp_path, monkeypatch, capsys, ar
     after = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
     assert after == before
     assert not Path("r.json").exists()
+
+
+def test_read_only_input_is_read(tmp_path, monkeypatch):
+    # the input is compared with the outputs, never checked for writing
+    monkeypatch.chdir(tmp_path)
+    Path("in.jobs").write_text("1/2 0 1\n")
+    monkeypatch.setattr(os, "access", lambda path, mode: Path(path).name != "in.jobs")
+    assert run_cli("run", "--alg", "firstfit", "--in", "in.jobs", "--out", "r.json") == 0
+    assert json.loads(Path("r.json").read_text())["input"] == "in.jobs"
 
 
 def test_read_only_output_writes_nothing(tmp_path, monkeypatch, capsys):

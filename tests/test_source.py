@@ -56,6 +56,58 @@ def test_modules_import_no_unused_names():
     assert dead == {}
 
 
+# Test-only dependencies the package does not declare: a test module reaches
+# them through ``pytest.importorskip``, so the suite runs without them.
+OPTIONAL = {"hypothesis", "pytest_benchmark"}
+
+
+def optional_imports(source: str) -> list[str]:
+    """``import`` statements, at any depth, that load a module of ``OPTIONAL``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [
+            f"line {node.lineno}: {name}"
+            for name in names
+            if name.split(".")[0] in OPTIONAL
+        ]
+    return found
+
+
+def test_optional_imports_finds_import_statements():
+    source = (
+        "import pytest\n"
+        "import hypothesis.strategies as st\n"
+        "from pytest_benchmark import plugin\n"
+        "import hypothesis_extra, json\n"
+        "def test_property():\n"
+        "    from hypothesis import given\n"
+        "    hypothesis = pytest.importorskip('hypothesis')\n"
+    )
+    assert optional_imports(source) == [
+        "line 2: hypothesis.strategies",
+        "line 3: pytest_benchmark",
+        "line 6: hypothesis",
+    ]
+
+
+def test_tests_reach_optional_modules_through_importorskip():
+    modules = sorted(Path(__file__).parent.glob("*.py"))
+    assert Path(__file__) in modules
+    found = {
+        path.name: hits
+        for path in modules
+        for hits in [optional_imports(path.read_text())]
+        if hits
+    }
+    assert found == {}
+
+
 def dead_private_names(sources: dict) -> list[str]:
     """Module-level ``_name`` definitions that no module in ``sources`` reads.
 
