@@ -30,12 +30,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 from .model import Instance, Schedule, Server, require_shape, require_valid
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """What happened when one job was placed.
 
     ``servers_scanned`` is the chosen server's 1-based rank among the live
@@ -44,6 +44,10 @@ class Decision:
     server through an index, so this is the policy's choice, not its work.
     NextFit's one open server counts as scanned for every job after the
     first, even once it has expired.
+
+    One is built per job, so it is a named tuple: half the cost of a frozen
+    dataclass, with the same repr.  It also equals the plain tuple of its
+    four values.
     """
 
     job_index: int
@@ -217,7 +221,7 @@ def _place(instance: Instance, keep_earlier: bool) -> AlgorithmTrace:
         # NextFit's one open server counts as scanned even once expired; the
         # first job found no server, so its 0 stands
         scanned[1:] = [1] * (len(jobs) - 1)
-    # the dataclasses take their fields in order: keyword calls cost more
+    # the records take their fields in order: keyword calls cost more
     decisions = tuple(map(Decision, range(len(jobs)), chosen, opened, scanned))
     servers = tuple(
         map(Server, range(len(members)), map(tuple, members), open_times, close_times)

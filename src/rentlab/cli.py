@@ -80,11 +80,20 @@ def _check_arguments(owner: str, parameters: dict, given) -> None:
 
 def _check_distinct(*paths) -> list[Path]:
     """The given ``paths`` (``None`` is stdout); ``ValueError`` names the
-    first two that resolve to one file, where a write would replace the other."""
+    first two that name one file, where a write would replace the other.
+
+    A path that exists names its device and inode, so a hard link names the
+    file it links to; one that does not names its resolved path.
+    """
     paths = [Path(path) for path in paths if path]
-    first_named: dict[Path, Path] = {}
+    first_named: dict[object, Path] = {}
     for path in paths:
-        same = first_named.setdefault(path.resolve(), path)
+        try:
+            stat = path.stat()
+            key = stat.st_dev, stat.st_ino
+        except OSError:
+            key = path.resolve()
+        same = first_named.setdefault(key, path)
         if same is not path:
             raise ValueError(f"{same} and {path} are the same file")
     return paths

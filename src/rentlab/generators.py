@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from inspect import Parameter, signature
+from operator import itemgetter
 
 from .model import Instance, Job, Schedule, as_rational, make_schedule
 
@@ -127,10 +128,11 @@ def long_uniform(k: int, level_count: int) -> Instance:
     if level_count <= 0 or level_count % 2 != 0:
         raise ValueError("level_count must be a positive even integer")
     eps = Fraction(1, k * level_count)
-    jobs = [Job(Fraction(2, 3), Fraction(0), Fraction(2)) for _ in range(k)]
+    # the k jobs of a level share one Job, and so one lattice row
+    jobs = [Job(Fraction(2, 3), Fraction(0), Fraction(2))] * k
     for u in range(1, level_count + 1):
         size = THIRD if u % 2 == 1 else THIRD + eps
-        jobs.extend(Job(size, Fraction(u), Fraction(u + 2)) for _ in range(k))
+        jobs += [Job(size, Fraction(u), Fraction(u + 2))] * k
     return Instance(tuple(jobs))
 
 
@@ -153,6 +155,21 @@ def nf_nemesis(n_pairs_half: int) -> Instance:
     return Instance(tuple(jobs))
 
 
+def _unit_jobs(draws: list[tuple[int, int]], size_grid: int, start_at) -> Instance:
+    """Unit-duration jobs from ``(size * size_grid, key)`` draws, stably
+    sorted by the int ``key``, whose start is ``start_at(key)`` (increasing
+    in ``key``).  Equal draws share one ``Job``, and so one lattice row.
+    """
+    draws.sort(key=itemgetter(1))
+    made: dict[tuple[int, int], Job] = {}
+    for draw in draws:
+        if draw not in made:
+            size, key = draw
+            start = start_at(key)
+            made[draw] = Job(Fraction(size, size_grid), start, start + 1)
+    return Instance(tuple([made[draw] for draw in draws]))
+
+
 def random_two_arrival(n: int, t, seed: int, size_grid: int = 12) -> Instance:
     """n unit-duration jobs arriving at 0 or t, sizes uniform on the grid.
 
@@ -165,12 +182,8 @@ def random_two_arrival(n: int, t, seed: int, size_grid: int = 12) -> Instance:
     if size_grid < 1:
         raise ValueError("size_grid must be at least 1")
     t = second_arrival(t)
-    drawn = [
-        (t if late else Fraction(0), Fraction(size, size_grid))
-        for size, late in _two_arrival_draws(n, seed, size_grid)
-    ]
-    drawn.sort(key=lambda pair: pair[0])
-    return Instance(tuple(Job(size, start, start + 1) for start, size in drawn))
+    starts = (Fraction(0), t)
+    return _unit_jobs(_two_arrival_draws(n, seed, size_grid), size_grid, starts.__getitem__)
 
 
 def _two_arrival_draws(n: int, seed: int, size_grid: int) -> list[tuple[int, bool]]:
@@ -196,13 +209,11 @@ def random_equal_duration(
     if size_grid < 1 or start_grid < 1 or horizon < 0:
         raise ValueError("grids must be positive and horizon non-negative")
     rng = random.Random(seed)
-    drawn = []
-    for _ in range(n):
-        size = Fraction(rng.randint(1, size_grid), size_grid)
-        start = Fraction(rng.randint(0, horizon * start_grid), start_grid)
-        drawn.append((start, size))
-    drawn.sort(key=lambda pair: pair[0])
-    return Instance(tuple(Job(size, start, start + 1) for start, size in drawn))
+    draws = [
+        (rng.randint(1, size_grid), rng.randint(0, horizon * start_grid))
+        for _ in range(n)
+    ]
+    return _unit_jobs(draws, size_grid, lambda key: Fraction(key, start_grid))
 
 
 # Every family by its generator, whose signature gives the family's

@@ -28,6 +28,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import gt
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
@@ -59,6 +60,17 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(int(numerator), int(denominator or 1))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator: {text!r}") from None
+
+
+class _Rationals(dict):
+    """``parse_rational`` by text, each distinct text parsed once.
+
+    A text that fails to parse raises at every lookup and is never stored.
+    """
+
+    def __missing__(self, text: str) -> Fraction:
+        value = self[text] = parse_rational(text)
+        return value
 
 
 def format_rational(value: Fraction) -> str:
@@ -110,6 +122,11 @@ class Lattice:
     sum and difference decides on the ints as it would on the Fractions,
     and an int ``v`` on an axis is ``Fraction(v, capacity)`` or
     ``Fraction(v, unit)``.
+
+    Each distinct ``Job`` object is mapped once and its ints are shared by
+    every position that holds it.  ``parse_instance`` shares one ``Job`` per
+    distinct line, and ``long_uniform`` and the random families one per
+    distinct row, so a 10,100-job ``long_uniform`` file maps 101 jobs.
     """
 
     capacity: int
@@ -120,10 +137,23 @@ class Lattice:
 
 
 def _build_lattice(jobs: tuple[Job, ...]) -> Lattice:
-    capacity, sizes = _on_lattice([jb.size for jb in jobs])
-    unit, times = _on_lattice([jb.start for jb in jobs] + [jb.finish for jb in jobs])
-    n = len(jobs)
-    return Lattice(capacity, tuple(sizes), unit, tuple(times[:n]), tuple(times[n:]))
+    # keyed by identity: the jobs tuple keeps every object, and so its id, alive
+    distinct = dict(zip(map(id, jobs), jobs))
+    slot = dict(zip(distinct, range(len(distinct))))
+    slots = list(map(slot.__getitem__, map(id, jobs)))
+    rows = distinct.values()
+    capacity, sizes = _on_lattice([jb.size for jb in rows])
+    unit, times = _on_lattice([jb.start for jb in rows] + [jb.finish for jb in rows])
+    starts, finishes = times[: len(rows)], times[len(rows) :]
+    # through lists: a tuple built from an iterator is resized as it grows,
+    # which raised peak RSS by about 2% on runs of many small instances
+    return Lattice(
+        capacity,
+        tuple(list(map(sizes.__getitem__, slots))),
+        unit,
+        tuple(list(map(starts.__getitem__, slots))),
+        tuple(list(map(finishes.__getitem__, slots))),
+    )
 
 
 @dataclass(frozen=True)
@@ -345,9 +375,10 @@ def cost(schedule: Schedule) -> Fraction:
     """
     by_denominator: dict[int, int] = {}
     for srv in schedule.servers:
-        for end, sign in ((srv.close_time, 1), (srv.open_time, -1)):
-            d = end.denominator
-            by_denominator[d] = by_denominator.get(d, 0) + sign * end.numerator
+        numerator, denominator = srv.close_time.as_integer_ratio()
+        by_denominator[denominator] = by_denominator.get(denominator, 0) + numerator
+        numerator, denominator = srv.open_time.as_integer_ratio()
+        by_denominator[denominator] = by_denominator.get(denominator, 0) - numerator
     return sum(
         (Fraction(n, d) for d, n in by_denominator.items()), Fraction(0)
     )
@@ -429,6 +460,16 @@ def make_schedule(instance: Instance, groups: Sequence[Sequence[int]]) -> Schedu
     return Schedule(instance=instance, servers=tuple(servers))
 
 
+def _at_tick(value, scale: int, tick: int) -> bool:
+    """Whether the number ``value`` equals ``Fraction(tick, scale)``.
+
+    The ratio of a rational ``value`` is in lowest terms, so it can equal a
+    fraction of ``scale`` only when its denominator divides ``scale``.
+    """
+    numerator, denominator = value.as_integer_ratio()
+    return scale % denominator == 0 and numerator * (scale // denominator) == tick
+
+
 def check_schedule(schedule: Schedule) -> list[Violation]:
     """Check completeness, rental-window consistency and capacity.
 
@@ -436,38 +477,42 @@ def check_schedule(schedule: Schedule) -> list[Violation]:
     is running, the concurrent load can only drop until the next start.  One
     sweep per server visits its members by start, adding the jobs that
     arrive at each distinct start and dropping, from a heap ordered by
-    finish, those that have left.  The sweep runs on the instance's lattice.
+    finish, those that have left.  The sweep and the window tests run on the
+    instance's lattice, and members already in start order, as every
+    schedule the policies build holds them, are not sorted again.
     """
     violations: list[Violation] = []
-    jobs = schedule.instance.jobs
-    n = len(jobs)
     lat = schedule.instance.lattice
     starts, finishes, sizes = lat.starts, lat.finishes, lat.sizes
-    capacity = lat.capacity
-    assigned: dict[int, int] = {}
+    capacity, unit = lat.capacity, lat.unit
+    n = len(starts)
+    assigned = [False] * n
     for server in schedule.servers:
         if not server.job_indices:
             violations.append(Violation("server holds no jobs", server_id=server.id))
             continue
+        members = []
         for i in server.job_indices:
             if not 0 <= i < n:
                 violations.append(
                     Violation("job index out of range", job_index=i, server_id=server.id)
                 )
                 continue
-            if i in assigned:
+            if assigned[i]:
                 violations.append(
                     Violation("job assigned twice", job_index=i, server_id=server.id)
                 )
-            assigned[i] = server.id
-        members = [i for i in server.job_indices if 0 <= i < n]
+            assigned[i] = True
+            members.append(i)
         if not members:
             continue
-        members.sort(key=starts.__getitem__)
-        last = max(members, key=finishes.__getitem__)
-        if (
-            server.open_time != jobs[members[0]].start
-            or server.close_time != jobs[last].finish
+        begins = list(map(starts.__getitem__, members))
+        if any(map(gt, begins, begins[1:])):  # the policies add jobs in start order
+            members.sort(key=starts.__getitem__)
+            begins.sort()
+        if not (
+            _at_tick(server.open_time, unit, begins[0])
+            and _at_tick(server.close_time, unit, max(map(finishes.__getitem__, members)))
         ):
             violations.append(
                 Violation(
@@ -479,10 +524,10 @@ def check_schedule(schedule: Schedule) -> list[Violation]:
         here = 0
         k = 0
         while k < len(members):
-            s = starts[members[k]]
+            s = begins[k]
             while running and running[0][0] <= s:
                 here -= heapq.heappop(running)[1]
-            while k < len(members) and starts[members[k]] == s:
+            while k < len(members) and begins[k] == s:
                 i = members[k]
                 k += 1
                 if finishes[i] > s:
@@ -493,13 +538,15 @@ def check_schedule(schedule: Schedule) -> list[Violation]:
                     Violation(
                         "capacity exceeded",
                         server_id=server.id,
-                        time=Fraction(s, lat.unit),
+                        time=Fraction(s, unit),
                         load=Fraction(here, capacity),
                     )
                 )
-    for i in range(n):
-        if i not in assigned:
-            violations.append(Violation("job never assigned", job_index=i))
+    violations += [
+        Violation("job never assigned", job_index=i)
+        for i, seen in enumerate(assigned)
+        if not seen
+    ]
     return violations
 
 
@@ -528,12 +575,14 @@ def parse_instance(text: str) -> Instance:
     """Parse an instance file: one 'size start finish' line per job.
 
     Fields are integers or p/q rationals; '#' starts a comment line and
-    blank lines are skipped.  Each distinct line is parsed once: jobs whose
-    lines read the same (after stripping) share one frozen ``Job``, and a
-    malformed line is reported at its first occurrence.
+    blank lines are skipped.  Each distinct line is parsed once, and each
+    distinct field text within the lines: jobs whose lines read the same
+    (after stripping) share one frozen ``Job``, and a malformed line or
+    field is reported at its first occurrence.
     """
     jobs = []
     parsed: dict[str, Job] = {}
+    values = _Rationals()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         job = parsed.get(line)
@@ -546,7 +595,7 @@ def parse_instance(text: str) -> Instance:
                     f"line {lineno}: expected 'size start finish', got {raw!r}"
                 )
             try:
-                size, start, finish = (parse_rational(f) for f in fields)
+                size, start, finish = map(values.__getitem__, fields)
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
             job = parsed[line] = Job(size, start, finish)
@@ -592,11 +641,11 @@ def schedule_to_dict(schedule: Schedule) -> dict:
     }
 
 
-def _server_from_entry(k: int, entry, parsed: dict[str, Fraction]) -> Server:
+def _server_from_entry(k: int, entry, parsed: _Rationals) -> Server:
     """Server entry k of a stored schedule; refuses a field of the wrong type.
 
-    ``parsed`` maps each window text seen so far to its value, so a text
-    shared by many entries is parsed once.
+    ``parsed`` is shared by the entries, so a window text that many of them
+    hold is parsed once.
     """
     try:
         sid, indices = entry["id"], entry["jobs"]
@@ -617,13 +666,10 @@ def _server_from_entry(k: int, entry, parsed: dict[str, Fraction]) -> Server:
     for name, text in windows:
         if type(text) is not str:
             raise ValueError(f"server entry {k}: {name} {text!r} is not a string")
-        value = parsed.get(text)
-        if value is None:
-            try:
-                value = parsed[text] = parse_rational(text)
-            except ValueError as exc:
-                raise ValueError(f"server entry {k}: {name}: {exc}") from None
-        times.append(value)
+        try:
+            times.append(parsed[text])
+        except ValueError as exc:
+            raise ValueError(f"server entry {k}: {name}: {exc}") from None
     return Server(sid, tuple(indices), *times)
 
 
@@ -639,21 +685,21 @@ def schedule_from_dict(instance: Instance, data: dict) -> Schedule:
     entries = data.get("servers") if isinstance(data, dict) else None
     if type(entries) is not list:
         raise ValueError("schedule must be an object with a 'servers' list")
-    parsed: dict[str, Fraction] = {}
+    parsed = _Rationals()
     servers = tuple(
         _server_from_entry(k, entry, parsed) for k, entry in enumerate(entries)
     )
     n = len(instance.jobs)
-    seen: set[int] = set()
+    covered = [False] * n
     for server in servers:
         for i in server.job_indices:
             if not 0 <= i < n:
                 raise ValueError(f"job index {i} out of range for this instance")
-            if i in seen:
+            if covered[i]:
                 raise ValueError(f"job index {i} assigned twice")
-            seen.add(i)
-    if len(seen) != n:
-        missing = sorted(set(range(n)) - seen)
+            covered[i] = True
+    if not all(covered):
+        missing = [i for i, seen in enumerate(covered) if not seen]
         raise ValueError(f"schedule does not cover jobs {missing}")
     return Schedule(instance=instance, servers=servers)
 
@@ -669,15 +715,23 @@ def _schedule_text(schedule: Schedule) -> str:
     newline, byte for byte: ``json.dumps`` indents with its pure-Python
     encoder, and this is its layout for this one shape of document.  Ids and
     job indices are ints and windows 'p/q' strings, which need no escaping.
+    Each window object is formatted once: the policies' windows are the
+    jobs' own Fractions, which jobs read from one line share.
     """
     entries = []
+    shown: dict[int, str] = {}  # window text by id; the schedule keeps each alive
     for srv in schedule.servers:
         jobs = ",\n        ".join(map(str, srv.job_indices))
         jobs = f"[\n        {jobs}\n      ]" if jobs else "[]"
+        opened, closed = srv.open_time, srv.close_time
+        if (open_text := shown.get(id(opened))) is None:
+            open_text = shown[id(opened)] = format_rational(opened)
+        if (close_text := shown.get(id(closed))) is None:
+            close_text = shown[id(closed)] = format_rational(closed)
         entries.append(
             f'    {{\n      "id": {srv.id},\n      "jobs": {jobs},\n'
-            f'      "open": "{format_rational(srv.open_time)}",\n'
-            f'      "close": "{format_rational(srv.close_time)}"\n    }}'
+            f'      "open": "{open_text}",\n'
+            f'      "close": "{close_text}"\n    }}'
         )
     if not entries:
         return '{\n  "servers": []\n}\n'

@@ -141,6 +141,8 @@ SAME_FILE = [
     ("opt --in in.jobs --schedule-out r.json --out link.json", ("r.json", "link.json")),
     ("run --alg firstfit --in in.jobs --out in.jobs", ("in.jobs", "in.jobs")),
     ("opt --in in.jobs --schedule-out sub/../in.jobs", ("in.jobs", "sub/../in.jobs")),
+    # a hard link resolves to its own path; only its inode is the input's
+    ("run --alg firstfit --in in.jobs --out hard.jobs", ("in.jobs", "hard.jobs")),
 ]
 
 
@@ -151,6 +153,7 @@ def test_outputs_naming_one_file_write_nothing(tmp_path, monkeypatch, capsys, ar
     Path("s.json").write_text("an earlier schedule\n")
     Path("sub").mkdir()
     Path("link.json").symlink_to("r.json")
+    os.link("in.jobs", "hard.jobs")
     before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
     assert run_cli(*argv.split()) == 2
     assert capsys.readouterr() == ("", f"error: {pair[0]} and {pair[1]} are the same file\n")

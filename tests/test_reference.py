@@ -12,7 +12,10 @@ capacity check that re-sums each server's load at each of its starts, a
 point query of the arrival ceiling at each event time, and a sampler that
 builds every draw and runs first_fit on it.  brute_force_opt searches on
 the lattice too; its reference is the same partition search with Fraction
-loads, costs and floor.
+loads, costs and floor.  The lattice maps each distinct Job object once,
+checked against the lattice of distinct copies of the same rows, and the
+random families sort int draws and share one Job per distinct row, checked
+against the Fraction draws sorted by start.
 
 The file paths keep their plain versions here too: parse_instance parses
 every line, the schedule text comes from ``json.dumps(indent=2)``, cost sums
@@ -65,6 +68,7 @@ from rentlab.analysis import _WEIGHT_T_VALUES, find_uniform_two_arrival
 from rentlab.model import _schedule_text
 from rentlab.generators import (
     ggu_extended,
+    long_uniform,
     nf_nemesis,
     random_equal_duration,
     random_two_arrival,
@@ -231,6 +235,17 @@ def reference_two_arrival(n, t, seed, size_grid=12):
     for _ in range(n):
         size = F(rng.randint(1, size_grid), size_grid)
         start = F(0) if rng.random() < 0.5 else t
+        drawn.append((start, size))
+    drawn.sort(key=lambda pair: pair[0])
+    return Instance(tuple(Job(size, start, start + 1) for start, size in drawn))
+
+
+def reference_equal_duration(n, seed, size_grid=8, start_grid=4, horizon=3):
+    rng = random.Random(seed)
+    drawn = []
+    for _ in range(n):
+        size = F(rng.randint(1, size_grid), size_grid)
+        start = F(rng.randint(0, horizon * start_grid), start_grid)
         drawn.append((start, size))
     drawn.sort(key=lambda pair: pair[0])
     return Instance(tuple(Job(size, start, start + 1) for start, size in drawn))
@@ -686,6 +701,74 @@ def test_check_schedule_matches_reference_on_broken_schedules():
             assert any(v.rule == "capacity exceeded" for v in violations)
 
 
+def test_check_schedule_matches_reference_on_window_types_and_order():
+    # time unit 2 on the lattice; all three jobs overlap on [1, 2)
+    instance = make_instance([(F(1, 2), 0, 2), (F(1, 2), F(1, 2), 3), (F(1, 4), 1, F(5, 2))])
+    cases = [
+        # members out of start order, with the right window and with a wrong one
+        (Server(0, (2, 0, 1), F(0), F(3)),),
+        (Server(0, (1, 0), F(1, 2), F(3)), Server(1, (2,), F(1), F(5, 2))),
+        # int and float windows
+        (Server(0, (0, 1, 2), 0, 3),),
+        (Server(0, (0, 2), 0.0, 2.5), Server(1, (1,), 0.5, 3)),
+        (Server(0, (0, 2), 0.1, 2.5), Server(1, (1,), 0.5, 3)),
+        # windows off the lattice: denominators 3 and 7 do not divide the unit
+        (Server(0, (0, 1, 2), F(1, 3), F(3)),),
+        (Server(0, (0, 2), F(0), F(18, 7)), Server(1, (1,), F(1, 2), F(3))),
+    ]
+    for servers in cases:
+        for schedule in (
+            Schedule(instance, servers),
+            Schedule(stretched(instance), tuple(
+                Server(srv.id, srv.job_indices,
+                       stretch(F(srv.open_time)), stretch(F(srv.close_time)))
+                for srv in servers
+            )),
+        ):
+            assert check_schedule(schedule) == reference_check_schedule(schedule)
+    windows = [check_schedule(Schedule(instance, servers)) for servers in cases]
+    assert [len(found) for found in windows] == [1, 1, 1, 0, 1, 2, 1]
+
+
+def lattice_of_copies(instance):
+    """The lattice of the instance with every position its own Job object."""
+    return Instance(tuple(Job(jb.size, jb.start, jb.finish) for jb in instance.jobs)).lattice
+
+
+def test_lattice_of_shared_jobs_matches_distinct_copies():
+    shared = [
+        long_uniform(4, 6),
+        parse_instance(MESSY_TEXT),
+        random_equal_duration(300, seed=5, horizon=20),
+        random_two_arrival(50, F(1, 3), seed=8),
+        make_instance([(F(1, 2), 0, 1)] * 3),  # equal rows, distinct objects
+    ]
+    for instance in shared:
+        assert instance.lattice == lattice_of_copies(instance)
+    # a Job at positions far apart, and rows that no validity rule allows
+    job, bad = Job(F(1, 6), F(1, 4), F(9, 4)), Job(F(-3, 5), F(7, 2), F(1, 3))
+    instance = Instance((job, bad, Job(F(1, 6), F(1, 4), F(9, 4)), bad, job))
+    assert instance.lattice == lattice_of_copies(instance)
+    assert instance.lattice.sizes == (5, -18, 5, -18, 5)
+    assert len({id(jb) for jb in long_uniform(4, 6).jobs}) == 7
+
+
+def test_lattice_of_shared_jobs_matches_copies_on_generated_rows():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    rational = st.builds(F, st.integers(-(2**20), 2**20), st.integers(1, 2**40))
+    rows = st.lists(st.builds(Job, rational, rational, rational), min_size=1, max_size=8)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(rows, st.lists(st.integers(0, 7), max_size=30))
+    def check(jobs, picks):
+        instance = Instance(tuple(jobs[k % len(jobs)] for k in picks))
+        assert instance.lattice == lattice_of_copies(instance)
+
+    check()
+
+
 def test_instance_checks_and_measures_match_reference():
     empty = Instance(())
     assert check_instance_measures(empty) == []
@@ -742,6 +825,16 @@ def test_two_arrival_draws_match_reference():
                 assert random_two_arrival(n, t, seed, size_grid) == (
                     reference_two_arrival(n, t, seed, size_grid)
                 )
+
+
+def test_equal_duration_draws_match_reference():
+    for seed in range(60):
+        for n in (0, 1, 7, 40):
+            for grids in ((8, 4, 3), (5, 3, 7)):
+                instance = random_equal_duration(n, seed, *grids)
+                assert instance == reference_equal_duration(n, seed, *grids)
+                # equal rows share one Job
+                assert len({id(jb) for jb in instance.jobs}) == len(set(instance.jobs))
 
 
 def test_uniform_sampler_matches_fraction_reference():
@@ -910,6 +1003,18 @@ def test_parse_errors_match_reference(bad):
     with pytest.raises(ValueError, match="^line 3: "):
         parse_instance(text)
     same_outcome(parse_instance, reference_parse_instance, text)
+
+
+def test_bad_field_is_reported_at_its_first_line():
+    # distinct lines that share one malformed field: each distinct field text
+    # is parsed once, and the bad one is named at the first line holding it
+    text = "1/2 0 1\n1/3 1/0 2\n1/3 0 1\n1/4 2 1/0\n1/0 0 1\n"
+    with pytest.raises(ValueError, match=r"^line 2: zero denominator: '1/0'$"):
+        parse_instance(text)
+    same_outcome(parse_instance, reference_parse_instance, text)
+    # fields read fine on one line and badly on none: shared, and equal
+    jobs = parse_instance("1/2 0 1\n1/3 0 1/2\n").jobs
+    assert jobs[1].start is jobs[0].start and jobs[1].finish == F(1, 2)
 
 
 def test_schedule_from_dict_errors_match_reference():
