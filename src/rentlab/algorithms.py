@@ -270,16 +270,22 @@ def server_type_partition(trace: AlgorithmTrace) -> ServerTypePartition:
     """Partition a trace's servers for the two-round, duration-2 setting."""
     instance = trace.schedule.instance
     require_shape(instance, 2, {0, 1})
+    # every start is now 0 or 1, so a lattice start is 0 or unit; masses are
+    # summed as lattice sizes and turned into Fractions at the end
+    lat = instance.lattice
+    sizes, starts = lat.sizes, lat.starts
     type1, type2, type3 = [], [], []
-    mass0_t1 = Fraction(0)
-    mass0_t2 = Fraction(0)
-    mass1 = Fraction(0)
-    jobs = instance.jobs
+    mass0_t1 = mass0_t2 = mass1 = 0
     for srv in trace.schedule.servers:
-        at0 = sum((jobs[i].size for i in srv.job_indices if jobs[i].start == 0), Fraction(0))
-        at1 = sum((jobs[i].size for i in srv.job_indices if jobs[i].start == 1), Fraction(0))
-        has0 = any(jobs[i].start == 0 for i in srv.job_indices)
-        has1 = any(jobs[i].start == 1 for i in srv.job_indices)
+        at0 = at1 = 0
+        has0 = has1 = False
+        for i in srv.job_indices:
+            if starts[i]:
+                at1 += sizes[i]
+                has1 = True
+            else:
+                at0 += sizes[i]
+                has0 = True
         if has0 and has1:
             type2.append(srv)
             mass0_t2 += at0
@@ -294,7 +300,7 @@ def server_type_partition(trace: AlgorithmTrace) -> ServerTypePartition:
         type1=tuple(type1),
         type2=tuple(type2),
         type3=tuple(type3),
-        start0_mass_type1=mass0_t1,
-        start0_mass_type2=mass0_t2,
-        start1_mass=mass1,
+        start0_mass_type1=Fraction(mass0_t1, lat.capacity),
+        start0_mass_type2=Fraction(mass0_t2, lat.capacity),
+        start1_mass=Fraction(mass1, lat.capacity),
     )

@@ -158,15 +158,22 @@ def nf_nemesis(n_pairs_half: int) -> Instance:
 def _unit_jobs(draws: list[tuple[int, int]], size_grid: int, start_at) -> Instance:
     """Unit-duration jobs from ``(size * size_grid, key)`` draws, stably
     sorted by the int ``key``, whose start is ``start_at(key)`` (increasing
-    in ``key``).  Equal draws share one ``Job``, and so one lattice row.
+    in ``key``).  Equal draws share one ``Job``, and so one lattice row;
+    equal sizes share one ``Fraction``, and equal keys one start and finish.
     """
     draws.sort(key=itemgetter(1))
     made: dict[tuple[int, int], Job] = {}
+    sizes: dict[int, Fraction] = {}
+    windows: dict[int, tuple[Fraction, Fraction]] = {}
     for draw in draws:
         if draw not in made:
             size, key = draw
-            start = start_at(key)
-            made[draw] = Job(Fraction(size, size_grid), start, start + 1)
+            if size not in sizes:
+                sizes[size] = Fraction(size, size_grid)
+            if key not in windows:
+                start = start_at(key)
+                windows[key] = (start, start + 1)
+            made[draw] = Job(sizes[size], *windows[key])
     return Instance(tuple([made[draw] for draw in draws]))
 
 

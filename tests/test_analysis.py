@@ -1,12 +1,14 @@
 """Weight ledgers, server taxonomy, layer inequalities, multiplier sequences."""
 
+import hashlib
+import random
 import re
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from rentlab import first_fit, make_instance, server_type_partition
+from rentlab import analysis, first_fit, make_instance, server_type_partition
 from rentlab.analysis import (
     IGNORED_BUDGET,
     T_MIN,
@@ -348,6 +350,37 @@ def test_find_uniform_two_arrival_is_deterministic():
     for srv in trace.schedule.servers:
         assert srv.open_time == 0
         assert srv.close_time == 1 + T
+
+
+def test_default_weights_sampling_is_pinned(monkeypatch):
+    # on pass the weights report echoes only trials and seed, so pin what
+    # its sampler accepts over all 200 default trials, and how often it seeds
+    made = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, x=None):
+            made.append(x)
+            super().__init__(x)
+
+    accepted = []
+
+    def recording(t, seed):
+        found = find_uniform_two_arrival(t, seed)
+        accepted.append((seed, found[2]))
+        return found
+
+    monkeypatch.setattr(analysis, "find_uniform_two_arrival", recording)
+    monkeypatch.setattr(random, "Random", CountingRandom)
+    assert analysis.suite_weights().passed
+    monkeypatch.undo()
+    assert len(accepted) == 200
+    assert sum(used - seed + 1 for seed, used in accepted) == 10_038
+    digest = hashlib.sha256(",".join(str(used) for _, used in accepted).encode())
+    assert digest.hexdigest() == (
+        "bb2f388745d3e4f51351c74f8222c5fa390132769af3e9187a54064712f18413"
+    )
+    # one seeding per attempt
+    assert len(made) == 10_038
 
 
 def test_ratio_report_examples():

@@ -5,17 +5,26 @@ active_count_profile, check_schedule and arrival_ceiling_profile all work
 on the instance's integer lattice, the sweeps in one pass each, and the
 kernel finds each job's server through a max-free tree over the
 candidates; find_uniform_two_arrival tests its draws on the integer size
-grid.  The references below are the direct Fraction versions, kept here
-only: the linear placement scan with Fraction loads, the instance checks
-and measures on the jobs' Fractions, a per-time count over every job, a
-capacity check that re-sums each server's load at each of its starts, a
-point query of the arrival ceiling at each event time, and a sampler that
-builds every draw and runs first_fit on it.  brute_force_opt searches on
-the lattice too; its reference is the same partition search with Fraction
-loads, costs and floor.  The lattice maps each distinct Job object once,
-checked against the lattice of distinct copies of the same rows, and the
-random families sort int draws and share one Job per distinct row, checked
-against the Fraction draws sorted by start.
+grid, and server_type_partition sums lattice sizes.  The references below
+are the direct Fraction versions, kept here only: the linear placement scan
+with Fraction loads, the instance checks and measures on the jobs'
+Fractions, a per-time count over every job, a capacity check that re-sums
+each server's load at each of its starts, a point query of the arrival
+ceiling at each event time, a sampler that builds every draw and runs
+first_fit on it, and the server-type split that sums Fraction sizes.
+brute_force_opt searches on the lattice too; its reference is the same
+partition search with Fraction loads, costs and floor.  The lattice maps
+each distinct Job object once, checked against the lattice of distinct
+copies of the same rows, and the random families sort int draws and share
+one Job per distinct row, one Fraction per size and one start per start
+key, checked against the Fraction draws sorted by start.  scale_time maps
+each distinct Job and time object once, checked against the per-job map.
+
+The sampler seeds one random.Random per attempt and decodes the job count
+and the draws from that seed's Mersenne Twister words.  Its reference is
+the path it replaced: randint(4, 8) on one seeding and the generator's
+draws on another, compared over 50,001 seeds (negative, 0, past 2^32 and
+2^64) and on a seed whose draws read past the word block.
 
 The file paths keep their plain versions here too: parse_instance parses
 every line, the schedule text comes from ``json.dumps(indent=2)``, cost sums
@@ -63,10 +72,22 @@ from rentlab import (
     validate,
     write_schedule,
 )
-from rentlab.algorithms import AlgorithmTrace, Decision
-from rentlab.analysis import _WEIGHT_T_VALUES, find_uniform_two_arrival
+from rentlab import analysis
+from rentlab.algorithms import (
+    AlgorithmTrace,
+    Decision,
+    ServerTypePartition,
+    server_type_partition,
+)
+from rentlab.analysis import (
+    _WEIGHT_T_VALUES,
+    _decode_uniform,
+    _uniform_draws,
+    find_uniform_two_arrival,
+)
 from rentlab.model import _schedule_text
 from rentlab.generators import (
+    _two_arrival_draws,
     ggu_extended,
     long_uniform,
     nf_nemesis,
@@ -263,6 +284,50 @@ def reference_find_uniform(t, seed):
         ):
             return instance, cand_seed
     raise RuntimeError("no uniform-server instance found")
+
+
+def reference_uniform_draws(seed):
+    """The sampler's draws for a candidate seed, from two seedings as before."""
+    n = random.Random(seed).randint(4, 8)
+    return n, _two_arrival_draws(n, seed, 12)
+
+
+def reference_scale_time(instance, factor):
+    return Instance(
+        tuple(Job(jb.size, jb.start * factor, jb.finish * factor) for jb in instance.jobs)
+    )
+
+
+def reference_server_type_partition(trace):
+    instance = trace.schedule.instance
+    type1, type2, type3 = [], [], []
+    mass0_t1 = F(0)
+    mass0_t2 = F(0)
+    mass1 = F(0)
+    jobs = instance.jobs
+    for srv in trace.schedule.servers:
+        at0 = sum((jobs[i].size for i in srv.job_indices if jobs[i].start == 0), F(0))
+        at1 = sum((jobs[i].size for i in srv.job_indices if jobs[i].start == 1), F(0))
+        has0 = any(jobs[i].start == 0 for i in srv.job_indices)
+        has1 = any(jobs[i].start == 1 for i in srv.job_indices)
+        if has0 and has1:
+            type2.append(srv)
+            mass0_t2 += at0
+            mass1 += at1
+        elif has0:
+            type1.append(srv)
+            mass0_t1 += at0
+        else:
+            type3.append(srv)
+            mass1 += at1
+    return ServerTypePartition(
+        type1=tuple(type1),
+        type2=tuple(type2),
+        type3=tuple(type3),
+        start0_mass_type1=mass0_t1,
+        start0_mass_type2=mass0_t2,
+        start1_mass=mass1,
+    )
 
 
 def reference_parse_instance(text):
@@ -817,14 +882,24 @@ def test_arrival_ceilings_match_point_queries():
         assert arrival_ceiling_profile(instance) == reference_ceilings(instance)
 
 
+def assert_shared_rows(instance):
+    """Equal rows share one Job, equal sizes one Fraction, equal starts one
+    start and one finish."""
+    jobs = instance.jobs
+    assert len({id(jb) for jb in jobs}) == len(set(jobs))
+    for field in ("size", "start", "finish"):
+        values = [getattr(jb, field) for jb in jobs]
+        assert len({id(v) for v in values}) == len(set(values))
+
+
 def test_two_arrival_draws_match_reference():
     for seed in range(60):
         for t in _WEIGHT_T_VALUES:
             for size_grid in (1, 7, 12):
                 n = seed % 11
-                assert random_two_arrival(n, t, seed, size_grid) == (
-                    reference_two_arrival(n, t, seed, size_grid)
-                )
+                instance = random_two_arrival(n, t, seed, size_grid)
+                assert instance == reference_two_arrival(n, t, seed, size_grid)
+                assert_shared_rows(instance)
 
 
 def test_equal_duration_draws_match_reference():
@@ -833,8 +908,7 @@ def test_equal_duration_draws_match_reference():
             for grids in ((8, 4, 3), (5, 3, 7)):
                 instance = random_equal_duration(n, seed, *grids)
                 assert instance == reference_equal_duration(n, seed, *grids)
-                # equal rows share one Job
-                assert len({id(jb) for jb in instance.jobs}) == len(set(instance.jobs))
+                assert_shared_rows(instance)
 
 
 def test_uniform_sampler_matches_fraction_reference():
@@ -852,6 +926,111 @@ def test_uniform_sampler_refuses_t_before_drawing():
         ValueError, match="second arrival t must lie strictly between 0 and 1"
     ):
         find_uniform_two_arrival(F(3, 2), 1)
+
+
+# a candidate seed whose draws read 41 words: eight jobs, their sizes
+# refused 18 times between them, which overran a 40-word block
+OVERRUN_SEED = 1773810931607042
+
+
+def replayed(seed):
+    """The sampler's (job count, draws) for a candidate seed, from one seeding."""
+    draws = _uniform_draws(seed)
+    return len(draws), draws
+
+
+def test_uniform_draws_replay_two_seedings():
+    seeds = [
+        *range(-10_000, 10_000),
+        *range(2**32 - 5_000, 2**32 + 5_000),
+        *range(2**64 - 10_000, 2**64 + 10_000),
+        OVERRUN_SEED,
+    ]
+    assert len(seeds) == 50_001
+    for seed in seeds:
+        assert replayed(seed) == reference_uniform_draws(seed), seed
+
+
+def test_uniform_draws_read_on_past_any_block(monkeypatch):
+    words = random.Random(OVERRUN_SEED).getrandbits(32 * 41).to_bytes(4 * 41, "little")
+    top = words[3::4]
+    assert len(_decode_uniform(top)) == 8
+    with pytest.raises(IndexError):
+        _decode_uniform(top[:40])
+    for block in (1, 2, 3, 7, 40, 41):
+        monkeypatch.setattr(analysis, "_WORD_BLOCK", block)
+        for seed in [OVERRUN_SEED, *range(-200, 200)]:
+            assert replayed(seed) == reference_uniform_draws(seed), (block, seed)
+
+
+def test_uniform_draws_replay_on_generated_seeds():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(st.integers(-(2**80), 2**80), st.integers(1, 48))
+    def check(seed, block):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "_WORD_BLOCK", block)
+            assert replayed(seed) == reference_uniform_draws(seed)
+
+    check()
+
+
+def sharing(jobs):
+    """Each position's first position holding the same Job object."""
+    first = {}
+    return [first.setdefault(id(jb), i) for i, jb in enumerate(jobs)]
+
+
+def time_objects(instance):
+    return {id(x) for jb in instance.jobs for x in (jb.start, jb.finish)}
+
+
+def test_scale_time_matches_reference_and_maps_each_job_once():
+    shared = Job(F(1, 3), F(1, 2), F(3, 2))
+    rng = random.Random(5)
+    cases = [
+        Instance(()),
+        # one shared Job, and an equal Job that is a distinct object
+        Instance((shared, shared, Job(F(1, 3), F(1, 2), F(3, 2)), shared)),
+        # equal rows as distinct Jobs with distinct time objects
+        make_instance([(F(1, 2), 0, 1)] * 3 + [(F(1, 4), F(1, 3), F(4, 3))] * 2),
+        random_two_arrival(40, F(1, 3), seed=8),
+        random_equal_duration(60, seed=2, size_grid=5, start_grid=7, horizon=4),
+        long_uniform(4, 4),
+        ggu_extended(6, F(1, 2))[0],
+        general_instance(rng, 30),
+    ]
+    for instance in cases:
+        for factor in (2, F(1, 3), F(7, 2), F(10**40 + 1, 3**50)):
+            scaled = scale_time(instance, factor)
+            assert scaled == reference_scale_time(instance, F(factor))
+            # one output Job per distinct input Job, at the same positions
+            assert sharing(scaled.jobs) == sharing(instance.jobs)
+            assert len(time_objects(scaled)) <= len(time_objects(instance))
+
+
+def partition_instances():
+    """Duration-2 instances with arrivals {0, 1} on several size grids."""
+    for size_grid in (1, 7, 12):
+        for seed in range(40):
+            yield scale_time(random_two_arrival(seed % 11, F(1, 2), seed, size_grid), 2)
+    # the same draws with sizes nudged onto a 127-bit denominator
+    huge = 3**80
+    for seed in range(20):
+        base = scale_time(random_two_arrival(10, F(1, 2), seed), 2)
+        yield Instance(tuple(
+            Job(jb.size - F(i + 1, huge), jb.start, jb.finish)
+            for i, jb in enumerate(base.jobs)
+        ))
+
+
+def test_server_type_partition_matches_fraction_reference():
+    for instance in partition_instances():
+        for policy in (first_fit, next_fit):
+            trace = policy(instance)
+            assert server_type_partition(trace) == reference_server_type_partition(trace)
 
 
 def test_sweeps_match_reference_on_generated_unit_instances():
