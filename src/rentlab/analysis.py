@@ -25,11 +25,11 @@ import random
 
 from .algorithms import AlgorithmTrace, first_fit, next_fit, server_type_partition
 from .generators import (
-    _unit_jobs,
+    _grid_jobs,
+    _two_arrival_draws,
     ggu_extended,
     long_uniform,
     random_equal_duration,
-    random_two_arrival,
     second_arrival,
 )
 from .model import (
@@ -40,7 +40,6 @@ from .model import (
     cost,
     format_rational,
     require_shape,
-    scale_time,
     utilization,
 )
 from .optimal import arrival_ceiling_profile, brute_force_opt, verify_certificate
@@ -549,11 +548,11 @@ def find_uniform_two_arrival(t, seed: int):
     and run through first_fit.
     """
     t = second_arrival(t)
-    starts = (Fraction(0), t)
+    windows = ((Fraction(0), Fraction(1)), (t, t + 1))
     for cand_seed in range(seed, seed + _UNIFORM_MAX_ATTEMPTS):
         draws = _uniform_draws(cand_seed)
         if _uniform_first_fit(draws, _UNIFORM_SIZE_GRID):
-            instance = _unit_jobs(draws, _UNIFORM_SIZE_GRID, starts.__getitem__)
+            instance = _grid_jobs(draws, _UNIFORM_SIZE_GRID, windows.__getitem__)
             return instance, first_fit(instance), cand_seed
     raise RuntimeError(
         f"no uniform-server instance found in {_UNIFORM_MAX_ATTEMPTS} attempts"
@@ -651,9 +650,9 @@ def suite_nextfit_2t(
         trial_seed = seed * 1_000_003 + trial
         n = random.Random(trial_seed).randint(1, max_jobs)
         instance = random_equal_duration(n=n, seed=trial_seed)
-        trace = next_fit(instance)
+        profile = active_count_profile(next_fit(instance).schedule)
         ceilings = arrival_ceiling_profile(instance)
-        for (tau, got), bound in zip(active_count_profile(trace.schedule), ceilings):
+        for (tau, got), bound in zip(profile, ceilings, strict=True):
             if got > 2 * bound:
                 details = {
                     "trial": trial,
@@ -686,6 +685,10 @@ def _strict_ff_2_failure(instance: Instance, max_jobs: int) -> Optional[str]:
     return None
 
 
+# strict-ff-2's job window by draw key (arrives late): duration 2, at 0 or 1
+_STRICT_WINDOWS = ((Fraction(0), Fraction(2)), (Fraction(1), Fraction(3)))
+
+
 def suite_strict_ff_2(
     trials: int = 500, max_jobs: int = 8, seed: int = 7
 ) -> SuiteResult:
@@ -698,8 +701,8 @@ def suite_strict_ff_2(
     for trial in range(trials):
         trial_seed = seed * 1_000_003 + trial
         n = random.Random(trial_seed).randint(2, max_jobs)
-        base = random_two_arrival(n=n, t=Fraction(1, 2), seed=trial_seed, size_grid=12)
-        instance = scale_time(base, 2)  # duration 2, arrivals {0, 1}
+        draws = _two_arrival_draws(n, trial_seed, 12)
+        instance = _grid_jobs(draws, 12, _STRICT_WINDOWS.__getitem__)
         reason = _strict_ff_2_failure(instance, max_jobs)
         if reason is not None:
             details = {"trial": trial, "seed": trial_seed, "reason": reason}

@@ -155,11 +155,11 @@ def nf_nemesis(n_pairs_half: int) -> Instance:
     return Instance(tuple(jobs))
 
 
-def _unit_jobs(draws: list[tuple[int, int]], size_grid: int, start_at) -> Instance:
-    """Unit-duration jobs from ``(size * size_grid, key)`` draws, stably
-    sorted by the int ``key``, whose start is ``start_at(key)`` (increasing
-    in ``key``).  Equal draws share one ``Job``, and so one lattice row;
-    equal sizes share one ``Fraction``, and equal keys one start and finish.
+def _grid_jobs(draws: list[tuple[int, int]], size_grid: int, window_at) -> Instance:
+    """Jobs from ``(size * size_grid, key)`` draws, stably sorted by the int
+    ``key``, over the ``(start, finish)`` of ``window_at(key)`` (starts rise
+    with ``key``).  Equal draws share one ``Job``, and so one lattice row;
+    equal sizes share one ``Fraction``, and equal keys one window.
     """
     draws.sort(key=itemgetter(1))
     made: dict[tuple[int, int], Job] = {}
@@ -171,8 +171,7 @@ def _unit_jobs(draws: list[tuple[int, int]], size_grid: int, start_at) -> Instan
             if size not in sizes:
                 sizes[size] = Fraction(size, size_grid)
             if key not in windows:
-                start = start_at(key)
-                windows[key] = (start, start + 1)
+                windows[key] = window_at(key)
             made[draw] = Job(sizes[size], *windows[key])
     return Instance(tuple([made[draw] for draw in draws]))
 
@@ -189,8 +188,8 @@ def random_two_arrival(n: int, t, seed: int, size_grid: int = 12) -> Instance:
     if size_grid < 1:
         raise ValueError("size_grid must be at least 1")
     t = second_arrival(t)
-    starts = (Fraction(0), t)
-    return _unit_jobs(_two_arrival_draws(n, seed, size_grid), size_grid, starts.__getitem__)
+    windows = ((Fraction(0), Fraction(1)), (t, t + 1))
+    return _grid_jobs(_two_arrival_draws(n, seed, size_grid), size_grid, windows.__getitem__)
 
 
 def _two_arrival_draws(n: int, seed: int, size_grid: int) -> list[tuple[int, bool]]:
@@ -220,7 +219,8 @@ def random_equal_duration(
         (rng.randint(1, size_grid), rng.randint(0, horizon * start_grid))
         for _ in range(n)
     ]
-    return _unit_jobs(draws, size_grid, lambda key: Fraction(key, start_grid))
+    unit = Fraction(1, start_grid)
+    return _grid_jobs(draws, size_grid, lambda key: (key * unit, key * unit + 1))
 
 
 # Every family by its generator, whose signature gives the family's

@@ -555,24 +555,16 @@ def scale_time(instance: Instance, factor: Fraction) -> Instance:
 
     Fit decisions are invariant under this map, so it converts between
     unit-duration and duration-k variants of the same packing behaviour.
-    Each distinct ``Job`` object maps to one scaled ``Job``, shared by every
-    position that holds it, and each distinct time object is scaled once
-    (both keyed by identity, which the instance's jobs keep alive).
     """
     factor = as_rational(factor)
     if factor <= 0:
         raise ValueError("factor must be positive")
-    times: dict[int, Fraction] = {}
-    mapped: dict[int, Job] = {}
-    for jb in instance.jobs:
-        if id(jb) not in mapped:
-            start, finish = jb.start, jb.finish
-            if id(start) not in times:
-                times[id(start)] = start * factor
-            if id(finish) not in times:
-                times[id(finish)] = finish * factor
-            mapped[id(jb)] = Job(jb.size, times[id(start)], times[id(finish)])
-    return Instance(tuple([mapped[id(jb)] for jb in instance.jobs]))
+    return Instance(
+        tuple(
+            Job(jb.size, jb.start * factor, jb.finish * factor)
+            for jb in instance.jobs
+        )
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,8 @@ def brute_force_opt(instance: Instance, max_jobs: int = 10) -> OptResult:
     """Exhaustively find a cheapest feasible schedule.
 
     Raises ValueError when the instance exceeds ``max_jobs`` (the default 10
-    keeps worst-case enumeration around the 115975 partitions of ten items).
+    keeps worst-case enumeration around the 115975 partitions of ten items),
+    or has more jobs than Python's recursion limit lets the search descend.
     partitions_examined counts complete partitions reached; pruned branches
     never produce one.
 
@@ -139,7 +140,10 @@ def brute_force_opt(instance: Instance, max_jobs: int = 10) -> OptResult:
             members.pop()
             max_finish.pop()
 
-    descend(0, 0)
+    try:
+        descend(0, 0)
+    except RecursionError:  # descend recurses once per job
+        raise ValueError(f"{n} jobs exceed the exact search's recursion depth") from None
     # a partition into singletons always exists, and the empty instance has
     # the empty partition, so best is set
     return OptResult(

@@ -383,6 +383,16 @@ def test_default_weights_sampling_is_pinned(monkeypatch):
     assert len(made) == 10_038
 
 
+def test_nextfit_2t_refuses_profiles_of_unequal_length(monkeypatch):
+    # a ceiling profile one event time short must not be truncated away
+    real = analysis.arrival_ceiling_profile
+    monkeypatch.setattr(
+        analysis, "arrival_ceiling_profile", lambda instance: real(instance)[:-1]
+    )
+    with pytest.raises(ValueError, match="shorter than"):
+        analysis.suite_nextfit_2t(trials=1)
+
+
 def test_ratio_report_examples():
     rep = ratio_report(F(153), F(82), "certificate-upper")
     assert rep.value == F(153, 82)

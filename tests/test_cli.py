@@ -7,13 +7,22 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from rentlab import Instance, Job, analysis, model, read_instance, write_instance
-from rentlab.cli import build_parser, main
+from rentlab import (
+    Instance,
+    Job,
+    analysis,
+    model,
+    read_instance,
+    verify_weights,
+    write_instance,
+)
+from rentlab.cli import _flag, build_parser, main
 
 
 def run_cli(*argv):
@@ -93,6 +102,32 @@ def test_gen_refuses_cert_out_without_certificate(tmp_path, monkeypatch, capsys)
             "", f"error: family {family} has no certificate for --cert-out\n"
         )
         assert list(tmp_path.iterdir()) == []
+
+
+# Out-of-range arguments of the random families, as (flags, the error).
+BAD_RANDOM_ARGUMENTS = [
+    ("--family random-two-arrival --n -1 --t 1/2 --seed 1", "n must be non-negative"),
+    ("--family random-two-arrival --n 3 --t 1/2 --seed 1 --size-grid 0",
+     "size_grid must be at least 1"),
+    ("--family random-equal-duration --n -1 --seed 1", "n must be non-negative"),
+    *[
+        (f"--family random-equal-duration --n 3 --seed 1 {flag}",
+         "grids must be positive and horizon non-negative")
+        for flag in ("--size-grid 0", "--start-grid 0", "--horizon -1")
+    ],
+]
+
+
+@pytest.mark.parametrize(
+    "flags, error", BAD_RANDOM_ARGUMENTS, ids=[flags for flags, _ in BAD_RANDOM_ARGUMENTS]
+)
+def test_gen_refuses_out_of_range_random_arguments(
+    tmp_path, monkeypatch, capsys, flags, error
+):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("gen", *flags.split(), "--out", "out.jobs") == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def _os_error(code, path):
@@ -215,6 +250,143 @@ def test_verify_out_naming_the_counterexample_writes_nothing(tmp_path, monkeypat
     assert run_cli("verify", "--suite", "recurrence", "--out", dump) == 2
     assert capsys.readouterr() == ("", f"error: {dump} and {dump} are the same file\n")
     assert list(tmp_path.iterdir()) == []
+
+
+# Each suite's failure path, planted by patching the quantity its check
+# reads: (suite, settings, planting patch, re-check of a counterexample,
+# the detail keys and the values some of them must have).
+
+
+def _plant(monkeypatch, name, **fields):
+    """Make ``analysis.<name>`` return its result with ``fields`` replaced,
+    each computed from that result."""
+    real = getattr(analysis, name)
+
+    def planted(*args, **kwargs):
+        result = real(*args, **kwargs)
+        return replace(result, **{field: f(result) for field, f in fields.items()})
+
+    monkeypatch.setattr(analysis, name, planted)
+
+
+def _plant_zero_ceilings(monkeypatch):
+    real = analysis.arrival_ceiling_profile
+    monkeypatch.setattr(
+        analysis, "arrival_ceiling_profile", lambda instance: [0] * len(real(instance))
+    )
+
+
+def _nextfit_2t_refails(instance, details):
+    profile = model.active_count_profile(analysis.next_fit(instance).schedule)
+    ceilings = analysis.arrival_ceiling_profile(instance)
+    return any(got > 2 * bound for (_, got), bound in zip(profile, ceilings, strict=True))
+
+
+def _strict_ff_2_refails(instance, details):
+    return analysis._strict_ff_2_failure(instance, 8) == details["reason"]
+
+
+def _weights_refail(t):
+    def refails(instance, details):
+        trace = analysis.first_fit(instance)
+        # the budget check reads the FirstFit side only, so any feasible
+        # reference schedule re-fails it
+        return verify_weights(trace, trace.schedule, t).failure == details["reason"]
+
+    return refails
+
+
+def _layers_refail(instance, details):
+    k, level_count = details["k"], details["l"]
+    profile = analysis.layer_profile(analysis.first_fit(instance), k, level_count)
+    return analysis.check_layer_inequalities(profile, k) == details["failures"]
+
+
+NEXTFIT_KEYS = {"trial", "seed", "time", "active", "arrival_ceiling"}
+STRICT_KEYS = {"trial", "seed", "reason"}
+FAILING_SUITES = {
+    "nextfit-2t": (
+        "nextfit-2t", {"trials": 5}, _plant_zero_ceilings, _nextfit_2t_refails,
+        NEXTFIT_KEYS, {"trial": 0},
+    ),
+    "strict-ff-2 above twice opt": (
+        "strict-ff-2", {"trials": 5},
+        lambda mp: _plant(mp, "brute_force_opt", cost=lambda r: r.cost / 3),
+        _strict_ff_2_refails, STRICT_KEYS,
+        {"trial": 0, "reason": "firstfit cost 4 exceeds twice the optimum 4/3"},
+    ),
+    "strict-ff-2 cost split": (
+        "strict-ff-2", {"trials": 5},
+        lambda mp: _plant(mp, "server_type_partition", type3=lambda p: (*p.type3, None)),
+        _strict_ff_2_refails, STRICT_KEYS,
+        {"trial": 0, "reason": "cost does not decompose as 2*k1 + 3*k2 + 2*k3"},
+    ),
+    "strict-ff-2 type-1 mass": (
+        "strict-ff-2", {"trials": 20},
+        lambda mp: _plant(mp, "server_type_partition", start0_mass_type1=lambda p: 0),
+        _strict_ff_2_refails, STRICT_KEYS,
+        {"trial": 2, "reason": "type-1 first-arrival mass fails 2*A > k"},
+    ),
+    "strict-ff-2 type-2 mass": (
+        "strict-ff-2", {"trials": 20},
+        lambda mp: _plant(mp, "server_type_partition", start0_mass_type2=lambda p: 0),
+        _strict_ff_2_refails, STRICT_KEYS,
+        {"trial": 10, "reason": "type-2 first-arrival mass fails 2*A > k"},
+    ),
+    # ggu(6, 1/2) leaves no FirstFit server below weight 1+t, and the
+    # second sampled trial leaves one
+    "weights ggu": (
+        "weights", {"trials": 2},
+        lambda mp: mp.setattr(analysis, "IGNORED_BUDGET", -1),
+        _weights_refail(Fraction(1, 2)), {"case", "reason"},
+        {"case": "ggu k=6 t=1/2", "reason": "0 servers below weight 1+t (budget -1)"},
+    ),
+    "weights sampled": (
+        "weights", {"trials": 2},
+        lambda mp: mp.setattr(analysis, "IGNORED_BUDGET", 0),
+        _weights_refail(Fraction(1, 4)), {"trial", "seed", "t", "reason"},
+        {"trial": 1, "t": "1/4", "reason": "1 servers below weight 1+t (budget 0)"},
+    ),
+    "layers": (
+        "layers", {},
+        lambda mp: _plant(mp, "layer_profile", layer_mass=lambda p: (0,) * 3),
+        _layers_refail, {"k", "l", "failures"}, {"k": 2, "l": 2},
+    ),
+    # a failed identity has no instance to leave behind
+    "recurrence": (
+        "recurrence", {"n": 5},
+        lambda mp: _plant(mp, "multiplier_sequences", closed_form=lambda s: ()),
+        None, {"n", "closed_form_matches", "last_term"}, {"closed_form_matches": False},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FAILING_SUITES.values(), ids=FAILING_SUITES)
+def test_failing_suite_reports_and_leaves_a_refailing_counterexample(
+    tmp_path, monkeypatch, capsys, case
+):
+    suite, settings, plant, refails, keys, expected = case
+    monkeypatch.chdir(tmp_path)
+    plant(monkeypatch)
+    flags = [arg for name, value in settings.items() for arg in (_flag(name), str(value))]
+    assert run_cli("verify", "--suite", suite, *flags, "--out", "report.json") == 1
+    assert capsys.readouterr() == ("", "")
+    report = json.loads(Path("report.json").read_text())
+    result = analysis.SUITES[suite](**settings)
+    assert report["passed"] is result.passed is False
+    assert set(report["details"]) == keys
+    assert report["details"] == json.loads(json.dumps(result.details))
+    assert expected.items() <= report["details"].items()
+    dump = Path(f"counterexample-{suite}.jobs")
+    if refails is None:
+        assert result.counterexample is None
+        assert "counterexample" not in report
+        assert list(tmp_path.iterdir()) == [tmp_path / "report.json"]
+        return
+    assert report["counterexample"] == str(dump)
+    instance = read_instance(dump)
+    assert instance == result.counterexample
+    assert refails(instance, result.details)
 
 
 # Each `gen` flag set, run with `--out out.jobs` in an empty directory, as a
@@ -575,6 +747,20 @@ def test_opt_respects_max_jobs(tmp_path, capsys):
         )
 
 
+def test_opt_refuses_a_search_past_the_recursion_limit(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    n = sys.getrecursionlimit() + 500
+    flags = f"--family random-equal-duration --n {n} --seed 3 --out deep.jobs"
+    assert run_cli("gen", *flags.split()) == 0
+    capsys.readouterr()
+    argv = ["opt", "--in", "deep.jobs", "--max-jobs", str(2 * n), "--out", "r.json"]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {n} jobs exceed the exact search's recursion depth\n"
+    )
+    assert list(tmp_path.iterdir()) == [tmp_path / "deep.jobs"]
+
+
 def test_ratio_command(tmp_path):
     report_path = tmp_path / "ratio.json"
     rc = run_cli(
@@ -820,13 +1006,33 @@ def test_unknown_subcommand_exits_with_usage_error(capsys):
     capsys.readouterr()
 
 
-def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "rentlab", "ratio",
-         "--alg-cost", "3", "--opt", "2", "--kind", "exact-opt"],
-        capture_output=True, text=True,
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_module(*argv):
+    """``python -m rentlab`` with the package found under ``src``."""
+    return subprocess.run(
+        [sys.executable, "-m", "rentlab", *argv],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
     )
+
+
+def test_module_entry_point():
+    proc = run_module("ratio", "--alg-cost", "3", "--opt", "2", "--kind", "exact-opt")
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["ratio"] == "3/2"
     assert report["relation"] == "="
+
+
+def test_module_entry_point_verifies_and_refuses(tmp_path):
+    proc = run_module("verify", "--suite", "recurrence", "--n", "3")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads(proc.stdout)
+    assert report["passed"] is True
+    assert report["details"] == {"n": 3, "closed_form_matches": True, "last_term": "23/8"}
+    missing = tmp_path / "missing.jobs"
+    proc = run_module("run", "--alg", "firstfit", "--in", str(missing))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == _os_error(errno.ENOENT, str(missing))

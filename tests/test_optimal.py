@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -82,6 +83,16 @@ def test_brute_force_respects_job_limit():
     for limit in (0, -1):
         with pytest.raises(ValueError, match=f"max_jobs must be at least 1, got {limit}"):
             brute_force_opt(make_instance([(F(1, 2), 0, 1)]), max_jobs=limit)
+
+
+def test_brute_force_refuses_a_search_past_the_recursion_limit():
+    # the search recurses once per job, so past the limit it is refused
+    # with the job count, not left to end in a RecursionError
+    n = sys.getrecursionlimit() + 500
+    inst = random_equal_duration(n, seed=3)
+    with pytest.raises(ValueError) as refused:
+        brute_force_opt(inst, max_jobs=n)
+    assert str(refused.value) == f"{n} jobs exceed the exact search's recursion depth"
 
 
 def test_brute_force_result_is_feasible_and_certified():

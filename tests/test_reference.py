@@ -16,9 +16,8 @@ brute_force_opt searches on the lattice too; its reference is the same
 partition search with Fraction loads, costs and floor.  The lattice maps
 each distinct Job object once, checked against the lattice of distinct
 copies of the same rows, and the random families sort int draws and share
-one Job per distinct row, one Fraction per size and one start per start
-key, checked against the Fraction draws sorted by start.  scale_time maps
-each distinct Job and time object once, checked against the per-job map.
+one Job per distinct row, one Fraction per size and one window per start
+key, checked against the Fraction draws sorted by start.
 
 The sampler seeds one random.Random per attempt and decodes the job count
 and the draws from that seed's Mersenne Twister words.  Its reference is
@@ -977,17 +976,7 @@ def test_uniform_draws_replay_on_generated_seeds():
     check()
 
 
-def sharing(jobs):
-    """Each position's first position holding the same Job object."""
-    first = {}
-    return [first.setdefault(id(jb), i) for i, jb in enumerate(jobs)]
-
-
-def time_objects(instance):
-    return {id(x) for jb in instance.jobs for x in (jb.start, jb.finish)}
-
-
-def test_scale_time_matches_reference_and_maps_each_job_once():
+def test_scale_time_matches_reference():
     shared = Job(F(1, 3), F(1, 2), F(3, 2))
     rng = random.Random(5)
     cases = [
@@ -1006,9 +995,26 @@ def test_scale_time_matches_reference_and_maps_each_job_once():
         for factor in (2, F(1, 3), F(7, 2), F(10**40 + 1, 3**50)):
             scaled = scale_time(instance, factor)
             assert scaled == reference_scale_time(instance, F(factor))
-            # one output Job per distinct input Job, at the same positions
-            assert sharing(scaled.jobs) == sharing(instance.jobs)
-            assert len(time_objects(scaled)) <= len(time_objects(instance))
+
+
+def test_strict_ff_2_trials_match_stretched_two_arrival_draws(monkeypatch):
+    # the suite draws each trial at arrivals {0, 1} with duration 2; the
+    # reference draws it at {0, 1/2} with duration 1 and stretches it by 2
+    seen = []
+
+    def recording(instance, max_jobs):
+        seen.append(instance)
+
+    monkeypatch.setattr(analysis, "_strict_ff_2_failure", recording)
+    for seed in range(7, 18):  # the default seed and ten more
+        seen.clear()
+        assert analysis.suite_strict_ff_2(seed=seed).passed
+        assert len(seen) == 500
+        for trial, instance in enumerate(seen):
+            trial_seed = seed * 1_000_003 + trial
+            n = random.Random(trial_seed).randint(2, 8)
+            base = random_two_arrival(n, F(1, 2), trial_seed, 12)
+            assert instance == scale_time(base, 2), (seed, trial)
 
 
 def partition_instances():
