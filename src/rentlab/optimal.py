@@ -14,6 +14,13 @@ a proven floor.
 The search runs on the instance's integer lattice: sizes, loads, times and
 costs are ints, so every fit test, cost step and comparison decides exactly
 as it would on the Fractions, and only the result goes back to a Fraction.
+Each group is an int bitmask of its member job indices.  Starts never
+decrease, so the members still running at job i's start are the group's
+bits in ``alive[i]``, the earlier jobs that finish after it starts, and the
+group's load there is the summed size of that live-member set.  Those sums
+sit in one memo filled as the search meets each set: a key is a set of
+jobs and its value their total size, whatever job asked for it, so one
+entry serves every later fit test on the same set.
 """
 
 from __future__ import annotations
@@ -43,10 +50,12 @@ class OptResult:
     """Outcome of the exact search.
 
     ``counters`` holds the search's work: ``nodes`` (calls of the
-    recursion, one per partial partition extended), ``incumbent_updates``
-    (the times a complete partition beat the best so far) and
-    ``stopped_at_floor`` (whether the incumbent met the lower bound and
-    ended the search early).  It takes no part in equality or repr.
+    recursion, one per partial partition extended), ``fit_tests`` (the
+    comparisons of a group's load with the room a job leaves),
+    ``load_sums`` (the live-member sets whose load was summed, each once),
+    ``incumbent_updates`` (the times a complete partition beat the best so
+    far) and ``stopped_at_floor`` (whether the incumbent met the lower bound
+    and ended the search early).  It takes no part in equality or repr.
     """
 
     schedule: Schedule
@@ -71,11 +80,14 @@ def brute_force_opt(instance: Instance, max_jobs: int = 10) -> OptResult:
     partitions_examined counts complete partitions reached; pruned branches
     never produce one.
 
-    Each group keeps its members' lattice (finish, size) ints and its
-    latest finish; a job fits when the group's load at its start, the sizes
-    of the members still running then, is at most ``capacity`` minus its
-    size.  The running cost is an int in lattice time units (``unit`` is
-    time 1), so the floor max(utilization, span) becomes the int
+    Each group is a bitmask of its job indices, kept with its latest
+    finish.  ``alive[i]`` holds the earlier jobs that finish after job
+    ``i`` starts, so a group's load at that start is the summed size of
+    ``mask & alive[i]``, read from a memo of such sums that fills as the
+    search runs (never a table of all 2^n sets); a job fits when that load
+    is at most ``capacity`` minus its size.  The running cost is an int in
+    lattice time units (``unit`` is time 1), so the floor
+    max(utilization, span) becomes the int
     ``floor(max(utilization, span) * unit)``: for an int cost ``c``,
     ``c / unit <= bound`` holds exactly when ``c <= floor(bound * unit)``.
     """
@@ -91,53 +103,64 @@ def brute_force_opt(instance: Instance, max_jobs: int = 10) -> OptResult:
     starts, finishes = lat.starts, lat.finishes
     floor = math.floor(max(util_b, span_b) * lat.unit)
 
+    # a job that ends by a start has a lower index, since its own start came
+    # first, so alive[i] is every earlier job but those ended by starts[i]
+    by_finish = sorted(range(n), key=finishes.__getitem__)
+    alive: list[int] = []
+    ended = k = 0
+    for i, start in enumerate(starts):
+        while k < n and finishes[by_finish[k]] <= start:
+            ended |= 1 << by_finish[k]
+            k += 1
+        alive.append(((1 << i) - 1) ^ ended)
+    loads = {0: 0}  # live-member set -> its summed size
+
     best: int | None = None
-    best_groups: list[list[int]] = []
-    examined = nodes = updates = 0
+    best_masks: list[int] = []
+    examined = nodes = fit_tests = updates = 0
     finished = False
-    indices: list[list[int]] = []  # per group, its job indices in order
-    members: list[list[tuple[int, int]]] = []  # per group, (finish, size)
+    masks: list[int] = []  # per group, its job indices as bits
     max_finish: list[int] = []  # per group, its latest finish
 
     def descend(i: int, acc: int) -> None:
-        nonlocal best, best_groups, examined, nodes, updates, finished
+        nonlocal best, best_masks, examined, nodes, fit_tests, updates, finished
         nodes += 1
         if i == n:
             examined += 1
             if best is None or acc < best:
                 best = acc
-                best_groups = [list(g) for g in indices]
+                best_masks = masks.copy()
                 updates += 1
                 if best <= floor:
                     finished = True
             return
-        start, finish, size = starts[i], finishes[i], sizes[i]
-        room = capacity - size
-        for g, group in enumerate(members):
-            # earlier members all started at or before this start, so only
-            # departures lower the load
-            if sum(s for f, s in group if f > start) <= room:
+        finish, live, bit = finishes[i], alive[i], 1 << i
+        room = capacity - sizes[i]
+        for g, mask in enumerate(masks):
+            key = mask & live
+            load = loads.get(key)
+            if load is None:
+                load = loads[key] = sum(sizes[j] for j in _bits(key))
+            if load <= room:
                 old_max = max_finish[g]
                 grown = acc + finish - old_max if finish > old_max else acc
                 if best is None or grown < best:
-                    indices[g].append(i)
-                    group.append((finish, size))
+                    masks[g] = mask | bit
                     if finish > old_max:
                         max_finish[g] = finish
                     descend(i + 1, grown)
-                    indices[g].pop()
-                    group.pop()
+                    masks[g] = mask
                     max_finish[g] = old_max
                 if finished:
+                    fit_tests += g + 1
                     return
-        grown = acc + finish - start
+        fit_tests += len(masks)
+        grown = acc + finish - starts[i]
         if best is None or grown < best:
-            indices.append([i])
-            members.append([(finish, size)])
+            masks.append(bit)
             max_finish.append(finish)
             descend(i + 1, grown)
-            indices.pop()
-            members.pop()
+            masks.pop()
             max_finish.pop()
 
     try:
@@ -147,17 +170,27 @@ def brute_force_opt(instance: Instance, max_jobs: int = 10) -> OptResult:
     # a partition into singletons always exists, and the empty instance has
     # the empty partition, so best is set
     return OptResult(
-        schedule=make_schedule(instance, best_groups),
+        schedule=make_schedule(instance, [list(_bits(m)) for m in best_masks]),
         cost=Fraction(best, lat.unit),
         partitions_examined=examined,
         util_bound=util_b,
         span_bound=span_b,
         counters={
             "nodes": nodes,
+            "fit_tests": fit_tests,
+            "load_sums": len(loads) - 1,
             "incumbent_updates": updates,
             "stopped_at_floor": finished,
         },
     )
+
+
+def _bits(mask: int):
+    """The set bits of ``mask``, as indices in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def active_ceil_bound(instance: Instance, t: Fraction) -> int:

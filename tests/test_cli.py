@@ -704,9 +704,12 @@ def test_opt_timing_reports_search_counters(tmp_path):
     report = json.loads(report_path.read_text())
     # job 2 does not fit beside jobs 0 and 1 at time 1, so {0, 1}, {2} is
     # the first partition; its cost 4 is above the floor 3, and a server of
-    # its own for job 1 already costs 4: four calls, one incumbent, no stop
+    # its own for job 1 already costs 4: four calls, one incumbent, no stop.
+    # Job 1 is tested against {0} and job 2 against {0, 1}: two fit tests,
+    # each on a live-member set not summed before
     assert report["counters"] == {
-        "incumbent_updates": 1, "nodes": 4, "stopped_at_floor": False,
+        "fit_tests": 2, "incumbent_updates": 1, "load_sums": 2, "nodes": 4,
+        "stopped_at_floor": False,
     }
     assert report["partitions_examined"] == 1
     assert run_cli(*argv) == 0

@@ -3,6 +3,7 @@
 import hashlib
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -93,6 +94,23 @@ def test_brute_force_refuses_a_search_past_the_recursion_limit():
     with pytest.raises(ValueError) as refused:
         brute_force_opt(inst, max_jobs=n)
     assert str(refused.value) == f"{n} jobs exceed the exact search's recursion depth"
+
+
+def test_brute_force_groups_past_a_machine_word():
+    # 70 jobs of size 1/70 on one window all share the first server: one
+    # partition, on the floor, so 71 calls; its masks pass 63 bits, and the
+    # load memo holds only the 69 sets met, never a table of all 2^70
+    inst = make_instance([(F(1, 70), 0, 1)] * 70)
+    began = time.perf_counter()
+    got = brute_force_opt(inst, max_jobs=70)
+    assert time.perf_counter() - began < 1
+    assert got.cost == span(inst) == 1
+    assert got.partitions_examined == 1
+    assert [srv.job_indices for srv in got.schedule.servers] == [tuple(range(70))]
+    assert got.counters == {
+        "nodes": 71, "fit_tests": 69, "load_sums": 69, "incumbent_updates": 1,
+        "stopped_at_floor": True,
+    }
 
 
 def test_brute_force_result_is_feasible_and_certified():

@@ -12,8 +12,10 @@ Fractions, a per-time count over every job, a capacity check that re-sums
 each server's load at each of its starts, a point query of the arrival
 ceiling at each event time, a sampler that builds every draw and runs
 first_fit on it, and the server-type split that sums Fraction sizes.
-brute_force_opt searches on the lattice too; its reference is the same
-partition search with Fraction loads, costs and floor.  The lattice maps
+brute_force_opt searches on the lattice too, with member bitmasks and a
+memo of live-member loads; its reference is the same partition search with
+Fraction loads, costs and floor, and counts the same search effort, so the
+two are checked to walk one tree.  The lattice maps
 each distinct Job object once, checked against the lattice of distinct
 copies of the same rows, and the random families sort int draws and share
 one Job per distinct row, one Fraction per size and one window per start
@@ -427,18 +429,17 @@ def reference_brute_force_opt(instance, max_jobs=10):
     if n > max_jobs:
         raise ValueError(f"{n} jobs exceeds brute-force limit of {max_jobs}")
     util_b, span_b = lower_bounds(instance)
-    if n == 0:
-        return OptResult(Schedule(instance, ()), F(0), 1, util_b, span_b)
     floor = max(util_b, span_b)
 
     best_cost = None
     best_groups = None
-    examined = 0
+    examined = nodes = fit_tests = updates = 0
     finished = False
     groups = []
 
     def descend(i, acc):
-        nonlocal best_cost, best_groups, examined, finished
+        nonlocal best_cost, best_groups, examined, nodes, fit_tests, updates, finished
+        nodes += 1
         if finished:
             return
         if i == n:
@@ -446,11 +447,13 @@ def reference_brute_force_opt(instance, max_jobs=10):
             if best_cost is None or acc < best_cost:
                 best_cost = acc
                 best_groups = [list(g.indices) for g in groups]
+                updates += 1
                 if best_cost <= floor:
                     finished = True
             return
         jb = jobs[i]
         for g in groups:
+            fit_tests += 1
             if g.load_at(jb.start) + jb.size <= 1:
                 old_max = g.max_finish
                 grown = acc + (jb.finish - old_max if jb.finish > old_max else 0)
@@ -472,8 +475,15 @@ def reference_brute_force_opt(instance, max_jobs=10):
             groups.pop()
 
     descend(0, F(0))
+    counters = {
+        "nodes": nodes,
+        "fit_tests": fit_tests,
+        "incumbent_updates": updates,
+        "stopped_at_floor": finished,
+    }
     return OptResult(
-        make_schedule(instance, best_groups), best_cost, examined, util_b, span_b
+        make_schedule(instance, best_groups), best_cost, examined, util_b, span_b,
+        counters,
     )
 
 
@@ -1276,16 +1286,33 @@ def test_file_paths_match_reference_on_generated_text():
 # Exact optimum
 # ---------------------------------------------------------------------------
 
+def with_effort(solve):
+    """solve's result paired with its search effort, which OptResult's
+    equality skips; load_sums counts a memo that the reference has not."""
+    def solved(instance, max_jobs):
+        result = solve(instance, max_jobs)
+        effort = {k: v for k, v in result.counters.items() if k != "load_sums"}
+        return result, effort
+    return solved
+
+
 def check_opt(instance, max_jobs=10):
-    """brute_force_opt matches the reference in every field, or in its error."""
-    got = same_outcome(brute_force_opt, reference_brute_force_opt, instance, max_jobs)
-    if got is not None:
-        counters = got.counters
-        assert got.partitions_examined <= counters["nodes"]
-        assert 1 <= counters["incumbent_updates"] <= got.partitions_examined
-        # the cost never beats a floor, so it stops there only by meeting it
-        floor = max(got.util_bound, got.span_bound)
-        assert counters["stopped_at_floor"] == (got.cost == floor)
+    """brute_force_opt matches the reference in every field and in its search
+    effort, so it walks the same tree, or it fails with the same error."""
+    solved = same_outcome(
+        with_effort(brute_force_opt), with_effort(reference_brute_force_opt),
+        instance, max_jobs,
+    )
+    if solved is None:
+        return None
+    got, _ = solved
+    counters = got.counters
+    assert counters["load_sums"] <= counters["fit_tests"]
+    assert got.partitions_examined <= counters["nodes"]
+    assert 1 <= counters["incumbent_updates"] <= got.partitions_examined
+    # the cost never beats a floor, so it stops there only by meeting it
+    floor = max(got.util_bound, got.span_bound)
+    assert counters["stopped_at_floor"] == (got.cost == floor)
     return got
 
 
@@ -1312,9 +1339,37 @@ def test_opt_stops_at_a_first_partition_on_the_floor():
     instance = make_instance([(F(1, 3), 0, 2), (F(1, 3), F(1, 2), 2), (F(1, 3), 1, 2)])
     got = check_opt(instance)
     assert got.partitions_examined == 1
-    assert got.counters == {"nodes": 4, "incumbent_updates": 1, "stopped_at_floor": True}
+    # jobs 1 and 2 are tested against {0} and {0, 1}, each summed once
+    assert got.counters == {
+        "fit_tests": 2, "incumbent_updates": 1, "load_sums": 2, "nodes": 4,
+        "stopped_at_floor": True,
+    }
     got = check_opt(stretched(instance))
     assert got.counters["stopped_at_floor"]
+    # job 1 needs a server of its own, and job 2 joins job 0 on the first of
+    # the two: that meets the floor 4 before the second is tested
+    instance = make_instance([(F(1, 2), 0, 2), (F(1), 0, 2), (F(1, 2), 0, 2)])
+    got = check_opt(instance)
+    assert got.cost == 4
+    assert got.counters == {
+        "fit_tests": 2, "incumbent_updates": 1, "load_sums": 1, "nodes": 4,
+        "stopped_at_floor": True,
+    }
+
+
+def test_opt_matches_reference_past_the_default_limit():
+    # 14 jobs, past the default limit of 10, in three clusters of
+    # overlapping windows and two short ones
+    instance = make_instance([
+        (F(1, 2), 0, 2), (F(1, 3), 0, 2), (F(1, 4), 0, F(3, 2)), (F(1, 6), 0, 1),
+        (F(5, 12), F(1, 2), 2), (F(1, 2), 1, 3), (F(1, 3), 1, 3),
+        (F(7, 12), 1, F(5, 2)), (F(1, 12), 1, 2), (F(1, 4), F(3, 2), 4),
+        (F(2, 3), F(3, 2), 4), (F(1, 3), 2, 4), (F(1, 6), F(5, 2), 3),
+        (F(3, 4), 3, F(7, 2)),
+    ])
+    got = check_opt(instance, 14)
+    assert got.cost == 11
+    assert not got.counters["stopped_at_floor"]
 
 
 def test_opt_errors_match_reference():
