@@ -26,7 +26,7 @@ import random
 from .algorithms import AlgorithmTrace, first_fit, next_fit, server_type_partition
 from .generators import (
     _grid_jobs,
-    _two_arrival_draws,
+    _two_arrival_trial,
     ggu_extended,
     long_uniform,
     random_equal_duration,
@@ -450,63 +450,6 @@ _UNIFORM_N_RANGE = (4, 8)
 _UNIFORM_SIZE_GRID = 12
 _UNIFORM_MAX_ATTEMPTS = 50000
 
-# randint(a, b) keeps the top k = (b-a+1).bit_length() bits of successive
-# 32-bit words until they fall below b-a+1.  With k <= 8 that reads the
-# word's top byte: a byte below the limit is accepted, and its value is
-# a + (byte >> shift).
-_N_WIDTH = _UNIFORM_N_RANGE[1] - _UNIFORM_N_RANGE[0] + 1
-_N_SHIFT = 8 - _N_WIDTH.bit_length()
-_N_LIMIT = _N_WIDTH << _N_SHIFT
-_SIZE_SHIFT = 8 - _UNIFORM_SIZE_GRID.bit_length()
-_SIZE_LIMIT = _UNIFORM_SIZE_GRID << _SIZE_SHIFT
-# words read per getrandbits call; an attempt that needs more reads on
-_WORD_BLOCK = 32
-
-
-def _decode_uniform(top: bytes) -> list[tuple[int, bool]]:
-    """The draws of a stream whose successive words have these top bytes.
-
-    Raises IndexError when the draws need more words than ``top`` holds.
-    """
-    pos = 0
-    while top[pos] >= _N_LIMIT:
-        pos += 1
-    n = _UNIFORM_N_RANGE[0] + (top[pos] >> _N_SHIFT)
-    # the draws replay the same words from the first: a size, then random()
-    # from two words, which is >= 0.5 exactly when the first's top bit is set
-    draws = []
-    pos = 0
-    for _ in range(n):
-        while top[pos] >= _SIZE_LIMIT:
-            pos += 1
-        draws.append(((top[pos] >> _SIZE_SHIFT) + 1, top[pos + 1] >= 0x80))
-        pos += 3
-    return draws
-
-
-def _uniform_draws(seed: int) -> list[tuple[int, bool]]:
-    """``_two_arrival_draws(n, seed, _UNIFORM_SIZE_GRID)`` for the n of
-    ``random.Random(seed).randint(*_UNIFORM_N_RANGE)``, from one seeding.
-
-    Both read the same Mersenne Twister words from the start of the seed's
-    stream, so the words are read once, in blocks through getrandbits, and
-    the job count and the draws are decoded from them as CPython's randint
-    and random() produce them.  A block too short for the draws is followed
-    by the stream's next block, so any number of words decodes exactly.
-    """
-    getrandbits = random.Random(seed).getrandbits
-    top = b""
-    while True:
-        # getrandbits fills an int from its least significant word up, so
-        # every fourth little-endian byte, from the fourth, is a word's top
-        block = getrandbits(32 * _WORD_BLOCK).to_bytes(4 * _WORD_BLOCK, "little")
-        top += block[3::4]
-        try:
-            return _decode_uniform(top)
-        except IndexError:
-            pass
-
-
 def _uniform_first_fit(draws: list[tuple[int, bool]], capacity: int) -> bool:
     """Whether FirstFit rents every server over [0, 1+t] for these draws.
 
@@ -540,7 +483,8 @@ def find_uniform_two_arrival(t, seed: int):
     whole [0, 1+t] window (so the weight scheme's setting applies), then
     returns (instance, trace, accepted seed).  Candidate seed ``seed + i``
     draws ``random_two_arrival(n, t, seed + i)`` for n drawn by
-    ``random.Random(seed + i).randint(4, 8)``, all from one seeding.
+    ``random.Random(seed + i).randint(4, 8)``, both from one seeding by
+    ``_two_arrival_trial``, as strict-ff-2 draws its trials.
 
     Each draw is tested on the integer size grid, which never reads t: the
     accepted seed depends on ``seed`` alone, and t only sets the second
@@ -550,7 +494,7 @@ def find_uniform_two_arrival(t, seed: int):
     t = second_arrival(t)
     windows = ((Fraction(0), Fraction(1)), (t, t + 1))
     for cand_seed in range(seed, seed + _UNIFORM_MAX_ATTEMPTS):
-        draws = _uniform_draws(cand_seed)
+        draws = _two_arrival_trial(cand_seed, *_UNIFORM_N_RANGE, _UNIFORM_SIZE_GRID)
         if _uniform_first_fit(draws, _UNIFORM_SIZE_GRID):
             instance = _grid_jobs(draws, _UNIFORM_SIZE_GRID, windows.__getitem__)
             return instance, first_fit(instance), cand_seed
@@ -695,13 +639,15 @@ def suite_strict_ff_2(
     """FirstFit stays within twice the optimum, arrivals {0, 1}, duration 2.
 
     Also checks the server-type cost split and both mass inequalities 2*A > k.
+    Trial seed s draws n by ``random.Random(s).randint(2, max_jobs)`` and
+    then random_two_arrival's n draws, both from one seeding through
+    ``_two_arrival_trial``.
     """
     _check_at_least("trials", trials, 1)
     _check_at_least("max_jobs", max_jobs, 2)
     for trial in range(trials):
         trial_seed = seed * 1_000_003 + trial
-        n = random.Random(trial_seed).randint(2, max_jobs)
-        draws = _two_arrival_draws(n, trial_seed, 12)
+        draws = _two_arrival_trial(trial_seed, 2, max_jobs, 12)
         instance = _grid_jobs(draws, 12, _STRICT_WINDOWS.__getitem__)
         reason = _strict_ff_2_failure(instance, max_jobs)
         if reason is not None:

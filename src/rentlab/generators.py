@@ -9,6 +9,7 @@ separation between groups is why everything downstream runs on Fractions.
 from __future__ import annotations
 
 import random
+import struct
 from fractions import Fraction
 from inspect import Parameter, signature
 from operator import itemgetter
@@ -196,6 +197,56 @@ def _two_arrival_draws(n: int, seed: int, size_grid: int) -> list[tuple[int, boo
     """random_two_arrival's draws in order: (size * size_grid, arrives at t)."""
     rng = random.Random(seed)
     return [(rng.randint(1, size_grid), rng.random() >= 0.5) for _ in range(n)]
+
+
+# A trial's first block of Mersenne Twister words; each later one is twice as long
+_WORD_BLOCK = struct.Struct("<32I")
+
+
+def _two_arrival_trial(
+    seed: int, low: int, high: int, size_grid: int
+) -> list[tuple[int, bool]]:
+    """``_two_arrival_draws(n, seed, size_grid)`` for the n of
+    ``random.Random(seed).randint(low, high)``, from one seeding.
+
+    Both read the seed's stream from its first word, so its words are read
+    once and decoded as CPython draws: ``randint(a, b)`` keeps the top
+    ``(b-a+1).bit_length()`` bits of successive words until they fall below
+    ``b-a+1``, and ``random() >= 0.5`` reads two words and holds exactly when
+    the first one's top bit is set.  A range of no values, or of 2**32 or
+    more (drawn from several words at a time), raises ValueError.
+    """
+    width = high - low + 1
+    if not (0 < width < 2**32 and 0 < size_grid < 2**32):
+        raise ValueError(
+            f"a trial's job counts [{low}, {high}] and sizes [1, {size_grid}] "
+            "must each range over 1 to 2**32 - 1 values"
+        )
+    # a word below width << shift is accepted, and its value is word >> shift
+    n_shift = 32 - width.bit_length()
+    n_limit = width << n_shift
+    size_shift = 32 - size_grid.bit_length()
+    size_limit = size_grid << size_shift
+    getrandbits = random.Random(seed).getrandbits
+    block, words = _WORD_BLOCK, ()
+    while True:
+        # getrandbits fills an int from its least significant word up
+        words += block.unpack(getrandbits(8 * block.size).to_bytes(block.size, "little"))
+        try:
+            pos = 0
+            while words[pos] >= n_limit:
+                pos += 1
+            n = low + (words[pos] >> n_shift)
+            draws = []
+            pos = 0
+            for _ in range(n):
+                while words[pos] >= size_limit:
+                    pos += 1
+                draws.append(((words[pos] >> size_shift) + 1, words[pos + 1] >= 1 << 31))
+                pos += 3
+            return draws
+        except IndexError:
+            block = struct.Struct(f"<{block.size // 2}I")
 
 
 def random_equal_duration(

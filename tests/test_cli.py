@@ -5,10 +5,12 @@ import errno
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from inspect import Parameter, signature
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,7 @@ from rentlab import (
     write_instance,
 )
 from rentlab.cli import _flag, build_parser, main
+from rentlab.generators import FAMILIES, family_parameters
 
 
 def run_cli(*argv):
@@ -791,6 +794,50 @@ def test_ratio_rejects_negative_alg_cost(tmp_path, capsys):
     assert json.loads(report_path.read_text())["ratio"] == "0"
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_table(header: str) -> dict:
+    """The README table under this header row: each row's first cell, with
+    its code quotes dropped, to the row's other cells."""
+    lines = README.read_text().splitlines()
+    rows = {}
+    for line in lines[lines.index(header) + 2 :]:
+        if not line.startswith("|"):
+            break
+        first, *rest = [cell.strip() for cell in line.strip("|").split("|")]
+        rows[first.strip("`")] = rest
+    return rows
+
+
+def test_readme_family_table_matches_the_generators():
+    table = readme_table("| family | required | optional (default) |")
+    assert list(table) == list(FAMILIES)
+    for family, (required, optional) in table.items():
+        parameters = family_parameters(family)
+        assert re.findall(r"`(--[\w-]+)`", required) == [
+            _flag(name) for name, p in parameters.items() if p.default is Parameter.empty
+        ], family
+        shown = re.findall(r"`(--[\w-]+)` \(([^)]*)\)", optional)
+        assert (optional == "none") == (shown == []), family
+        defaults = [(name, p.default) for name, p in parameters.items()
+                    if p.default is not Parameter.empty]
+        assert [flag for flag, _ in shown] == [_flag(name) for name, _ in defaults]
+        for (flag, text), (_, default) in zip(shown, defaults):
+            if isinstance(default, int):
+                assert text == str(default), (family, flag)
+
+
+def test_readme_suite_table_matches_the_suites():
+    table = readme_table("| suite | flags and their defaults |")
+    assert list(table) == list(analysis.SUITES)
+    for suite, (cell,) in table.items():
+        shown = re.findall(r"`(--[\w-]+) (-?\d+)`", cell)
+        assert (cell == "none") == (shown == []), suite
+        parameters = signature(analysis.SUITES[suite]).parameters
+        assert shown == [(_flag(name), str(p.default)) for name, p in parameters.items()]
+
+
 def test_verify_rejects_flags_the_suite_does_not_take(capsys):
     for suite, extra, named in [
         ("weights", ["--max-jobs", "3", "--n", "5"], "--max-jobs, --n"),
@@ -815,6 +862,17 @@ def test_verify_rejects_max_jobs_below_instance_size(capsys):
         assert run_cli("verify", "--suite", suite, flag, str(value)) == 2
         err = capsys.readouterr().err
         assert err == f"error: {name} must be at least {least}, got {value}\n"
+
+
+def test_verify_refuses_a_job_count_range_it_cannot_draw(tmp_path, capsys):
+    # 2**32 + 1 job counts: refused before a trial seeds, let alone draws
+    out = tmp_path / "report.json"
+    argv = ["--trials", "1", "--max-jobs", str(2**32 + 2), "--out", str(out)]
+    assert run_cli("verify", "--suite", "strict-ff-2", *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "[2, 4294967298]" in err
+    assert not out.exists()
 
 
 # sha256 of each report as a known-good build wrote it: a suite or report

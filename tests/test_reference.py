@@ -21,11 +21,13 @@ copies of the same rows, and the random families sort int draws and share
 one Job per distinct row, one Fraction per size and one window per start
 key, checked against the Fraction draws sorted by start.
 
-The sampler seeds one random.Random per attempt and decodes the job count
-and the draws from that seed's Mersenne Twister words.  Its reference is
-the path it replaced: randint(4, 8) on one seeding and the generator's
-draws on another, compared over 50,001 seeds (negative, 0, past 2^32 and
-2^64) and on a seed whose draws read past the word block.
+A two-arrival trial, as the weights sampler and strict-ff-2 draw it, seeds
+one random.Random and decodes the job count and the draws from that seed's
+Mersenne Twister words.  Its reference is the path it replaced:
+randint(low, high) on one seeding and the generator's draws on another,
+compared for the sampler's (4, 8) over 50,001 seeds (negative, 0, past 2^32
+and 2^64) and on a seed whose draws read past the word block, and for
+strict-ff-2's (2, max_jobs) up to 5000 jobs.
 
 The file paths keep their plain versions here too: parse_instance parses
 every line, the schedule text comes from ``json.dumps(indent=2)``, cost sums
@@ -35,6 +37,7 @@ Fraction windows and schedule_from_dict parses every window text.
 import heapq
 import json
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -73,7 +76,7 @@ from rentlab import (
     validate,
     write_schedule,
 )
-from rentlab import analysis
+from rentlab import analysis, generators
 from rentlab.algorithms import (
     AlgorithmTrace,
     Decision,
@@ -82,13 +85,12 @@ from rentlab.algorithms import (
 )
 from rentlab.analysis import (
     _WEIGHT_T_VALUES,
-    _decode_uniform,
-    _uniform_draws,
     find_uniform_two_arrival,
 )
 from rentlab.model import _schedule_text
 from rentlab.generators import (
     _two_arrival_draws,
+    _two_arrival_trial,
     ggu_extended,
     long_uniform,
     nf_nemesis,
@@ -287,10 +289,11 @@ def reference_find_uniform(t, seed):
     raise RuntimeError("no uniform-server instance found")
 
 
-def reference_uniform_draws(seed):
-    """The sampler's draws for a candidate seed, from two seedings as before."""
-    n = random.Random(seed).randint(4, 8)
-    return n, _two_arrival_draws(n, seed, 12)
+def reference_trial(seed, low=4, high=8, size_grid=12):
+    """A two-arrival trial's draws from two seedings: the job count on one,
+    random_two_arrival's draws on the other.  The sampler's range is (4, 8)."""
+    n = random.Random(seed).randint(low, high)
+    return _two_arrival_draws(n, seed, size_grid)
 
 
 def reference_scale_time(instance, factor):
@@ -942,10 +945,9 @@ def test_uniform_sampler_refuses_t_before_drawing():
 OVERRUN_SEED = 1773810931607042
 
 
-def replayed(seed):
-    """The sampler's (job count, draws) for a candidate seed, from one seeding."""
-    draws = _uniform_draws(seed)
-    return len(draws), draws
+def replayed(seed, low=4, high=8, size_grid=12):
+    """A two-arrival trial's draws, from one seeding."""
+    return _two_arrival_trial(seed, low, high, size_grid)
 
 
 def test_uniform_draws_replay_two_seedings():
@@ -957,19 +959,40 @@ def test_uniform_draws_replay_two_seedings():
     ]
     assert len(seeds) == 50_001
     for seed in seeds:
-        assert replayed(seed) == reference_uniform_draws(seed), seed
+        assert replayed(seed) == reference_trial(seed), seed
 
 
 def test_uniform_draws_read_on_past_any_block(monkeypatch):
-    words = random.Random(OVERRUN_SEED).getrandbits(32 * 41).to_bytes(4 * 41, "little")
-    top = words[3::4]
-    assert len(_decode_uniform(top)) == 8
-    with pytest.raises(IndexError):
-        _decode_uniform(top[:40])
     for block in (1, 2, 3, 7, 40, 41):
-        monkeypatch.setattr(analysis, "_WORD_BLOCK", block)
+        monkeypatch.setattr(generators, "_WORD_BLOCK", struct.Struct(f"<{block}I"))
         for seed in [OVERRUN_SEED, *range(-200, 200)]:
-            assert replayed(seed) == reference_uniform_draws(seed), (block, seed)
+            assert replayed(seed) == reference_trial(seed), (block, seed)
+
+
+def test_strict_ff_2_ranges_replay_two_seedings():
+    # the job count ranges (2, max_jobs) of strict-ff-2 on its default
+    # seed's trial seeds; max_jobs 2 is a one-value range, and 5000 jobs
+    # read on through several doubled blocks
+    for high in (2, 3, 8, 257, 258, 5000):
+        for trial in range(300 if high < 5000 else 60):
+            seed = 7 * 1_000_003 + trial
+            assert replayed(seed, 2, high) == reference_trial(seed, 2, high), (high, seed)
+
+
+def test_trial_refuses_ranges_it_cannot_decode(monkeypatch):
+    # a range of 2**32 values or more takes several words a draw in CPython
+    def no_seeding(seed):
+        raise AssertionError("seeded before refusing the range")
+
+    monkeypatch.setattr(random, "Random", no_seeding)
+    for low, high, size_grid in ((2, 1, 12), (2, 2**32 + 2, 12), (1, 2**32, 12), (4, 8, 0)):
+        with pytest.raises(ValueError, match="must each range over 1 to 2"):
+            _two_arrival_trial(5, low, high, size_grid)
+    monkeypatch.undo()
+    # the widest size grid it takes, 2**32 - 1 sizes, decodes as CPython draws
+    for seed in range(100):
+        wide = (seed, 1, 3, 2**32 - 1)
+        assert replayed(*wide) == reference_trial(*wide), seed
 
 
 def test_uniform_draws_replay_on_generated_seeds():
@@ -980,8 +1003,8 @@ def test_uniform_draws_replay_on_generated_seeds():
     @hypothesis.given(st.integers(-(2**80), 2**80), st.integers(1, 48))
     def check(seed, block):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(analysis, "_WORD_BLOCK", block)
-            assert replayed(seed) == reference_uniform_draws(seed)
+            patch.setattr(generators, "_WORD_BLOCK", struct.Struct(f"<{block}I"))
+            assert replayed(seed) == reference_trial(seed)
 
     check()
 

@@ -2,12 +2,14 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import rentlab
 
 PACKAGE_DIR = Path(rentlab.__file__).parent
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -108,6 +110,19 @@ def test_tests_reach_optional_modules_through_importorskip():
     assert found == {}
 
 
+def names_read(tree: ast.AST) -> set:
+    """Names a module reads: loaded names, attributes and ``from`` imports."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
 def dead_private_names(sources: dict) -> list[str]:
     """Module-level ``_name`` definitions that no module in ``sources`` reads.
 
@@ -136,13 +151,7 @@ def dead_private_names(sources: dict) -> list[str]:
                 for name in names
                 if name.startswith("_") and not name.startswith("__")
             ]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                read.update(alias.name for alias in node.names)
+        read |= names_read(tree)
     return [f"{module}: {name}" for module, name in defined if name not in read]
 
 
@@ -165,6 +174,64 @@ def test_package_reads_every_private_name():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE_DIR.glob("*.py"))}
     assert len(sources) > 1
     assert dead_private_names(sources) == []
+
+
+def orphan_exports(init_source: str, sources: dict, library: str) -> list[str]:
+    """Names ``init_source`` imports that no module of ``sources`` reads and
+    that ``library`` (README text) never names in code.
+
+    A read is one ``dead_private_names`` counts, or a string constant equal
+    to the name, which is how the benchmark's tracer names what it wraps.
+    Code is an inline code span or a fenced block.
+    """
+    exported = [
+        alias.asname or alias.name
+        for node in ast.parse(init_source).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    read = set()
+    for source in sources.values():
+        tree = ast.parse(source)
+        read |= names_read(tree)
+        read.update(
+            node.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        )
+    code = re.findall(r"```.*?```|`[^`\n]*`", library, re.S)
+    read.update(word for span in code for word in re.findall(r"\w+", span))
+    return [name for name in exported if name not in read]
+
+
+def test_orphan_exports_finds_orphans():
+    init = (
+        "from .a import used, traced, shown, fenced, prose, orphan\n"
+        "__version__ = '1'\n"
+    )
+    sources = {
+        "a": "def used(): pass\ndef orphan(): pass\n",
+        "b": "from .a import used\n",
+        "spans": "TRACED = {'a': ('traced', 'two words')}\n",
+    }
+    library = (
+        "Call `shown(x)`; prose and orphan are only words here.\n"
+        "```python\nfenced()\n```\n"
+    )
+    assert orphan_exports(init, sources, library) == ["prose", "orphan"]
+
+
+def test_package_exports_are_read_or_documented():
+    sources = {
+        path: path.read_text()
+        for path in [*PACKAGE_DIR.glob("*.py"), *SPANS.parent.glob("*.py")]
+        if path.name != "__init__.py"
+    }
+    assert SPANS in sources
+    readme = (ROOT / "README.md").read_text()
+    library = readme.split("\n## Library\n")[1].split("\n## ")[0]
+    init = (PACKAGE_DIR / "__init__.py").read_text()
+    assert orphan_exports(init, sources, library) == []
 
 
 def traced_names(source: str) -> dict:
