@@ -21,15 +21,17 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-import random
-
 from .algorithms import AlgorithmTrace, first_fit, next_fit, server_type_partition
 from .generators import (
+    _COIN_KEY,
+    _GridJobs,
+    _equal_duration_jobs,
     _grid_jobs,
-    _two_arrival_trial,
+    _grid_trial,
+    _randint_key,
+    _trial_layout,
     ggu_extended,
     long_uniform,
-    random_equal_duration,
     second_arrival,
 )
 from .model import (
@@ -46,13 +48,15 @@ from .optimal import arrival_ceiling_profile, brute_force_opt, verify_certificat
 
 T_MIN = Fraction(1, 28)
 
-# Weight per unit size for first-arrival items (times 1+t), the flat bonus
-# for items over 1/2, and the per-size rate for second-arrival items.  The
-# second rate is also the fastest any feasible server collects weight per
-# rented time unit, which is what caps the optimum's total weight.
-_W1_RATE = Fraction(156, 131)
-_W1_BONUS = Fraction(12, 131)
-_W2_RATE = Fraction(168, 131)
+# Weights in units of (1+t)/131: the weight per unit size of a first-arrival
+# item, the flat bonus of one over 1/2, and the weight per unit size of a
+# second-arrival item.  The second rate is also the fastest any feasible
+# server collects weight per rented time unit, which is what caps the
+# optimum's total weight.
+_W_UNITS = 131
+_W1_RATE = 156
+_W1_BONUS = 12
+_W2_RATE = 168
 
 
 def _weight_arrival(t) -> Fraction:
@@ -73,16 +77,16 @@ def _check_weight_domain(x: Fraction, t: Fraction) -> tuple[Fraction, Fraction]:
 def weight_w1(x, t) -> Fraction:
     """Weight of a first-arrival item: linear in size, bonus above 1/2."""
     x, t = _check_weight_domain(x, t)
-    weight = _W1_RATE * (1 + t) * x
+    weight = _W1_RATE * x
     if x > Fraction(1, 2):
-        weight += _W1_BONUS * (1 + t)
-    return weight
+        weight += _W1_BONUS
+    return weight * (1 + t) / _W_UNITS
 
 
 def weight_w2(x, t) -> Fraction:
     """Weight of a second-arrival item: purely linear in size."""
     x, t = _check_weight_domain(x, t)
-    return _W2_RATE * (1 + t) * x
+    return _W2_RATE * x * (1 + t) / _W_UNITS
 
 
 class ServerType(str, Enum):
@@ -241,60 +245,94 @@ class WeightReport:
         return self.failure is None
 
 
+def _lattice_weights(instance: Instance) -> tuple[int, list[int]]:
+    """``(full, weights)``: in the uniform two-arrival setting job i weighs
+    ``(1+t) * weights[i] / full``, so ``full`` = 131·C ints weigh 1+t.
+
+    On the lattice a size is s/C for capacity C, so weight_w1 is
+    (1+t)/(131·C) · (156·s + 12·C·[2s > C]) and weight_w2 is
+    (1+t)/(131·C) · 168·s.  A size outside (0, 1] is refused as those two
+    refuse it.
+    """
+    lat = instance.lattice
+    capacity, sizes = lat.capacity, lat.sizes
+    if sizes and not (0 < min(sizes) and max(sizes) <= capacity):
+        bad = next(s for s in sizes if not 0 < s <= capacity)
+        raise ValueError(f"size {format_rational(Fraction(bad, capacity))} outside (0, 1]")
+    bonus = _W1_BONUS * capacity
+    weights = [
+        _W2_RATE * s if start else _W1_RATE * s + (bonus if 2 * s > capacity else 0)
+        for s, start in zip(sizes, lat.starts)
+    ]
+    return _W_UNITS * capacity, weights
+
+
 def verify_weights(trace: AlgorithmTrace, opt_schedule: Schedule, t) -> WeightReport:
     """Run the full weight ledger against a FirstFit trace and a reference.
 
     The reference schedule may be a true optimum or any feasible certificate;
     it is checked for feasibility first.  Requires the uniform two-arrival
     setting and t in [1/28, 1).
+
+    The ledger runs on the int weights of ``_lattice_weights``: a FirstFit
+    server falls short when its ints sum below 131·C, a reference server of
+    lattice length ℓ (time 1 is ``unit``) holding R is capped by
+    R·unit <= 168·C·ℓ, and the totals are int sums.  Fractions are built
+    only for the report's fields.
     """
     t = _weight_arrival(_check_two_arrival_uniform(trace, t))
     instance = trace.schedule.instance
     verify_certificate(instance, opt_schedule)
-    jobs = instance.jobs
-
-    weights = [
-        weight_w1(jb.size, t) if jb.start == 0 else weight_w2(jb.size, t)
-        for jb in jobs
-    ]
+    lat = instance.lattice
+    starts, finishes, unit = lat.starts, lat.finishes, lat.unit
+    full, weights = _lattice_weights(instance)
+    scale = (1 + t) / full
 
     server_weights = []
     violations = []
-    ff_total = Fraction(0)
+    ff_total = 0
     for srv in trace.schedule.servers:
-        w1 = sum(
-            (weights[i] for i in srv.job_indices if jobs[i].start == 0), Fraction(0)
-        )
-        w2 = sum(
-            (weights[i] for i in srv.job_indices if jobs[i].start != 0), Fraction(0)
-        )
-        server_weights.append((srv.id, w1, w2))
+        w1 = w2 = 0
+        for i in srv.job_indices:
+            if starts[i]:
+                w2 += weights[i]
+            else:
+                w1 += weights[i]
+        server_weights.append((srv.id, w1 * scale, w2 * scale))
         ff_total += w1 + w2
-        if w1 + w2 < 1 + t:
+        if w1 + w2 < full:
             violations.append(srv.id)
 
     opt_checks = []
-    opt_total = Fraction(0)
+    opt_total = 0
+    cap_rate = _W2_RATE * lat.capacity
     for srv in opt_schedule.servers:
-        weight = sum((weights[i] for i in srv.job_indices), Fraction(0))
-        bound = _W2_RATE * (1 + t) * (srv.close_time - srv.open_time)
+        members = srv.job_indices
+        weight = sum(map(weights.__getitem__, members))
+        length = max(map(finishes.__getitem__, members)) - min(
+            map(starts.__getitem__, members)
+        )
+        cap = cap_rate * length
         opt_checks.append(
             OptServerCheck(
-                server_id=srv.id, weight=weight, bound=bound, ok=weight <= bound
+                server_id=srv.id,
+                weight=weight * scale,
+                bound=Fraction(cap, unit) * scale,
+                ok=weight * unit <= cap,
             )
         )
         opt_total += weight
 
-    item_total = sum(weights, Fraction(0))
+    item_total = sum(weights)
     return WeightReport(
         t=t,
         server_weights=tuple(server_weights),
         ff_violations=tuple(violations),
         opt_checks=tuple(opt_checks),
         ignored_budget=IGNORED_BUDGET,
-        ff_total=ff_total,
-        opt_total=opt_total,
-        item_total=item_total,
+        ff_total=ff_total * scale,
+        opt_total=opt_total * scale,
+        item_total=item_total * scale,
     )
 
 
@@ -450,29 +488,33 @@ _UNIFORM_N_RANGE = (4, 8)
 _UNIFORM_SIZE_GRID = 12
 _UNIFORM_MAX_ATTEMPTS = 50000
 
-def _uniform_first_fit(draws: list[tuple[int, bool]], capacity: int) -> bool:
+def _uniform_first_fit(draws: list[tuple[int, int]], capacity: int) -> bool:
     """Whether FirstFit rents every server over [0, 1+t] for these draws.
 
-    Sizes are ints on the size grid, capacity its denominator.  Nothing
-    expires before t < 1, so FirstFit is bin packing of the time-0 sizes and
-    then the time-t sizes into the same loads: every server opens at 0 and
-    runs to 1+t iff some job opens one at 0, none opens one at t, and every
-    server takes a time-t job.
+    Sizes are ints on the size grid, capacity its denominator, and a draw's
+    key is 1 when it arrives at t.  Nothing expires before t < 1, so
+    FirstFit is bin packing of the time-0 sizes and then the time-t sizes
+    into the same loads: every server opens at 0 and runs to 1+t iff some
+    job opens one at 0, none opens one at t, and every server takes a
+    time-t job.
     """
     loads: list[int] = []
-    topped: list[bool] = []
-    # time-0 draws first, then time-t ones, each in draw order (a stable sort)
-    for size, late in sorted(draws, key=lambda draw: draw[1]):
-        for i, load in enumerate(loads):
-            if load + size <= capacity:
-                loads[i] += size
-                topped[i] |= late
-                break
-        else:
-            if late:
-                return False
-            loads.append(size)
-            topped.append(False)
+    topped: list[int] = []
+    # time-0 draws first, then time-t ones, each in draw order
+    for late in (0, 1):
+        for size, key in draws:
+            if key != late:
+                continue
+            for i, load in enumerate(loads):
+                if load + size <= capacity:
+                    loads[i] += size
+                    topped[i] |= late
+                    break
+            else:
+                if late:
+                    return False
+                loads.append(size)
+                topped.append(0)
     return bool(loads) and all(topped)
 
 
@@ -484,7 +526,7 @@ def find_uniform_two_arrival(t, seed: int):
     returns (instance, trace, accepted seed).  Candidate seed ``seed + i``
     draws ``random_two_arrival(n, t, seed + i)`` for n drawn by
     ``random.Random(seed + i).randint(4, 8)``, both from one seeding by
-    ``_two_arrival_trial``, as strict-ff-2 draws its trials.
+    ``_grid_trial``, as strict-ff-2 draws its trials.
 
     Each draw is tested on the integer size grid, which never reads t: the
     accepted seed depends on ``seed`` alone, and t only sets the second
@@ -492,11 +534,13 @@ def find_uniform_two_arrival(t, seed: int):
     and run through first_fit.
     """
     t = second_arrival(t)
-    windows = ((Fraction(0), Fraction(1)), (t, t + 1))
+    layout = _trial_layout(*_UNIFORM_N_RANGE, _UNIFORM_SIZE_GRID, _COIN_KEY)
     for cand_seed in range(seed, seed + _UNIFORM_MAX_ATTEMPTS):
-        draws = _two_arrival_trial(cand_seed, *_UNIFORM_N_RANGE, _UNIFORM_SIZE_GRID)
+        draws = _grid_trial(cand_seed, layout)
         if _uniform_first_fit(draws, _UNIFORM_SIZE_GRID):
-            instance = _grid_jobs(draws, _UNIFORM_SIZE_GRID, windows.__getitem__)
+            windows = ((Fraction(0), Fraction(1)), (t, t + 1))
+            jobs = _GridJobs(_UNIFORM_SIZE_GRID, windows.__getitem__)
+            instance = _grid_jobs(draws, jobs)
             return instance, first_fit(instance), cand_seed
     raise RuntimeError(
         f"no uniform-server instance found in {_UNIFORM_MAX_ATTEMPTS} attempts"
@@ -584,16 +628,30 @@ def suite_recurrence(n: int = 200) -> SuiteResult:
     return SuiteResult(agree, details)
 
 
+# nextfit-2t's trials: random_equal_duration's default size grid, start grid
+# and horizon
+_NEXTFIT_GRIDS = (8, 4, 3)
+
+
 def suite_nextfit_2t(
     trials: int = 500, max_jobs: int = 40, seed: int = 20240601
 ) -> SuiteResult:
-    """NextFit stays within twice the arrival ceiling at every event time."""
+    """NextFit stays within twice the arrival ceiling at every event time.
+
+    Trial seed s draws n by ``random.Random(s).randint(1, max_jobs)`` and
+    then ``random_equal_duration(n, s)``'s draws, both from one seeding
+    through ``_grid_trial``.  The run builds each distinct job once, in one
+    table that all its trials share.
+    """
     _check_at_least("trials", trials, 1)
     _check_at_least("max_jobs", max_jobs, 1)
+    size_grid, start_grid, horizon = _NEXTFIT_GRIDS
+    layout = _trial_layout(1, max_jobs, size_grid, _randint_key(horizon * start_grid))
+    jobs = _equal_duration_jobs(size_grid, start_grid)
     for trial in range(trials):
         trial_seed = seed * 1_000_003 + trial
-        n = random.Random(trial_seed).randint(1, max_jobs)
-        instance = random_equal_duration(n=n, seed=trial_seed)
+        draws = _grid_trial(trial_seed, layout)
+        instance = _grid_jobs(draws, jobs)
         profile = active_count_profile(next_fit(instance).schedule)
         ceilings = arrival_ceiling_profile(instance)
         for (tau, got), bound in zip(profile, ceilings, strict=True):
@@ -641,14 +699,17 @@ def suite_strict_ff_2(
     Also checks the server-type cost split and both mass inequalities 2*A > k.
     Trial seed s draws n by ``random.Random(s).randint(2, max_jobs)`` and
     then random_two_arrival's n draws, both from one seeding through
-    ``_two_arrival_trial``.
+    ``_grid_trial``.  The run builds each distinct job once, in one table
+    that all its trials share.
     """
     _check_at_least("trials", trials, 1)
     _check_at_least("max_jobs", max_jobs, 2)
+    layout = _trial_layout(2, max_jobs, 12, _COIN_KEY)
+    jobs = _GridJobs(12, _STRICT_WINDOWS.__getitem__)
     for trial in range(trials):
         trial_seed = seed * 1_000_003 + trial
-        draws = _two_arrival_trial(trial_seed, 2, max_jobs, 12)
-        instance = _grid_jobs(draws, 12, _STRICT_WINDOWS.__getitem__)
+        draws = _grid_trial(trial_seed, layout)
+        instance = _grid_jobs(draws, jobs)
         reason = _strict_ff_2_failure(instance, max_jobs)
         if reason is not None:
             details = {"trial": trial, "seed": trial_seed, "reason": reason}

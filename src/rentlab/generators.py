@@ -156,25 +156,40 @@ def nf_nemesis(n_pairs_half: int) -> Instance:
     return Instance(tuple(jobs))
 
 
-def _grid_jobs(draws: list[tuple[int, int]], size_grid: int, window_at) -> Instance:
-    """Jobs from ``(size * size_grid, key)`` draws, stably sorted by the int
-    ``key``, over the ``(start, finish)`` of ``window_at(key)`` (starts rise
-    with ``key``).  Equal draws share one ``Job``, and so one lattice row;
-    equal sizes share one ``Fraction``, and equal keys one window.
+class _GridJobs(dict):
+    """``Job``s by ``(size * size_grid, key)`` draw, each built on its first
+    lookup: ``Fraction(size, size_grid)`` over the ``(start, finish)`` that
+    ``window_at(key)`` returns.
+
+    The table keeps one Fraction per size and one window per key, so every
+    job it builds shares them, and every instance drawn through it holds one
+    ``Job``, and so one lattice row, per distinct draw.
+    """
+
+    def __init__(self, size_grid: int, window_at):
+        super().__init__()
+        self.size_grid = size_grid
+        self.window_at = window_at
+        self.sizes: dict[int, Fraction] = {}
+        self.windows: dict = {}
+
+    def __missing__(self, draw: tuple[int, int]) -> Job:
+        size, key = draw
+        sizes, windows = self.sizes, self.windows
+        if size not in sizes:
+            sizes[size] = Fraction(size, self.size_grid)
+        if key not in windows:
+            windows[key] = self.window_at(key)
+        job = self[draw] = Job(sizes[size], *windows[key])
+        return job
+
+
+def _grid_jobs(draws: list[tuple[int, int]], jobs: _GridJobs) -> Instance:
+    """The jobs of ``(size * size_grid, key)`` draws, looked up in the table
+    ``jobs`` and stably sorted by the int ``key`` (starts rise with ``key``).
     """
     draws.sort(key=itemgetter(1))
-    made: dict[tuple[int, int], Job] = {}
-    sizes: dict[int, Fraction] = {}
-    windows: dict[int, tuple[Fraction, Fraction]] = {}
-    for draw in draws:
-        if draw not in made:
-            size, key = draw
-            if size not in sizes:
-                sizes[size] = Fraction(size, size_grid)
-            if key not in windows:
-                windows[key] = window_at(key)
-            made[draw] = Job(sizes[size], *windows[key])
-    return Instance(tuple([made[draw] for draw in draws]))
+    return Instance(tuple([jobs[draw] for draw in draws]))
 
 
 def random_two_arrival(n: int, t, seed: int, size_grid: int = 12) -> Instance:
@@ -190,7 +205,8 @@ def random_two_arrival(n: int, t, seed: int, size_grid: int = 12) -> Instance:
         raise ValueError("size_grid must be at least 1")
     t = second_arrival(t)
     windows = ((Fraction(0), Fraction(1)), (t, t + 1))
-    return _grid_jobs(_two_arrival_draws(n, seed, size_grid), size_grid, windows.__getitem__)
+    jobs = _GridJobs(size_grid, windows.__getitem__)
+    return _grid_jobs(_two_arrival_draws(n, seed, size_grid), jobs)
 
 
 def _two_arrival_draws(n: int, seed: int, size_grid: int) -> list[tuple[int, bool]]:
@@ -202,19 +218,28 @@ def _two_arrival_draws(n: int, seed: int, size_grid: int) -> list[tuple[int, boo
 # A trial's first block of Mersenne Twister words; each later one is twice as long
 _WORD_BLOCK = struct.Struct("<32I")
 
+# A draw's start key, read after its size, as (values, bits, words read):
+# CPython's randint keeps the top ``bits`` bits of successive words until
+# they fall below ``values``, and the next draw starts ``words read`` words
+# after the accepted one.  random_two_arrival's coin, ``random() >= 0.5``,
+# reads two words and is the first one's top bit.
+_COIN_KEY = (2, 1, 2)
 
-def _two_arrival_trial(
-    seed: int, low: int, high: int, size_grid: int
-) -> list[tuple[int, bool]]:
-    """``_two_arrival_draws(n, seed, size_grid)`` for the n of
-    ``random.Random(seed).randint(low, high)``, from one seeding.
 
-    Both read the seed's stream from its first word, so its words are read
-    once and decoded as CPython draws: ``randint(a, b)`` keeps the top
-    ``(b-a+1).bit_length()`` bits of successive words until they fall below
-    ``b-a+1``, and ``random() >= 0.5`` reads two words and holds exactly when
-    the first one's top bit is set.  A range of no values, or of 2**32 or
-    more (drawn from several words at a time), raises ValueError.
+def _randint_key(high: int) -> tuple[int, int, int]:
+    """The start key ``randint(0, high)``, laid out as ``_COIN_KEY`` is."""
+    return high + 1, (high + 1).bit_length(), 1
+
+
+def _trial_layout(low: int, high: int, size_grid: int, key: tuple[int, int, int]) -> tuple:
+    """How ``_grid_trial`` reads a trial's words, for job counts
+    ``randint(low, high)``, sizes ``randint(1, size_grid)`` and start keys
+    laid out by ``key``.
+
+    A count or size range of no values, or of 2**32 or more (drawn from
+    several words at a time), raises ValueError.  Each draw is a test on
+    the top bits of a word: when no draw keeps more than 8 bits, the top
+    byte of each word decides it, and the trial reads only those bytes.
     """
     width = high - low + 1
     if not (0 < width < 2**32 and 0 < size_grid < 2**32):
@@ -222,16 +247,40 @@ def _two_arrival_trial(
             f"a trial's job counts [{low}, {high}] and sizes [1, {size_grid}] "
             "must each range over 1 to 2**32 - 1 values"
         )
-    # a word below width << shift is accepted, and its value is word >> shift
-    n_shift = 32 - width.bit_length()
-    n_limit = width << n_shift
-    size_shift = 32 - size_grid.bit_length()
-    size_limit = size_grid << size_shift
+    key_values, key_bits, key_step = key
+    draws = (
+        (width, width.bit_length()),
+        (size_grid, size_grid.bit_length()),
+        (key_values, key_bits),
+    )
+    unit = 8 if max(bits for _, bits in draws) <= 8 else 32
+    tests = []
+    for values, bits in draws:
+        # a unit below values << shift is accepted, and its value is unit >> shift
+        tests += values << (unit - bits), unit - bits
+    return (unit, low, *tests, key_step)
+
+
+def _grid_trial(seed: int, layout: tuple) -> list[tuple[int, int]]:
+    """One trial's draws from one seeding: n by
+    ``random.Random(seed).randint(low, high)``, then the n draws
+    ``(randint(1, size_grid), start key)`` that a second
+    ``random.Random(seed)`` gives, for the ``layout`` of
+    ``_trial_layout(low, high, size_grid, key)``.  With ``key`` as
+    ``_COIN_KEY`` these are random_two_arrival's draws; as
+    ``_randint_key(horizon * start_grid)``, random_equal_duration's.
+
+    Both seedings read the seed's stream from its first word, so its words
+    are read once, in blocks, and decoded as CPython draws them.
+    """
+    unit, low, n_limit, n_shift, size_limit, size_shift, key_limit, key_shift, key_step = layout
     getrandbits = random.Random(seed).getrandbits
-    block, words = _WORD_BLOCK, ()
+    block, words = _WORD_BLOCK, b"" if unit == 8 else ()
     while True:
-        # getrandbits fills an int from its least significant word up
-        words += block.unpack(getrandbits(8 * block.size).to_bytes(block.size, "little"))
+        # getrandbits fills an int from its least significant word up, so
+        # each word's top byte is the last of its four little-endian bytes
+        raw = getrandbits(8 * block.size).to_bytes(block.size, "little")
+        words += raw[3::4] if unit == 8 else block.unpack(raw)
         try:
             pos = 0
             while words[pos] >= n_limit:
@@ -242,11 +291,23 @@ def _two_arrival_trial(
             for _ in range(n):
                 while words[pos] >= size_limit:
                     pos += 1
-                draws.append(((words[pos] >> size_shift) + 1, words[pos + 1] >= 1 << 31))
-                pos += 3
+                size = (words[pos] >> size_shift) + 1
+                pos += 1
+                while words[pos] >= key_limit:
+                    pos += 1
+                draws.append((size, words[pos] >> key_shift))
+                pos += key_step
             return draws
         except IndexError:
             block = struct.Struct(f"<{block.size // 2}I")
+
+
+def _equal_duration_jobs(size_grid: int, start_grid: int) -> _GridJobs:
+    """random_equal_duration's table: key k starts at k/start_grid, for one unit."""
+    return _GridJobs(
+        size_grid,
+        lambda key: (Fraction(key, start_grid), Fraction(key + start_grid, start_grid)),
+    )
 
 
 def random_equal_duration(
@@ -270,8 +331,7 @@ def random_equal_duration(
         (rng.randint(1, size_grid), rng.randint(0, horizon * start_grid))
         for _ in range(n)
     ]
-    unit = Fraction(1, start_grid)
-    return _grid_jobs(draws, size_grid, lambda key: (key * unit, key * unit + 1))
+    return _grid_jobs(draws, _equal_duration_jobs(size_grid, start_grid))
 
 
 # Every family by its generator, whose signature gives the family's

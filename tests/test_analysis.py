@@ -398,6 +398,21 @@ def test_default_strict_ff_2_seeds_each_trial_once(monkeypatch):
     assert made == [7 * 1_000_003 + trial for trial in range(500)]
 
 
+def test_default_nextfit_2t_seeds_each_trial_once(monkeypatch):
+    # the job count and the draws come from one seeding of the trial seed
+    made = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, x=None):
+            made.append(x)
+            super().__init__(x)
+
+    monkeypatch.setattr(random, "Random", CountingRandom)
+    assert analysis.suite_nextfit_2t().passed
+    monkeypatch.undo()
+    assert made == [20240601 * 1_000_003 + trial for trial in range(500)]
+
+
 def test_nextfit_2t_refuses_profiles_of_unequal_length(monkeypatch):
     # a ceiling profile one event time short must not be truncated away
     real = analysis.arrival_ceiling_profile

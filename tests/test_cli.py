@@ -24,6 +24,7 @@ from rentlab import (
     verify_weights,
     write_instance,
 )
+from rentlab import cli
 from rentlab.cli import _flag, build_parser, main
 from rentlab.generators import FAMILIES, family_parameters
 
@@ -563,6 +564,25 @@ def test_parser_surface_is_unchanged():
     assert surface == PARSER_SURFACE
 
 
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+
+    def counting():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        assert run_cli("verify", "--suite", "recurrence", "--n", "3") == 0
+        assert run_cli("verify", "--suite", "layers", "--n", "3") == 2
+        assert run_cli("ratio", "--alg-cost", "3", "--opt", "2", "--kind", "exact-opt") == 0
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+    assert "error: suite layers does not take --n" in capsys.readouterr().err
+
+
 def test_run_firstfit_on_adversarial_family(tmp_path):
     inst_path = tmp_path / "ggu.jobs"
     run_cli("gen", "--family", "ggu", "--k", "6", "--t", "1/2", "--out", str(inst_path))
@@ -867,12 +887,14 @@ def test_verify_rejects_max_jobs_below_instance_size(capsys):
 def test_verify_refuses_a_job_count_range_it_cannot_draw(tmp_path, capsys):
     # 2**32 + 1 job counts: refused before a trial seeds, let alone draws
     out = tmp_path / "report.json"
-    argv = ["--trials", "1", "--max-jobs", str(2**32 + 2), "--out", str(out)]
-    assert run_cli("verify", "--suite", "strict-ff-2", *argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "[2, 4294967298]" in err
-    assert not out.exists()
+    for suite, low in (("strict-ff-2", 2), ("nextfit-2t", 1)):
+        high = 2**32 + low
+        argv = ["--trials", "1", "--max-jobs", str(high), "--out", str(out)]
+        assert run_cli("verify", "--suite", suite, *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"[{low}, {high}]" in err
+        assert not out.exists()
 
 
 # sha256 of each report as a known-good build wrote it: a suite or report

@@ -21,13 +21,17 @@ copies of the same rows, and the random families sort int draws and share
 one Job per distinct row, one Fraction per size and one window per start
 key, checked against the Fraction draws sorted by start.
 
-A two-arrival trial, as the weights sampler and strict-ff-2 draw it, seeds
+A trial, as the weights sampler, strict-ff-2 and nextfit-2t draw it, seeds
 one random.Random and decodes the job count and the draws from that seed's
 Mersenne Twister words.  Its reference is the path it replaced:
 randint(low, high) on one seeding and the generator's draws on another,
 compared for the sampler's (4, 8) over 50,001 seeds (negative, 0, past 2^32
-and 2^64) and on a seed whose draws read past the word block, and for
-strict-ff-2's (2, max_jobs) up to 5000 jobs.
+and 2^64) and on a seed whose draws read past the word block, for
+strict-ff-2's (2, max_jobs) up to 5000 jobs, and for nextfit-2t's
+random_equal_duration draws with job counts up to 5000.  The suites look
+their draws up in one job table per run, checked to share each row's Job
+across trials.  The weight ledger sums int weights on the lattice; its
+reference sums weight_w1 and weight_w2 Fractions per server.
 
 The file paths keep their plain versions here too: parse_instance parses
 every line, the schedule text comes from ``json.dumps(indent=2)``, cost sums
@@ -74,6 +78,7 @@ from rentlab import (
     span,
     utilization,
     validate,
+    verify_certificate,
     write_schedule,
 )
 from rentlab import analysis, generators
@@ -85,12 +90,22 @@ from rentlab.algorithms import (
 )
 from rentlab.analysis import (
     _WEIGHT_T_VALUES,
+    IGNORED_BUDGET,
+    T_MIN,
+    OptServerCheck,
+    WeightReport,
     find_uniform_two_arrival,
+    verify_weights,
+    weight_w1,
+    weight_w2,
 )
 from rentlab.model import _schedule_text
 from rentlab.generators import (
+    _COIN_KEY,
+    _grid_trial,
+    _randint_key,
+    _trial_layout,
     _two_arrival_draws,
-    _two_arrival_trial,
     ggu_extended,
     long_uniform,
     nf_nemesis,
@@ -294,6 +309,56 @@ def reference_trial(seed, low=4, high=8, size_grid=12):
     random_two_arrival's draws on the other.  The sampler's range is (4, 8)."""
     n = random.Random(seed).randint(low, high)
     return _two_arrival_draws(n, seed, size_grid)
+
+
+def reference_equal_duration_trial(seed, high):
+    """nextfit-2t's trial draws from two seedings: the job count
+    randint(1, high) on one, random_equal_duration's default draws, in draw
+    order, on the other."""
+    n = random.Random(seed).randint(1, high)
+    rng = random.Random(seed)
+    return [(rng.randint(1, 8), rng.randint(0, 12)) for _ in range(n)]
+
+
+def reference_verify_weights(trace, opt_schedule, t):
+    """The weight ledger on per-job Fraction weights, summed per server."""
+    t = analysis._weight_arrival(analysis._check_two_arrival_uniform(trace, t))
+    instance = trace.schedule.instance
+    verify_certificate(instance, opt_schedule)
+    jobs = instance.jobs
+    weights = [
+        weight_w1(jb.size, t) if jb.start == 0 else weight_w2(jb.size, t)
+        for jb in jobs
+    ]
+    server_weights = []
+    violations = []
+    ff_total = F(0)
+    for srv in trace.schedule.servers:
+        w1 = sum((weights[i] for i in srv.job_indices if jobs[i].start == 0), F(0))
+        w2 = sum((weights[i] for i in srv.job_indices if jobs[i].start != 0), F(0))
+        server_weights.append((srv.id, w1, w2))
+        ff_total += w1 + w2
+        if w1 + w2 < 1 + t:
+            violations.append(srv.id)
+    opt_checks = []
+    opt_total = F(0)
+    for srv in opt_schedule.servers:
+        weight = sum((weights[i] for i in srv.job_indices), F(0))
+        bound = F(168, 131) * (1 + t) * (srv.close_time - srv.open_time)
+        opt_checks.append(
+            OptServerCheck(server_id=srv.id, weight=weight, bound=bound, ok=weight <= bound)
+        )
+        opt_total += weight
+    return WeightReport(
+        t=t,
+        server_weights=tuple(server_weights),
+        ff_violations=tuple(violations),
+        opt_checks=tuple(opt_checks),
+        ignored_budget=IGNORED_BUDGET,
+        ff_total=ff_total,
+        opt_total=opt_total,
+        item_total=sum(weights, F(0)),
+    )
 
 
 def reference_scale_time(instance, factor):
@@ -947,7 +1012,7 @@ OVERRUN_SEED = 1773810931607042
 
 def replayed(seed, low=4, high=8, size_grid=12):
     """A two-arrival trial's draws, from one seeding."""
-    return _two_arrival_trial(seed, low, high, size_grid)
+    return _grid_trial(seed, _trial_layout(low, high, size_grid, _COIN_KEY))
 
 
 def test_uniform_draws_replay_two_seedings():
@@ -987,7 +1052,7 @@ def test_trial_refuses_ranges_it_cannot_decode(monkeypatch):
     monkeypatch.setattr(random, "Random", no_seeding)
     for low, high, size_grid in ((2, 1, 12), (2, 2**32 + 2, 12), (1, 2**32, 12), (4, 8, 0)):
         with pytest.raises(ValueError, match="must each range over 1 to 2"):
-            _two_arrival_trial(5, low, high, size_grid)
+            _trial_layout(low, high, size_grid, _COIN_KEY)
     monkeypatch.undo()
     # the widest size grid it takes, 2**32 - 1 sizes, decodes as CPython draws
     for seed in range(100):
@@ -1005,6 +1070,165 @@ def test_uniform_draws_replay_on_generated_seeds():
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(generators, "_WORD_BLOCK", struct.Struct(f"<{block}I"))
             assert replayed(seed) == reference_trial(seed)
+
+    check()
+
+
+# nextfit-2t's draws: job counts randint(1, high), sizes randint(1, 8) and
+# start keys randint(0, 12), read from one seeding
+def replayed_equal_duration(seed, high):
+    return _grid_trial(seed, _trial_layout(1, high, 8, _randint_key(12)))
+
+
+def test_equal_duration_trials_replay_two_seedings():
+    # up to 255 jobs each draw reads its words' top bytes, past that whole
+    # words; 5000 jobs read on through several doubled blocks
+    for high in (1, 2, 40, 255, 256, 257, 5000):
+        seeds = range(300) if high < 5000 else range(40)
+        for trial in seeds:
+            seed = 20240601 * 1_000_003 + trial
+            draws = replayed_equal_duration(seed, high)
+            assert draws == reference_equal_duration_trial(seed, high), (high, seed)
+    for seed in range(100):
+        n = random.Random(seed).randint(1, 40)
+        jobs = generators._equal_duration_jobs(8, 4)
+        instance = generators._grid_jobs(replayed_equal_duration(seed, 40), jobs)
+        assert instance == random_equal_duration(n, seed)
+
+
+def test_equal_duration_trials_read_on_past_any_block(monkeypatch):
+    for block in (1, 2, 3, 7, 40, 41):
+        monkeypatch.setattr(generators, "_WORD_BLOCK", struct.Struct(f"<{block}I"))
+        for high in (1, 40, 257):
+            for seed in range(-100, 100):
+                expected = reference_equal_duration_trial(seed, high)
+                assert replayed_equal_duration(seed, high) == expected, (block, high, seed)
+
+
+def test_equal_duration_trials_replay_on_generated_seeds():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(st.integers(-(2**80), 2**80), st.integers(1, 600), st.integers(1, 48))
+    def check(seed, high, block):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(generators, "_WORD_BLOCK", struct.Struct(f"<{block}I"))
+            assert replayed_equal_duration(seed, high) == reference_equal_duration_trial(
+                seed, high
+            )
+
+    check()
+
+
+def recorded_trials(monkeypatch, suite, hook, **settings):
+    """The instances ``suite`` runs its trials on, in order, read from the
+    calls it makes to ``analysis.<hook>``."""
+    seen = []
+    real = getattr(analysis, hook)
+
+    def recording(instance, *args):
+        seen.append(instance)
+        return real(instance, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, hook, recording)
+        assert analysis.SUITES[suite](**settings).passed
+    return seen
+
+
+def test_nextfit_2t_trials_match_equal_duration_draws(monkeypatch):
+    # the default run and one more: n from one seeding, the jobs from another
+    for seed in (20240601, 99):
+        seen = recorded_trials(monkeypatch, "nextfit-2t", "next_fit", seed=seed)
+        assert len(seen) == 500
+        for trial, instance in enumerate(seen):
+            trial_seed = seed * 1_000_003 + trial
+            n = random.Random(trial_seed).randint(1, 40)
+            assert instance == random_equal_duration(n, trial_seed), (seed, trial)
+
+
+def test_suite_runs_share_jobs_across_trials(monkeypatch):
+    # one table per run: equal rows of different trials share one Job, one
+    # size Fraction and one window
+    for suite, hook in (("nextfit-2t", "next_fit"), ("strict-ff-2", "first_fit")):
+        seen = recorded_trials(monkeypatch, suite, hook, trials=60)
+        rows = [jb for instance in seen for jb in instance.jobs]
+        assert len(rows) > 4 * len(set(rows))  # rows recur across trials
+        assert_shared_rows(Instance(tuple(rows)))
+
+
+def check_int_weights(instance, t):
+    """Each job's int weight, times (1+t)/full, is its Fraction weight."""
+    full, weights = analysis._lattice_weights(instance)
+    assert len(weights) == len(instance.jobs)
+    for jb, weight in zip(instance.jobs, weights):
+        rule = weight_w1 if jb.start == 0 else weight_w2
+        assert weight * (1 + t) / full == rule(jb.size, t)
+
+
+def test_weight_ledger_matches_reference_on_default_cases(monkeypatch):
+    # ggu(6, 1/2) and the 200 sampled cases of the default weights run
+    cases = []
+    real = analysis.verify_weights
+
+    def checking(trace, opt_schedule, t):
+        report = real(trace, opt_schedule, t)
+        assert report == reference_verify_weights(trace, opt_schedule, t)
+        check_int_weights(trace.schedule.instance, t)
+        cases.append(t)
+        return report
+
+    monkeypatch.setattr(analysis, "verify_weights", checking)
+    assert analysis.suite_weights().passed
+    assert len(cases) == 201
+
+
+def test_weight_ledger_matches_reference_on_ggu():
+    for k in (6, 12, 18):
+        for t in _WEIGHT_T_VALUES:
+            instance, certificate = ggu_extended(k, t)
+            trace = first_fit(instance)
+            report = verify_weights(trace, certificate, t)
+            assert report == reference_verify_weights(trace, certificate, t), (k, t)
+            assert report.passed
+            check_int_weights(instance, t)
+
+
+def test_weight_ledger_matches_reference_on_generated_servers():
+    # FirstFit's side is any grouping whose servers each hold jobs at 0 and
+    # at t, over capacity or not; the reference side is that grouping where
+    # it is feasible and one job per server otherwise.  Sizes are sevenths
+    # and twelfths, size 0 included, and t may lie below 1/28.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    size = st.sampled_from((7, 12)).flatmap(
+        lambda den: st.integers(0, den).map(lambda num: F(num, den))
+    )
+    sizes = st.lists(size, min_size=1, max_size=3)
+    groups = st.lists(st.tuples(sizes, sizes), min_size=1, max_size=4)
+    times = st.sampled_from((F(1, 50), T_MIN, F(1, 4), F(1, 2), F(3, 4), F(27, 28)))
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(groups, times, st.booleans())
+    def check(groups, t, pack_reference):
+        early = [x for at_zero, _ in groups for x in at_zero]
+        late = [x for _, at_t in groups for x in at_t]
+        instance = make_instance([(x, 0, 1) for x in early] + [(x, t, t + 1) for x in late])
+        indices, first, second = [], 0, len(early)
+        for at_zero, at_t in groups:
+            indices.append(
+                [*range(first, first + len(at_zero)), *range(second, second + len(at_t))]
+            )
+            first, second = first + len(at_zero), second + len(at_t)
+        trace = AlgorithmTrace(make_schedule(instance, indices), ())
+        reference = trace.schedule
+        if not pack_reference or check_schedule(reference):
+            reference = make_schedule(instance, [[i] for i in range(len(instance))])
+        report = same_outcome(verify_weights, reference_verify_weights, trace, reference, t)
+        if report is not None:
+            check_int_weights(instance, t)
 
     check()
 
