@@ -37,7 +37,7 @@ from .generators import (
 from .model import (
     Instance,
     Schedule,
-    active_count_profile,
+    _active_counts,
     as_rational,
     cost,
     format_rational,
@@ -601,8 +601,8 @@ def ratio_report(alg_cost, reference_cost, kind: str) -> RatioReport:
 class SuiteResult:
     """A suite's verdict.
 
-    details echo the settings, or locate the failure; counterexample is an
-    Instance that deterministically re-fails the check, or None.
+    details echo the settings, or a failing trial's locator and check details;
+    counterexample is that trial's Instance, on which the check re-fails, or None.
     """
 
     passed: bool
@@ -613,6 +613,23 @@ class SuiteResult:
 def _check_at_least(name: str, value: int, least: int) -> None:
     if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
+def _first_failure(trials, check) -> Optional[SuiteResult]:
+    """The first ``(locator, instance)`` trial that ``check`` fails, or None."""
+    for locator, instance in trials:
+        failure = check(instance)
+        if failure is not None:
+            return SuiteResult(False, {**locator, **failure}, instance)
+    return None
+
+
+def _grid_trials(trials: int, seed: int, layout, jobs: _GridJobs):
+    """Trial i's locator and instance, drawn from ``seed * 1_000_003 + i``."""
+    for trial in range(trials):
+        trial_seed = seed * 1_000_003 + trial
+        draws = _grid_trial(trial_seed, layout)
+        yield {"trial": trial, "seed": trial_seed}, _grid_jobs(draws, jobs)
 
 
 def suite_recurrence(n: int = 200) -> SuiteResult:
@@ -633,6 +650,16 @@ def suite_recurrence(n: int = 200) -> SuiteResult:
 _NEXTFIT_GRIDS = (8, 4, 3)
 
 
+def _nextfit_2t_failure(instance: Instance) -> Optional[dict]:
+    counts = _active_counts(next_fit(instance).schedule)
+    ceilings = arrival_ceiling_profile(instance)
+    for (tau, got), bound in zip(counts, ceilings, strict=True):
+        if got > 2 * bound:
+            time = format_rational(Fraction(tau, instance.lattice.unit))
+            return {"time": time, "active": got, "arrival_ceiling": bound}
+    return None
+
+
 def suite_nextfit_2t(
     trials: int = 500, max_jobs: int = 40, seed: int = 20240601
 ) -> SuiteResult:
@@ -648,42 +675,28 @@ def suite_nextfit_2t(
     size_grid, start_grid, horizon = _NEXTFIT_GRIDS
     layout = _trial_layout(1, max_jobs, size_grid, _randint_key(horizon * start_grid))
     jobs = _equal_duration_jobs(size_grid, start_grid)
-    for trial in range(trials):
-        trial_seed = seed * 1_000_003 + trial
-        draws = _grid_trial(trial_seed, layout)
-        instance = _grid_jobs(draws, jobs)
-        profile = active_count_profile(next_fit(instance).schedule)
-        ceilings = arrival_ceiling_profile(instance)
-        for (tau, got), bound in zip(profile, ceilings, strict=True):
-            if got > 2 * bound:
-                details = {
-                    "trial": trial,
-                    "seed": trial_seed,
-                    "time": format_rational(tau),
-                    "active": got,
-                    "arrival_ceiling": bound,
-                }
-                return SuiteResult(False, details, instance)
-    return SuiteResult(True, {"trials": trials, "max_jobs": max_jobs, "seed": seed})
+    settings = {"trials": trials, "max_jobs": max_jobs, "seed": seed}
+    source = _grid_trials(trials, seed, layout, jobs)
+    return _first_failure(source, _nextfit_2t_failure) or SuiteResult(True, settings)
 
 
-def _strict_ff_2_failure(instance: Instance, max_jobs: int) -> Optional[str]:
+def _strict_ff_2_failure(instance: Instance, max_jobs: int) -> Optional[dict]:
     trace = first_fit(instance)
     ff_cost = cost(trace.schedule)
     opt = brute_force_opt(instance, max_jobs=max_jobs)
     if ff_cost > 2 * opt.cost:
-        return (
-            f"firstfit cost {format_rational(ff_cost)} exceeds twice the "
-            f"optimum {format_rational(opt.cost)}"
-        )
+        return {
+            "reason": f"firstfit cost {format_rational(ff_cost)} exceeds twice "
+            f"the optimum {format_rational(opt.cost)}"
+        }
     part = server_type_partition(trace)
     k1, k2, k3 = part.counts
     if ff_cost != 2 * k1 + 3 * k2 + 2 * k3:
-        return "cost does not decompose as 2*k1 + 3*k2 + 2*k3"
+        return {"reason": "cost does not decompose as 2*k1 + 3*k2 + 2*k3"}
     if k1 >= 2 and not 2 * part.start0_mass_type1 > k1:
-        return "type-1 first-arrival mass fails 2*A > k"
+        return {"reason": "type-1 first-arrival mass fails 2*A > k"}
     if k2 >= 2 and not 2 * part.start0_mass_type2 > k2:
-        return "type-2 first-arrival mass fails 2*A > k"
+        return {"reason": "type-2 first-arrival mass fails 2*A > k"}
     return None
 
 
@@ -706,64 +719,69 @@ def suite_strict_ff_2(
     _check_at_least("max_jobs", max_jobs, 2)
     layout = _trial_layout(2, max_jobs, 12, _COIN_KEY)
     jobs = _GridJobs(12, _STRICT_WINDOWS.__getitem__)
-    for trial in range(trials):
-        trial_seed = seed * 1_000_003 + trial
-        draws = _grid_trial(trial_seed, layout)
-        instance = _grid_jobs(draws, jobs)
-        reason = _strict_ff_2_failure(instance, max_jobs)
-        if reason is not None:
-            details = {"trial": trial, "seed": trial_seed, "reason": reason}
-            return SuiteResult(False, details, instance)
-    return SuiteResult(True, {"trials": trials, "max_jobs": max_jobs, "seed": seed})
+    return _first_failure(
+        _grid_trials(trials, seed, layout, jobs),
+        lambda instance: _strict_ff_2_failure(instance, max_jobs),
+    ) or SuiteResult(True, {"trials": trials, "max_jobs": max_jobs, "seed": seed})
 
 
 _WEIGHT_T_VALUES = (Fraction(1, 28), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 
 
+def _weights_failure(instance: Instance, reference=None) -> Optional[dict]:
+    """The weight ledger's first broken rule, at t the instance's last start."""
+    if reference is None:
+        reference = brute_force_opt(instance, max_jobs=_UNIFORM_N_RANGE[1]).schedule
+    t = max(jb.start for jb in instance.jobs)
+    reason = verify_weights(first_fit(instance), reference, t).failure
+    return None if reason is None else {"reason": reason}
+
+
 def suite_weights(trials: int = 200, seed: int = 104729) -> SuiteResult:
     """The weight ledger holds on ggu(6, 1/2) and on sampled uniform instances."""
     _check_at_least("trials", trials, 1)
-    instance, certificate = ggu_extended(6, Fraction(1, 2))
+    ggu, certificate = ggu_extended(6, Fraction(1, 2))
+
+    def source():
+        yield {"case": "ggu k=6 t=1/2"}, ggu
+        for trial in range(trials):
+            t = _WEIGHT_T_VALUES[trial % len(_WEIGHT_T_VALUES)]
+            first_seed = seed * 1_000_003 + trial * 10_007
+            instance, _, used_seed = find_uniform_two_arrival(t, first_seed)
+            yield {"trial": trial, "seed": used_seed, "t": format_rational(t)}, instance
+
+    def check(instance):
+        return _weights_failure(instance, certificate if instance is ggu else None)
+
+    settings = {"trials": trials, "seed": seed}
+    return _first_failure(source(), check) or SuiteResult(True, settings)
+
+
+def _layers_failure(instance: Instance) -> Optional[dict]:
+    """The layer claims that fail, k the jobs at 0 and l the last start."""
+    k = sum(jb.start == 0 for jb in instance.jobs)
+    level_count = int(max(jb.start for jb in instance.jobs))
     trace = first_fit(instance)
-    reason = verify_weights(trace, certificate, Fraction(1, 2)).failure
-    if reason is not None:
-        return SuiteResult(False, {"case": "ggu k=6 t=1/2", "reason": reason}, instance)
-    for trial in range(trials):
-        t = _WEIGHT_T_VALUES[trial % len(_WEIGHT_T_VALUES)]
-        instance, trace, used_seed = find_uniform_two_arrival(
-            t, seed * 1_000_003 + trial * 10_007
-        )
-        opt = brute_force_opt(instance, max_jobs=_UNIFORM_N_RANGE[1])
-        reason = verify_weights(trace, opt.schedule, t).failure
-        if reason is not None:
-            details = {
-                "trial": trial,
-                "seed": used_seed,
-                "t": format_rational(t),
-                "reason": reason,
-            }
-            return SuiteResult(False, details, instance)
-    return SuiteResult(True, {"trials": trials, "seed": seed})
+    profile = layer_profile(trace, k, level_count)
+    failures = check_layer_inequalities(profile, k)
+    bound = util_ratio_bound(trace, k, level_count)
+    expected = Fraction(2, 3) + Fraction(1, k * (level_count + 2))
+    if bound.ratio != expected:
+        failures.append("utilization/cost misses its exact value")
+    if not bound.passed:
+        failures.append("utilization/cost not above its floor")
+    return {"failures": failures} if failures else None
 
 
 def suite_layers() -> SuiteResult:
     """Layer inequalities and exact utilization/cost on long_uniform(k, l)."""
-    for k in (2, 4, 8):
-        for level_count in (2, 4, 10):
-            instance = long_uniform(k, level_count)
-            trace = first_fit(instance)
-            profile = layer_profile(trace, k, level_count)
-            failures = check_layer_inequalities(profile, k)
-            bound = util_ratio_bound(trace, k, level_count)
-            expected = Fraction(2, 3) + Fraction(1, k * (level_count + 2))
-            if bound.ratio != expected:
-                failures.append("utilization/cost misses its exact value")
-            if not bound.passed:
-                failures.append("utilization/cost not above its floor")
-            if failures:
-                details = {"k": k, "l": level_count, "failures": failures}
-                return SuiteResult(False, details, instance)
-    return SuiteResult(True, {"k": [2, 4, 8], "l": [2, 4, 10]})
+    source = (
+        ({"k": k, "l": level_count}, long_uniform(k, level_count))
+        for k in (2, 4, 8)
+        for level_count in (2, 4, 10)
+    )
+    settings = {"k": [2, 4, 8], "l": [2, 4, 10]}
+    return _first_failure(source, _layers_failure) or SuiteResult(True, settings)
 
 
 SUITES = {

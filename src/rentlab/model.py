@@ -384,13 +384,12 @@ def cost(schedule: Schedule) -> Fraction:
     )
 
 
-def active_count_profile(schedule: Schedule) -> list[tuple[Fraction, int]]:
-    """(t, active_count(schedule, t)) for every t in event_times, in one sweep.
+def _active_counts(schedule: Schedule) -> list[tuple[int, int]]:
+    """(lattice time, active-server count) at every lattice event time.
 
     Each server's job intervals are merged into disjoint segments, each
     segment adds +1 at its start and -1 at its end, and a running sum of
-    those deltas over the event times gives the count.  The sweep runs on
-    the instance's lattice times.
+    those deltas over the event times gives the count.
     """
     lat = schedule.instance.lattice
     starts, finishes = lat.starts, lat.finishes
@@ -407,13 +406,18 @@ def active_count_profile(schedule: Schedule) -> list[tuple[Fraction, int]]:
         for s, f in segments:
             delta[s] = delta.get(s, 0) + 1
             delta[f] = delta.get(f, 0) - 1
-    unit = lat.unit
     profile = []
     count = 0
     for t in sorted({*starts, *finishes}):
         count += delta.get(t, 0)
-        profile.append((Fraction(t, unit), count))
+        profile.append((t, count))
     return profile
+
+
+def active_count_profile(schedule: Schedule) -> list[tuple[Fraction, int]]:
+    """(t, active_count(schedule, t)) for every t in event_times."""
+    unit = schedule.instance.lattice.unit
+    return [(Fraction(t, unit), count) for t, count in _active_counts(schedule)]
 
 
 def active_count_integral(schedule: Schedule) -> Fraction:

@@ -21,12 +21,11 @@ from rentlab import (
     analysis,
     model,
     read_instance,
-    verify_weights,
     write_instance,
 )
 from rentlab import cli
 from rentlab.cli import _flag, build_parser, main
-from rentlab.generators import FAMILIES, family_parameters
+from rentlab.generators import FAMILIES, family_parameters, ggu_extended
 
 
 def run_cli(*argv):
@@ -257,7 +256,7 @@ def test_verify_out_naming_the_counterexample_writes_nothing(tmp_path, monkeypat
 
 
 # Each suite's failure path, planted by patching the quantity its check
-# reads: (suite, settings, planting patch, re-check of a counterexample,
+# reads: (suite, settings, planting patch, the suite's check of one instance,
 # the detail keys and the values some of them must have).
 
 
@@ -280,61 +279,46 @@ def _plant_zero_ceilings(monkeypatch):
     )
 
 
-def _nextfit_2t_refails(instance, details):
-    profile = model.active_count_profile(analysis.next_fit(instance).schedule)
-    ceilings = analysis.arrival_ceiling_profile(instance)
-    return any(got > 2 * bound for (_, got), bound in zip(profile, ceilings, strict=True))
+def _strict_ff_2_check(instance):
+    return analysis._strict_ff_2_failure(instance, 8)
 
 
-def _strict_ff_2_refails(instance, details):
-    return analysis._strict_ff_2_failure(instance, 8) == details["reason"]
+def _ggu_check(instance):
+    # too large to search, ggu(6, 1/2) is weighed against its certificate
+    return analysis._weights_failure(instance, ggu_extended(6, Fraction(1, 2))[1])
 
 
-def _weights_refail(t):
-    def refails(instance, details):
-        trace = analysis.first_fit(instance)
-        # the budget check reads the FirstFit side only, so any feasible
-        # reference schedule re-fails it
-        return verify_weights(trace, trace.schedule, t).failure == details["reason"]
-
-    return refails
-
-
-def _layers_refail(instance, details):
-    k, level_count = details["k"], details["l"]
-    profile = analysis.layer_profile(analysis.first_fit(instance), k, level_count)
-    return analysis.check_layer_inequalities(profile, k) == details["failures"]
-
-
+# The details that locate a failing trial rather than describe its failure
+LOCATOR_KEYS = {"trial", "seed", "t", "case", "k", "l"}
 NEXTFIT_KEYS = {"trial", "seed", "time", "active", "arrival_ceiling"}
 STRICT_KEYS = {"trial", "seed", "reason"}
 FAILING_SUITES = {
     "nextfit-2t": (
-        "nextfit-2t", {"trials": 5}, _plant_zero_ceilings, _nextfit_2t_refails,
+        "nextfit-2t", {"trials": 5}, _plant_zero_ceilings, analysis._nextfit_2t_failure,
         NEXTFIT_KEYS, {"trial": 0},
     ),
     "strict-ff-2 above twice opt": (
         "strict-ff-2", {"trials": 5},
         lambda mp: _plant(mp, "brute_force_opt", cost=lambda r: r.cost / 3),
-        _strict_ff_2_refails, STRICT_KEYS,
+        _strict_ff_2_check, STRICT_KEYS,
         {"trial": 0, "reason": "firstfit cost 4 exceeds twice the optimum 4/3"},
     ),
     "strict-ff-2 cost split": (
         "strict-ff-2", {"trials": 5},
         lambda mp: _plant(mp, "server_type_partition", type3=lambda p: (*p.type3, None)),
-        _strict_ff_2_refails, STRICT_KEYS,
+        _strict_ff_2_check, STRICT_KEYS,
         {"trial": 0, "reason": "cost does not decompose as 2*k1 + 3*k2 + 2*k3"},
     ),
     "strict-ff-2 type-1 mass": (
         "strict-ff-2", {"trials": 20},
         lambda mp: _plant(mp, "server_type_partition", start0_mass_type1=lambda p: 0),
-        _strict_ff_2_refails, STRICT_KEYS,
+        _strict_ff_2_check, STRICT_KEYS,
         {"trial": 2, "reason": "type-1 first-arrival mass fails 2*A > k"},
     ),
     "strict-ff-2 type-2 mass": (
         "strict-ff-2", {"trials": 20},
         lambda mp: _plant(mp, "server_type_partition", start0_mass_type2=lambda p: 0),
-        _strict_ff_2_refails, STRICT_KEYS,
+        _strict_ff_2_check, STRICT_KEYS,
         {"trial": 10, "reason": "type-2 first-arrival mass fails 2*A > k"},
     ),
     # ggu(6, 1/2) leaves no FirstFit server below weight 1+t, and the
@@ -342,19 +326,19 @@ FAILING_SUITES = {
     "weights ggu": (
         "weights", {"trials": 2},
         lambda mp: mp.setattr(analysis, "IGNORED_BUDGET", -1),
-        _weights_refail(Fraction(1, 2)), {"case", "reason"},
+        _ggu_check, {"case", "reason"},
         {"case": "ggu k=6 t=1/2", "reason": "0 servers below weight 1+t (budget -1)"},
     ),
     "weights sampled": (
         "weights", {"trials": 2},
         lambda mp: mp.setattr(analysis, "IGNORED_BUDGET", 0),
-        _weights_refail(Fraction(1, 4)), {"trial", "seed", "t", "reason"},
+        analysis._weights_failure, {"trial", "seed", "t", "reason"},
         {"trial": 1, "t": "1/4", "reason": "1 servers below weight 1+t (budget 0)"},
     ),
     "layers": (
         "layers", {},
         lambda mp: _plant(mp, "layer_profile", layer_mass=lambda p: (0,) * 3),
-        _layers_refail, {"k", "l", "failures"}, {"k": 2, "l": 2},
+        analysis._layers_failure, {"k", "l", "failures"}, {"k": 2, "l": 2},
     ),
     # a failed identity has no instance to leave behind
     "recurrence": (
@@ -369,7 +353,7 @@ FAILING_SUITES = {
 def test_failing_suite_reports_and_leaves_a_refailing_counterexample(
     tmp_path, monkeypatch, capsys, case
 ):
-    suite, settings, plant, refails, keys, expected = case
+    suite, settings, plant, check, keys, expected = case
     monkeypatch.chdir(tmp_path)
     plant(monkeypatch)
     flags = [arg for name, value in settings.items() for arg in (_flag(name), str(value))]
@@ -382,7 +366,7 @@ def test_failing_suite_reports_and_leaves_a_refailing_counterexample(
     assert report["details"] == json.loads(json.dumps(result.details))
     assert expected.items() <= report["details"].items()
     dump = Path(f"counterexample-{suite}.jobs")
-    if refails is None:
+    if check is None:
         assert result.counterexample is None
         assert "counterexample" not in report
         assert list(tmp_path.iterdir()) == [tmp_path / "report.json"]
@@ -390,7 +374,8 @@ def test_failing_suite_reports_and_leaves_a_refailing_counterexample(
     assert report["counterexample"] == str(dump)
     instance = read_instance(dump)
     assert instance == result.counterexample
-    assert refails(instance, result.details)
+    # the suite's own check fails the dumped file again, with the same details
+    assert check(instance) == {key: result.details[key] for key in keys - LOCATOR_KEYS}
 
 
 # Each `gen` flag set, run with `--out out.jobs` in an empty directory, as a

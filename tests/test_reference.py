@@ -1121,18 +1121,17 @@ def test_equal_duration_trials_replay_on_generated_seeds():
     check()
 
 
-def recorded_trials(monkeypatch, suite, hook, **settings):
+# the check each grid-trial suite runs on one trial's instance
+GRID_CHECKS = {"nextfit-2t": "_nextfit_2t_failure", "strict-ff-2": "_strict_ff_2_failure"}
+
+
+def recorded_trials(monkeypatch, suite, **settings):
     """The instances ``suite`` runs its trials on, in order, read from the
-    calls it makes to ``analysis.<hook>``."""
+    calls it makes to its check, stubbed to pass every trial."""
     seen = []
-    real = getattr(analysis, hook)
-
-    def recording(instance, *args):
-        seen.append(instance)
-        return real(instance, *args)
-
     with monkeypatch.context() as patch:
-        patch.setattr(analysis, hook, recording)
+        check = GRID_CHECKS[suite]
+        patch.setattr(analysis, check, lambda instance, *args: seen.append(instance))
         assert analysis.SUITES[suite](**settings).passed
     return seen
 
@@ -1140,7 +1139,7 @@ def recorded_trials(monkeypatch, suite, hook, **settings):
 def test_nextfit_2t_trials_match_equal_duration_draws(monkeypatch):
     # the default run and one more: n from one seeding, the jobs from another
     for seed in (20240601, 99):
-        seen = recorded_trials(monkeypatch, "nextfit-2t", "next_fit", seed=seed)
+        seen = recorded_trials(monkeypatch, "nextfit-2t", seed=seed)
         assert len(seen) == 500
         for trial, instance in enumerate(seen):
             trial_seed = seed * 1_000_003 + trial
@@ -1151,11 +1150,30 @@ def test_nextfit_2t_trials_match_equal_duration_draws(monkeypatch):
 def test_suite_runs_share_jobs_across_trials(monkeypatch):
     # one table per run: equal rows of different trials share one Job, one
     # size Fraction and one window
-    for suite, hook in (("nextfit-2t", "next_fit"), ("strict-ff-2", "first_fit")):
-        seen = recorded_trials(monkeypatch, suite, hook, trials=60)
+    for suite in GRID_CHECKS:
+        seen = recorded_trials(monkeypatch, suite, trials=60)
         rows = [jb for instance in seen for jb in instance.jobs]
         assert len(rows) > 4 * len(set(rows))  # rows recur across trials
         assert_shared_rows(Instance(tuple(rows)))
+
+
+def test_passing_nextfit_2t_checks_build_no_fraction(monkeypatch):
+    # the check compares lattice ints, where the public profile builds one
+    # Fraction per event time
+    seen = recorded_trials(monkeypatch, "nextfit-2t", trials=50)
+    built = []
+    real_new = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting)
+    assert [analysis._nextfit_2t_failure(instance) for instance in seen] == [None] * 50
+    assert built == []
+    profile = active_count_profile(next_fit(seen[-1]).schedule)
+    monkeypatch.undo()
+    assert len(built) == len(profile) > 1
 
 
 def check_int_weights(instance, t):
@@ -1257,15 +1275,8 @@ def test_scale_time_matches_reference():
 def test_strict_ff_2_trials_match_stretched_two_arrival_draws(monkeypatch):
     # the suite draws each trial at arrivals {0, 1} with duration 2; the
     # reference draws it at {0, 1/2} with duration 1 and stretches it by 2
-    seen = []
-
-    def recording(instance, max_jobs):
-        seen.append(instance)
-
-    monkeypatch.setattr(analysis, "_strict_ff_2_failure", recording)
     for seed in range(7, 18):  # the default seed and ten more
-        seen.clear()
-        assert analysis.suite_strict_ff_2(seed=seed).passed
+        seen = recorded_trials(monkeypatch, "strict-ff-2", seed=seed)
         assert len(seen) == 500
         for trial, instance in enumerate(seen):
             trial_seed = seed * 1_000_003 + trial
