@@ -729,7 +729,6 @@ _WEIGHT_T_VALUES = (Fraction(1, 28), Fraction(1, 4), Fraction(1, 2), Fraction(3,
 
 
 def _weights_failure(instance: Instance, reference=None) -> Optional[dict]:
-    """The weight ledger's first broken rule, at t the instance's last start."""
     if reference is None:
         reference = brute_force_opt(instance, max_jobs=_UNIFORM_N_RANGE[1]).schedule
     t = max(jb.start for jb in instance.jobs)
@@ -741,24 +740,24 @@ def suite_weights(trials: int = 200, seed: int = 104729) -> SuiteResult:
     """The weight ledger holds on ggu(6, 1/2) and on sampled uniform instances."""
     _check_at_least("trials", trials, 1)
     ggu, certificate = ggu_extended(6, Fraction(1, 2))
+    ggu_case = [({"case": "ggu k=6 t=1/2"}, ggu)]
 
-    def source():
-        yield {"case": "ggu k=6 t=1/2"}, ggu
+    def sampled():
         for trial in range(trials):
             t = _WEIGHT_T_VALUES[trial % len(_WEIGHT_T_VALUES)]
             first_seed = seed * 1_000_003 + trial * 10_007
             instance, _, used_seed = find_uniform_two_arrival(t, first_seed)
             yield {"trial": trial, "seed": used_seed, "t": format_rational(t)}, instance
 
-    def check(instance):
-        return _weights_failure(instance, certificate if instance is ggu else None)
-
-    settings = {"trials": trials, "seed": seed}
-    return _first_failure(source(), check) or SuiteResult(True, settings)
+    # too large to search, ggu(6, 1/2) is weighed against its certificate
+    return (
+        _first_failure(ggu_case, lambda case: _weights_failure(case, certificate))
+        or _first_failure(sampled(), _weights_failure)
+        or SuiteResult(True, {"trials": trials, "seed": seed})
+    )
 
 
 def _layers_failure(instance: Instance) -> Optional[dict]:
-    """The layer claims that fail, k the jobs at 0 and l the last start."""
     k = sum(jb.start == 0 for jb in instance.jobs)
     level_count = int(max(jb.start for jb in instance.jobs))
     trace = first_fit(instance)

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from functools import partial
 from fractions import Fraction
 from inspect import Parameter, signature
 from pathlib import Path
@@ -279,14 +280,7 @@ def _plant_zero_ceilings(monkeypatch):
     )
 
 
-def _strict_ff_2_check(instance):
-    return analysis._strict_ff_2_failure(instance, 8)
-
-
-def _ggu_check(instance):
-    # too large to search, ggu(6, 1/2) is weighed against its certificate
-    return analysis._weights_failure(instance, ggu_extended(6, Fraction(1, 2))[1])
-
+_strict_ff_2_check = partial(analysis._strict_ff_2_failure, max_jobs=8)
 
 # The details that locate a failing trial rather than describe its failure
 LOCATOR_KEYS = {"trial", "seed", "t", "case", "k", "l"}
@@ -326,7 +320,8 @@ FAILING_SUITES = {
     "weights ggu": (
         "weights", {"trials": 2},
         lambda mp: mp.setattr(analysis, "IGNORED_BUDGET", -1),
-        _ggu_check, {"case", "reason"},
+        partial(analysis._weights_failure, reference=ggu_extended(6, Fraction(1, 2))[1]),
+        {"case", "reason"},
         {"case": "ggu k=6 t=1/2", "reason": "0 servers below weight 1+t (budget -1)"},
     ),
     "weights sampled": (
