@@ -84,6 +84,7 @@ from .optimal import (
     active_ceil_bound,
     arrival_ceiling_profile,
     brute_force_opt,
+    interval_floor,
     lower_bounds,
     verify_certificate,
 )

@@ -44,7 +44,12 @@ from .model import (
     require_shape,
     utilization,
 )
-from .optimal import arrival_ceiling_profile, brute_force_opt, verify_certificate
+from .optimal import (
+    arrival_ceiling_profile,
+    brute_force_opt,
+    interval_floor,
+    verify_certificate,
+)
 
 T_MIN = Fraction(1, 28)
 
@@ -680,15 +685,25 @@ def suite_nextfit_2t(
     return _first_failure(source, _nextfit_2t_failure) or SuiteResult(True, settings)
 
 
-def _strict_ff_2_failure(instance: Instance, max_jobs: int) -> Optional[dict]:
+def _strict_ff_2_failure(instance: Instance) -> Optional[dict]:
     trace = first_fit(instance)
     ff_cost = cost(trace.schedule)
-    opt = brute_force_opt(instance, max_jobs=max_jobs)
-    if ff_cost > 2 * opt.cost:
-        return {
-            "reason": f"firstfit cost {format_rational(ff_cost)} exceeds twice "
-            f"the optimum {format_rational(opt.cost)}"
-        }
+    floor = interval_floor(instance)
+    if ff_cost > 2 * floor:
+        # the floor does not settle it: search, within the search's own limit
+        try:
+            opt = brute_force_opt(instance).cost
+        except ValueError as error:
+            return {
+                "reason": f"unsettled: firstfit cost {format_rational(ff_cost)} "
+                f"exceeds twice the interval floor {format_rational(floor)}, "
+                f"and {error}"
+            }
+        if ff_cost > 2 * opt:
+            return {
+                "reason": f"firstfit cost {format_rational(ff_cost)} exceeds twice "
+                f"the optimum {format_rational(opt)}"
+            }
     part = server_type_partition(trace)
     k1, k2, k3 = part.counts
     if ff_cost != 2 * k1 + 3 * k2 + 2 * k3:
@@ -709,7 +724,12 @@ def suite_strict_ff_2(
 ) -> SuiteResult:
     """FirstFit stays within twice the optimum, arrivals {0, 1}, duration 2.
 
-    Also checks the server-type cost split and both mass inequalities 2*A > k.
+    A trial is settled by FirstFit's cost at most twice ``interval_floor``,
+    a lower bound on the optimum, and searched by ``brute_force_opt`` only
+    when that fails.  ``max_jobs`` bounds the trials' job counts, not the
+    search: a trial the floor leaves open past the search's own limit of 10
+    jobs fails as unsettled.  Every trial also checks the server-type cost
+    split and both mass inequalities 2*A > k.
     Trial seed s draws n by ``random.Random(s).randint(2, max_jobs)`` and
     then random_two_arrival's n draws, both from one seeding through
     ``_grid_trial``.  The run builds each distinct job once, in one table
@@ -721,7 +741,7 @@ def suite_strict_ff_2(
     jobs = _GridJobs(12, _STRICT_WINDOWS.__getitem__)
     return _first_failure(
         _grid_trials(trials, seed, layout, jobs),
-        lambda instance: _strict_ff_2_failure(instance, max_jobs),
+        _strict_ff_2_failure,
     ) or SuiteResult(True, {"trials": trials, "max_jobs": max_jobs, "seed": seed})
 
 

@@ -193,6 +193,86 @@ def _bits(mask: int):
         mask ^= low
 
 
+def interval_floor(instance: Instance) -> Fraction:
+    """A lower bound on the optimum: the integral over time of a bin-packing
+    floor of the sizes active at each moment.
+
+    Why it is a floor: a server holds its jobs active at a time t within
+    capacity 1, and it is rented at t, so at least BP(t) servers are rented
+    at t, where BP(t) is the bin-packing number of the sizes active at t.
+    Every schedule's cost is the integral of its rented-server count, so it
+    is at least the integral of BP(t).  Between consecutive event times the
+    active sizes do not change, and on each such interval this takes
+    max(ceil(mass), L2) in place of BP, which is at most BP.  ceil(mass) is
+    the MinUsageTime bound of Li, Tang and Cai (SPAA 2014), and L2 the
+    bound of Martello and Toth (1990), under which, for 0 <= alpha <= C/2,
+    each size above C/2 needs a bin of its own, no size of at least alpha
+    fits beside one above C - alpha, and the sizes in [alpha, C/2] fill the
+    room beside those in (C/2, C - alpha] before they open a bin.  Between
+    two sizes of at most C/2 the sizes in [alpha, C/2] stay the same and the
+    count never falls as alpha rises, so its maximum over [0, C/2] is at
+    alpha = 0 or at an active size of at most C/2.  At alpha = 0 it is
+    max(#sizes above C/2, ceil(mass)).
+
+    One sweep over the sorted distinct lattice event times keeps the active
+    sizes as counts per lattice size; masses, bins and interval lengths are
+    ints, and only the result is a ``Fraction``.
+    """
+    require_valid(instance)
+    lat = instance.lattice
+    capacity = lat.capacity
+    entering: dict[int, list[int]] = {}
+    leaving: dict[int, list[int]] = {}
+    for size, start, finish in zip(lat.sizes, lat.starts, lat.finishes):
+        entering.setdefault(start, []).append(size)
+        leaving.setdefault(finish, []).append(size)
+    active: dict[int, int] = {}  # lattice size -> active jobs of that size
+    total = bins = last = 0
+    for t in sorted(entering.keys() | leaving.keys()):
+        total += bins * (t - last)
+        for size in leaving.get(t, ()):
+            if active[size] == 1:
+                del active[size]
+            else:
+                active[size] -= 1
+        for size in entering.get(t, ()):
+            active[size] = active.get(size, 0) + 1
+        bins = _bin_floor(active, capacity)
+        last = t
+    return Fraction(total, lat.unit)
+
+
+def _bin_floor(active: dict[int, int], capacity: int) -> int:
+    """max(ceil(mass), L2) of the sizes that ``active`` counts, in bins of
+    ``capacity``.
+
+    alpha runs up over the sizes of at most half the capacity.  As it
+    rises, the big sizes above ``capacity - alpha`` stop leaving room for
+    the small ones, largest first, and the small mass to place drops the
+    sizes below alpha.
+    """
+    small: list[tuple[int, int]] = []  # (size, count), ascending
+    big: list[tuple[int, int]] = []
+    big_count = room = rest = 0  # room: left beside the big sizes
+    for size, count in sorted(active.items()):
+        if 2 * size <= capacity:
+            small.append((size, count))
+            rest += size * count
+        else:
+            big.append((size, count))
+            big_count += count
+            room += (capacity - size) * count
+    mass = big_count * capacity - room + rest
+    best = max(big_count, -(-mass // capacity))
+    for alpha, count in small:
+        while big and big[-1][0] + alpha > capacity:
+            size, n = big.pop()
+            room -= (capacity - size) * n
+        best = max(best, big_count - (room - rest) // capacity)
+        rest -= alpha * count
+    return best
+
+
 def active_ceil_bound(instance: Instance, t: Fraction) -> int:
     """Ceiling of the size mass arriving in (t-1, t]; needs unit durations.
 

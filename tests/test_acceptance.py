@@ -106,9 +106,9 @@ def test_criterion_5_strict_firstfit_within_twice_optimum():
     report(
         5,
         ok,
-        f"firstfit stays within twice the exact optimum and the type-1 and "
-        f"mixed-server mass inequalities hold on {trials} duration-2 instances "
-        f"({elapsed:.1f}s)",
+        f"firstfit stays within twice the optimum (interval floor, exact search "
+        f"where it fails) and the type-1 and mixed-server mass inequalities "
+        f"hold on {trials} duration-2 instances ({elapsed:.1f}s)",
     )
 
 

@@ -280,7 +280,15 @@ def _plant_zero_ceilings(monkeypatch):
     )
 
 
-_strict_ff_2_check = partial(analysis._strict_ff_2_failure, max_jobs=8)
+def _plant_zero_floor(monkeypatch):
+    # FirstFit's cost then always exceeds twice the floor, so every trial searches
+    monkeypatch.setattr(analysis, "interval_floor", lambda instance: Fraction(0))
+
+
+def _plant_low_opt(monkeypatch):
+    _plant_zero_floor(monkeypatch)
+    _plant(monkeypatch, "brute_force_opt", cost=lambda r: r.cost / 3)
+
 
 # The details that locate a failing trial rather than describe its failure
 LOCATOR_KEYS = {"trial", "seed", "t", "case", "k", "l"}
@@ -292,27 +300,33 @@ FAILING_SUITES = {
         NEXTFIT_KEYS, {"trial": 0},
     ),
     "strict-ff-2 above twice opt": (
-        "strict-ff-2", {"trials": 5},
-        lambda mp: _plant(mp, "brute_force_opt", cost=lambda r: r.cost / 3),
-        _strict_ff_2_check, STRICT_KEYS,
+        "strict-ff-2", {"trials": 5}, _plant_low_opt,
+        analysis._strict_ff_2_failure, STRICT_KEYS,
         {"trial": 0, "reason": "firstfit cost 4 exceeds twice the optimum 4/3"},
+    ),
+    # trials 0 and 1 are searched and pass; trial 2 has 13 jobs
+    "strict-ff-2 unsettled": (
+        "strict-ff-2", {"trials": 5, "max_jobs": 14}, _plant_zero_floor,
+        analysis._strict_ff_2_failure, STRICT_KEYS,
+        {"trial": 2, "reason": "unsettled: firstfit cost 21 exceeds twice the "
+         "interval floor 0, and 13 jobs exceeds brute-force limit of 10"},
     ),
     "strict-ff-2 cost split": (
         "strict-ff-2", {"trials": 5},
         lambda mp: _plant(mp, "server_type_partition", type3=lambda p: (*p.type3, None)),
-        _strict_ff_2_check, STRICT_KEYS,
+        analysis._strict_ff_2_failure, STRICT_KEYS,
         {"trial": 0, "reason": "cost does not decompose as 2*k1 + 3*k2 + 2*k3"},
     ),
     "strict-ff-2 type-1 mass": (
         "strict-ff-2", {"trials": 20},
         lambda mp: _plant(mp, "server_type_partition", start0_mass_type1=lambda p: 0),
-        _strict_ff_2_check, STRICT_KEYS,
+        analysis._strict_ff_2_failure, STRICT_KEYS,
         {"trial": 2, "reason": "type-1 first-arrival mass fails 2*A > k"},
     ),
     "strict-ff-2 type-2 mass": (
         "strict-ff-2", {"trials": 20},
         lambda mp: _plant(mp, "server_type_partition", start0_mass_type2=lambda p: 0),
-        _strict_ff_2_check, STRICT_KEYS,
+        analysis._strict_ff_2_failure, STRICT_KEYS,
         {"trial": 10, "reason": "type-2 first-arrival mass fails 2*A > k"},
     ),
     # ggu(6, 1/2) leaves no FirstFit server below weight 1+t, and the
