@@ -1766,6 +1766,15 @@ def test_interval_floor_sits_between_reference_bounds():
         check_interval_floor(instance)
 
 
+def test_interval_floor_refuses_invalid_instances():
+    for instance in invalid_instances():
+        with pytest.raises(ValueError) as caught:
+            interval_floor(instance)
+        with pytest.raises(ValueError) as expected:
+            require_valid(instance)
+        assert str(caught.value) == str(expected.value)
+
+
 def test_interval_floor_scales_with_time():
     for instance in floor_instances():
         floor = interval_floor(instance)
