@@ -28,6 +28,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from operator import gt
 from pathlib import Path
 from typing import Iterable, Sequence, Union
@@ -295,18 +296,46 @@ def utilization(instance: Instance) -> Fraction:
 def span(instance: Instance) -> Fraction:
     """Total length of time during which at least one job is active."""
     lat = instance.lattice
-    total = 0
-    cur_start = cur_end = None
-    for s, f in sorted(zip(lat.starts, lat.finishes)):
-        if cur_end is None or s > cur_end:
-            if cur_end is not None:
-                total += cur_end - cur_start
-            cur_start, cur_end = s, f
-        elif f > cur_end:
-            cur_end = f
-    if cur_end is not None:
-        total += cur_end - cur_start
+    total = sum(f - s for s, f in _segments(zip(lat.starts, lat.finishes)))
     return Fraction(total, lat.unit)
+
+
+def _segments(intervals: Iterable[tuple[int, int]]):
+    """The disjoint union of (start, finish) lattice intervals, in time
+    order; an interval with finish <= start is never active and skipped."""
+    start = end = None
+    for s, f in sorted(intervals):
+        if f <= s:
+            continue  # never active
+        if end is None or s > end:
+            if end is not None:
+                yield start, end
+            start, end = s, f
+        elif f > end:
+            end = f
+    if end is not None:
+        yield start, end
+
+
+def _active_sizes(lattice: Lattice):
+    """(t, active) at each sorted distinct lattice event time t, where
+    ``active``, one dict updated in place, counts by lattice size the jobs
+    running on [t, next event).  Every job must finish after it starts."""
+    entering: dict[int, list[int]] = {}
+    leaving: dict[int, list[int]] = {}
+    for size, start, finish in zip(lattice.sizes, lattice.starts, lattice.finishes):
+        entering.setdefault(start, []).append(size)
+        leaving.setdefault(finish, []).append(size)
+    active: dict[int, int] = {}
+    for t in sorted(entering.keys() | leaving.keys()):
+        for size in leaving.get(t, ()):
+            if active[size] == 1:
+                del active[size]
+            else:
+                active[size] -= 1
+        for size in entering.get(t, ()):
+            active[size] = active.get(size, 0) + 1
+        yield t, active
 
 
 def mu(instance: Instance) -> Fraction:
@@ -387,31 +416,19 @@ def cost(schedule: Schedule) -> Fraction:
 def _active_counts(schedule: Schedule) -> list[tuple[int, int]]:
     """(lattice time, active-server count) at every lattice event time.
 
-    Each server's job intervals are merged into disjoint segments, each
-    segment adds +1 at its start and -1 at its end, and a running sum of
-    those deltas over the event times gives the count.
+    Each server's ``_segments`` add +1 at their starts and -1 at their
+    ends, and a running sum of those deltas over the event times gives the
+    count.
     """
     lat = schedule.instance.lattice
     starts, finishes = lat.starts, lat.finishes
     delta: dict[int, int] = {}
     for server in schedule.servers:
-        segments: list[list[int]] = []
-        for s, f in sorted((starts[i], finishes[i]) for i in server.job_indices):
-            if s >= f:
-                continue  # never active
-            if segments and s <= segments[-1][1]:
-                segments[-1][1] = max(segments[-1][1], f)
-            else:
-                segments.append([s, f])
-        for s, f in segments:
+        for s, f in _segments((starts[i], finishes[i]) for i in server.job_indices):
             delta[s] = delta.get(s, 0) + 1
             delta[f] = delta.get(f, 0) - 1
-    profile = []
-    count = 0
-    for t in sorted({*starts, *finishes}):
-        count += delta.get(t, 0)
-        profile.append((t, count))
-    return profile
+    times = sorted({*starts, *finishes})
+    return list(zip(times, accumulate(delta.get(t, 0) for t in times)))
 
 
 def active_count_profile(schedule: Schedule) -> list[tuple[Fraction, int]]:
@@ -426,11 +443,10 @@ def active_count_integral(schedule: Schedule) -> Fraction:
     Equals cost(schedule) exactly when no server has an idle gap inside its
     rental window; in general cost is at least this integral.
     """
-    profile = active_count_profile(schedule)
-    total = Fraction(0)
-    for (left, count), (right, _) in zip(profile, profile[1:]):
-        total += count * (right - left)
-    return total
+    profile = _active_counts(schedule)
+    pairs = zip(profile, profile[1:])
+    total = sum(count * (right - left) for (left, count), (right, _) in pairs)
+    return Fraction(total, schedule.instance.lattice.unit)
 
 
 def make_schedule(instance: Instance, groups: Sequence[Sequence[int]]) -> Schedule:

@@ -28,11 +28,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 from .model import (
     Instance,
     InfeasibleScheduleError,
     Schedule,
+    _active_sizes,
     arrival_mass,
     as_rational,
     check_schedule,
@@ -214,30 +216,16 @@ def interval_floor(instance: Instance) -> Fraction:
     alpha = 0 or at an active size of at most C/2.  At alpha = 0 it is
     max(#sizes above C/2, ceil(mass)).
 
-    One sweep over the sorted distinct lattice event times keeps the active
-    sizes as counts per lattice size; masses, bins and interval lengths are
-    ints, and only the result is a ``Fraction``.
+    It reads ``model._active_sizes``, the active sizes counted per lattice
+    size at each event time; masses, bins and interval lengths are ints,
+    and only the result is a ``Fraction``.
     """
     require_valid(instance)
     lat = instance.lattice
-    capacity = lat.capacity
-    entering: dict[int, list[int]] = {}
-    leaving: dict[int, list[int]] = {}
-    for size, start, finish in zip(lat.sizes, lat.starts, lat.finishes):
-        entering.setdefault(start, []).append(size)
-        leaving.setdefault(finish, []).append(size)
-    active: dict[int, int] = {}  # lattice size -> active jobs of that size
     total = bins = last = 0
-    for t in sorted(entering.keys() | leaving.keys()):
+    for t, active in _active_sizes(lat):
         total += bins * (t - last)
-        for size in leaving.get(t, ()):
-            if active[size] == 1:
-                del active[size]
-            else:
-                active[size] -= 1
-        for size in entering.get(t, ()):
-            active[size] = active.get(size, 0) + 1
-        bins = _bin_floor(active, capacity)
+        bins = _bin_floor(active, lat.capacity)
         last = t
     return Fraction(total, lat.unit)
 
@@ -288,25 +276,18 @@ def active_ceil_bound(instance: Instance, t: Fraction) -> int:
 def arrival_ceiling_profile(instance: Instance) -> list[int]:
     """active_ceil_bound(instance, t) for every t in event_times, in one sweep.
 
-    On the instance's lattice capacity 1 is ``capacity`` and a unit of time
-    is ``unit``, so each finish is its start plus ``unit``.  Two pointers
-    over the sorted starts keep the integer mass arriving in (t-1, t].
+    Under unit durations the jobs arriving in (t-1, t] are those active at
+    t, so on the instance's lattice the mass is a running sum of +size at
+    each start and -size at each finish over the sorted event times.
     """
     require_shape(instance, 1)
     lat = instance.lattice
-    capacity, unit = lat.capacity, lat.unit
-    arrivals = sorted(zip(lat.starts, lat.sizes))
-    ceilings = []
-    mass = entered = left = 0
-    for t in sorted({*lat.starts, *lat.finishes}):
-        while entered < len(arrivals) and arrivals[entered][0] <= t:
-            mass += arrivals[entered][1]
-            entered += 1
-        while left < entered and arrivals[left][0] <= t - unit:
-            mass -= arrivals[left][1]
-            left += 1
-        ceilings.append(-(-mass // capacity))
-    return ceilings
+    delta: dict[int, int] = {}  # lattice time -> change in active mass
+    for size, start, finish in zip(lat.sizes, lat.starts, lat.finishes):
+        delta[start] = delta.get(start, 0) + size
+        delta[finish] = delta.get(finish, 0) - size
+    masses = accumulate(map(delta.__getitem__, sorted(delta)))
+    return [-(-mass // lat.capacity) for mass in masses]
 
 
 def verify_certificate(instance: Instance, claimed: Schedule) -> Fraction:

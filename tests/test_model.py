@@ -165,6 +165,12 @@ def test_span_merges_intervals():
     assert span(Instance(())) == 0
 
 
+def test_span_ignores_never_active_jobs():
+    # a job whose finish is not after its start adds no time
+    assert span(make_instance([(F(1, 2), 5, 4)])) == 0
+    assert span(make_instance([(F(1, 2), 2, 1), (F(1, 2), 3, 4)])) == 1
+
+
 def test_mu_duration_ratio():
     # max/min duration ratio; equal-length jobs give exactly 1
     assert mu(make_instance([(F(1, 2), 0, 2), (F(1, 3), 1, 3)])) == 1

@@ -189,8 +189,10 @@ def reference_utilization(instance):
 
 
 def reference_span(instance):
+    # a job whose finish is not after its start is never active
+    active = [(jb.start, jb.finish) for jb in instance.jobs if jb.start < jb.finish]
     total, cur = F(0), None
-    for s, f in sorted((jb.start, jb.finish) for jb in instance.jobs):
+    for s, f in sorted(active):
         if cur is None or s > cur[1]:
             if cur is not None:
                 total += cur[1] - cur[0]
@@ -983,6 +985,16 @@ def test_instance_checks_and_measures_match_reference():
     assert len(rules) == 5
     for instance in arbitrary_instances():
         check_instance_measures(instance)
+
+
+def test_span_is_the_active_time_of_one_server():
+    # span and active_count_integral read one segment merge: one server
+    # holding every job is active exactly on the span, never-active jobs
+    # adding nothing to either
+    for instance in (Instance(()), *invalid_instances(), *arbitrary_instances()):
+        n = len(instance.jobs)
+        schedule = make_schedule(instance, [list(range(n))] if n else [])
+        assert span(instance) == active_count_integral(schedule)
 
 
 def test_fast_paths_match_reference_on_generated_instances():
