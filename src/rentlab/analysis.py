@@ -24,8 +24,8 @@ from typing import Optional
 from .algorithms import AlgorithmTrace, first_fit, next_fit, server_type_partition
 from .generators import (
     _COIN_KEY,
-    _GridJobs,
     _equal_duration_jobs,
+    _grid_job_table,
     _grid_jobs,
     _grid_trial,
     _randint_key,
@@ -544,8 +544,8 @@ def find_uniform_two_arrival(t, seed: int):
         draws = _grid_trial(cand_seed, layout)
         if _uniform_first_fit(draws, _UNIFORM_SIZE_GRID):
             windows = ((Fraction(0), Fraction(1)), (t, t + 1))
-            jobs = _GridJobs(_UNIFORM_SIZE_GRID, windows.__getitem__)
-            instance = _grid_jobs(draws, jobs)
+            job = _grid_job_table(_UNIFORM_SIZE_GRID, windows.__getitem__)
+            instance = _grid_jobs(draws, job)
             return instance, first_fit(instance), cand_seed
     raise RuntimeError(
         f"no uniform-server instance found in {_UNIFORM_MAX_ATTEMPTS} attempts"
@@ -629,12 +629,12 @@ def _first_failure(trials, check) -> Optional[SuiteResult]:
     return None
 
 
-def _grid_trials(trials: int, seed: int, layout, jobs: _GridJobs):
+def _grid_trials(trials: int, seed: int, layout, job):
     """Trial i's locator and instance, drawn from ``seed * 1_000_003 + i``."""
     for trial in range(trials):
         trial_seed = seed * 1_000_003 + trial
         draws = _grid_trial(trial_seed, layout)
-        yield {"trial": trial, "seed": trial_seed}, _grid_jobs(draws, jobs)
+        yield {"trial": trial, "seed": trial_seed}, _grid_jobs(draws, job)
 
 
 def suite_recurrence(n: int = 200) -> SuiteResult:
@@ -679,9 +679,9 @@ def suite_nextfit_2t(
     _check_at_least("max_jobs", max_jobs, 1)
     size_grid, start_grid, horizon = _NEXTFIT_GRIDS
     layout = _trial_layout(1, max_jobs, size_grid, _randint_key(horizon * start_grid))
-    jobs = _equal_duration_jobs(size_grid, start_grid)
+    job = _equal_duration_jobs(size_grid, start_grid)
     settings = {"trials": trials, "max_jobs": max_jobs, "seed": seed}
-    source = _grid_trials(trials, seed, layout, jobs)
+    source = _grid_trials(trials, seed, layout, job)
     return _first_failure(source, _nextfit_2t_failure) or SuiteResult(True, settings)
 
 
@@ -738,9 +738,9 @@ def suite_strict_ff_2(
     _check_at_least("trials", trials, 1)
     _check_at_least("max_jobs", max_jobs, 2)
     layout = _trial_layout(2, max_jobs, 12, _COIN_KEY)
-    jobs = _GridJobs(12, _STRICT_WINDOWS.__getitem__)
+    job = _grid_job_table(12, _STRICT_WINDOWS.__getitem__)
     return _first_failure(
-        _grid_trials(trials, seed, layout, jobs),
+        _grid_trials(trials, seed, layout, job),
         _strict_ff_2_failure,
     ) or SuiteResult(True, {"trials": trials, "max_jobs": max_jobs, "seed": seed})
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 import random
 import struct
 from fractions import Fraction
+from functools import cache
 from inspect import Parameter, signature
+from itertools import starmap
 from operator import itemgetter
 
 from .model import Instance, Job, Schedule, as_rational, make_schedule
@@ -156,40 +158,27 @@ def nf_nemesis(n_pairs_half: int) -> Instance:
     return Instance(tuple(jobs))
 
 
-class _GridJobs(dict):
-    """``Job``s by ``(size * size_grid, key)`` draw, each built on its first
-    lookup: ``Fraction(size, size_grid)`` over the ``(start, finish)`` that
+def _grid_job_table(size_grid: int, window_at):
+    """The ``Job`` of a ``(size * size_grid, key)`` draw, built on its first
+    call: ``Fraction(size, size_grid)`` over the ``(start, finish)`` that
     ``window_at(key)`` returns.
 
     The table keeps one Fraction per size and one window per key, so every
     job it builds shares them, and every instance drawn through it holds one
     ``Job``, and so one lattice row, per distinct draw.
     """
-
-    def __init__(self, size_grid: int, window_at):
-        super().__init__()
-        self.size_grid = size_grid
-        self.window_at = window_at
-        self.sizes: dict[int, Fraction] = {}
-        self.windows: dict = {}
-
-    def __missing__(self, draw: tuple[int, int]) -> Job:
-        size, key = draw
-        sizes, windows = self.sizes, self.windows
-        if size not in sizes:
-            sizes[size] = Fraction(size, self.size_grid)
-        if key not in windows:
-            windows[key] = self.window_at(key)
-        job = self[draw] = Job(sizes[size], *windows[key])
-        return job
+    size_at = cache(lambda size: Fraction(size, size_grid))
+    window_at = cache(window_at)
+    return cache(lambda size, key: Job(size_at(size), *window_at(key)))
 
 
-def _grid_jobs(draws: list[tuple[int, int]], jobs: _GridJobs) -> Instance:
+def _grid_jobs(draws: list[tuple[int, int]], job) -> Instance:
     """The jobs of ``(size * size_grid, key)`` draws, looked up in the table
-    ``jobs`` and stably sorted by the int ``key`` (starts rise with ``key``).
+    ``job`` and stably sorted by the int ``key`` (starts rise with ``key``).
     """
     draws.sort(key=itemgetter(1))
-    return Instance(tuple([jobs[draw] for draw in draws]))
+    # through a list: a tuple built from an iterator is resized as it grows
+    return Instance(tuple(list(starmap(job, draws))))
 
 
 def random_two_arrival(n: int, t, seed: int, size_grid: int = 12) -> Instance:
@@ -205,14 +194,9 @@ def random_two_arrival(n: int, t, seed: int, size_grid: int = 12) -> Instance:
         raise ValueError("size_grid must be at least 1")
     t = second_arrival(t)
     windows = ((Fraction(0), Fraction(1)), (t, t + 1))
-    jobs = _GridJobs(size_grid, windows.__getitem__)
-    return _grid_jobs(_two_arrival_draws(n, seed, size_grid), jobs)
-
-
-def _two_arrival_draws(n: int, seed: int, size_grid: int) -> list[tuple[int, bool]]:
-    """random_two_arrival's draws in order: (size * size_grid, arrives at t)."""
     rng = random.Random(seed)
-    return [(rng.randint(1, size_grid), rng.random() >= 0.5) for _ in range(n)]
+    draws = [(rng.randint(1, size_grid), rng.random() >= 0.5) for _ in range(n)]
+    return _grid_jobs(draws, _grid_job_table(size_grid, windows.__getitem__))
 
 
 # A trial's first block of Mersenne Twister words; each later one is twice as long
@@ -302,9 +286,9 @@ def _grid_trial(seed: int, layout: tuple) -> list[tuple[int, int]]:
             block = struct.Struct(f"<{block.size // 2}I")
 
 
-def _equal_duration_jobs(size_grid: int, start_grid: int) -> _GridJobs:
+def _equal_duration_jobs(size_grid: int, start_grid: int):
     """random_equal_duration's table: key k starts at k/start_grid, for one unit."""
-    return _GridJobs(
+    return _grid_job_table(
         size_grid,
         lambda key: (Fraction(key, start_grid), Fraction(key + start_grid, start_grid)),
     )

@@ -27,7 +27,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate
 from operator import gt
 from pathlib import Path
@@ -61,17 +61,6 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(int(numerator), int(denominator or 1))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator: {text!r}") from None
-
-
-class _Rationals(dict):
-    """``parse_rational`` by text, each distinct text parsed once.
-
-    A text that fails to parse raises at every lookup and is never stored.
-    """
-
-    def __missing__(self, text: str) -> Fraction:
-        value = self[text] = parse_rational(text)
-        return value
 
 
 def format_rational(value: Fraction) -> str:
@@ -602,7 +591,7 @@ def parse_instance(text: str) -> Instance:
     """
     jobs = []
     parsed: dict[str, Job] = {}
-    values = _Rationals()
+    rational = cache(parse_rational)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         job = parsed.get(line)
@@ -615,7 +604,7 @@ def parse_instance(text: str) -> Instance:
                     f"line {lineno}: expected 'size start finish', got {raw!r}"
                 )
             try:
-                size, start, finish = map(values.__getitem__, fields)
+                size, start, finish = map(rational, fields)
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
             job = parsed[line] = Job(size, start, finish)
@@ -661,11 +650,11 @@ def schedule_to_dict(schedule: Schedule) -> dict:
     }
 
 
-def _server_from_entry(k: int, entry, parsed: _Rationals) -> Server:
+def _server_from_entry(k: int, entry, rational) -> Server:
     """Server entry k of a stored schedule; refuses a field of the wrong type.
 
-    ``parsed`` is shared by the entries, so a window text that many of them
-    hold is parsed once.
+    ``rational``, a cached ``parse_rational``, is shared by the entries, so
+    a window text that many of them hold is parsed once.
     """
     try:
         sid, indices = entry["id"], entry["jobs"]
@@ -687,7 +676,7 @@ def _server_from_entry(k: int, entry, parsed: _Rationals) -> Server:
         if type(text) is not str:
             raise ValueError(f"server entry {k}: {name} {text!r} is not a string")
         try:
-            times.append(parsed[text])
+            times.append(rational(text))
         except ValueError as exc:
             raise ValueError(f"server entry {k}: {name}: {exc}") from None
     return Server(sid, tuple(indices), *times)
@@ -705,9 +694,9 @@ def schedule_from_dict(instance: Instance, data: dict) -> Schedule:
     entries = data.get("servers") if isinstance(data, dict) else None
     if type(entries) is not list:
         raise ValueError("schedule must be an object with a 'servers' list")
-    parsed = _Rationals()
+    rational = cache(parse_rational)
     servers = tuple(
-        _server_from_entry(k, entry, parsed) for k, entry in enumerate(entries)
+        _server_from_entry(k, entry, rational) for k, entry in enumerate(entries)
     )
     n = len(instance.jobs)
     covered = [False] * n

@@ -86,7 +86,7 @@ from rentlab import (
     verify_certificate,
     write_schedule,
 )
-from rentlab import analysis, generators
+from rentlab import analysis, generators, model
 from rentlab.algorithms import (
     AlgorithmTrace,
     Decision,
@@ -110,7 +110,6 @@ from rentlab.generators import (
     _grid_trial,
     _randint_key,
     _trial_layout,
-    _two_arrival_draws,
     ggu_extended,
     long_uniform,
     nf_nemesis,
@@ -315,7 +314,8 @@ def reference_trial(seed, low=4, high=8, size_grid=12):
     """A two-arrival trial's draws from two seedings: the job count on one,
     random_two_arrival's draws on the other.  The sampler's range is (4, 8)."""
     n = random.Random(seed).randint(low, high)
-    return _two_arrival_draws(n, seed, size_grid)
+    rng = random.Random(seed)
+    return [(rng.randint(1, size_grid), rng.random() >= 0.5) for _ in range(n)]
 
 
 def reference_equal_duration_trial(seed, high):
@@ -1228,6 +1228,46 @@ def test_suite_runs_share_jobs_across_trials(monkeypatch):
         rows = [jb for instance in seen for jb in instance.jobs]
         assert len(rows) > 4 * len(set(rows))  # rows recur across trials
         assert_shared_rows(Instance(tuple(rows)))
+
+
+def test_texts_and_grid_jobs_are_built_once(monkeypatch):
+    # one parse per distinct text, across lines and across server entries,
+    # and one Job per distinct (size, key) draw of a suite run
+    texts = []
+
+    def counting_parse(text):
+        texts.append(text)
+        return parse_rational(text)
+
+    monkeypatch.setattr(model, "parse_rational", counting_parse)
+    instance = parse_instance(
+        "1/2 0 1\n 1/2 0 1\n1/3 0 1/2\n1/3 1/2 3/2\n# c\n\n1/2 0 1\n"
+    )
+    assert sorted(texts) == ["0", "1", "1/2", "1/3", "3/2"]
+    assert len(instance.jobs) == 5
+    texts.clear()
+    entries = [
+        {"id": 0, "jobs": [0, 1], "open": "0", "close": "1"},
+        {"id": 1, "jobs": [2], "open": "0", "close": "1/2"},
+        {"id": 2, "jobs": [3], "open": "1/2", "close": "3/2"},
+        {"id": 3, "jobs": [4], "open": "0", "close": "1"},
+    ]
+    schedule = schedule_from_dict(instance, {"servers": entries})
+    assert sorted(texts) == ["0", "1", "1/2", "3/2"]
+    assert schedule.servers[3].close_time is schedule.servers[0].close_time
+
+    built = []
+
+    def counting_job(*fields):
+        built.append(fields)
+        return Job(*fields)
+
+    monkeypatch.setattr(generators, "Job", counting_job)
+    assert analysis.suite_strict_ff_2().passed
+    assert len(built) == 24  # 12 sizes x 2 windows
+    built.clear()
+    assert analysis.suite_nextfit_2t().passed
+    assert len(built) == 104  # 8 sizes x 13 start keys
 
 
 def test_passing_nextfit_2t_checks_build_no_fraction(monkeypatch):
