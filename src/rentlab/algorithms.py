@@ -27,10 +27,13 @@ in ``AlgorithmTrace.counters``.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import NamedTuple
+from itertools import accumulate
+from operator import gt
+from typing import NamedTuple, Optional
 
 from .model import Instance, Schedule, Server, require_shape, require_valid
 
@@ -45,9 +48,10 @@ class Decision(NamedTuple):
     NextFit's one open server counts as scanned for every job after the
     first, even once it has expired.
 
-    One is built per job, so it is a named tuple: half the cost of a frozen
-    dataclass, with the same repr.  It also equals the plain tuple of its
-    four values.
+    The kernel builds none: a trace's records are built from its columns
+    the first time they are read.  A named tuple is half the cost of a
+    frozen dataclass, with the same repr, and it also equals the plain
+    tuple of its four values.
     """
 
     job_index: int
@@ -56,10 +60,59 @@ class Decision(NamedTuple):
     servers_scanned: int
 
 
+class _Decisions(Sequence):
+    """A trace's decisions, kept as the kernel's two int columns.
+
+    The tuple of ``Decision`` records is built on first use and kept; the
+    view acts as that tuple under ``==`` (either way round), ``hash`` and
+    ``repr``, and its slices are tuples.  ``len`` builds nothing.  Server
+    ids are handed out in opening order, so job i opened its server
+    exactly when its id exceeds every earlier job's.  Two first reads that
+    race build equal tuples, so either may be kept.
+    """
+
+    __slots__ = ("_chosen", "_scanned", "_records")
+
+    def __init__(self, chosen: list[int], scanned: list[int]) -> None:
+        self._chosen, self._scanned = chosen, scanned
+        self._records: Optional[tuple[Decision, ...]] = None
+
+    def _built(self) -> tuple[Decision, ...]:
+        if self._records is None:
+            chosen = self._chosen
+            opened = map(gt, chosen, accumulate(chosen[:-1], max, initial=-1))
+            # the records take their fields in order: keyword calls cost more
+            self._records = tuple(
+                map(Decision, range(len(chosen)), chosen, opened, self._scanned)
+            )
+        return self._records
+
+    def __len__(self) -> int:
+        return len(self._chosen)
+
+    def __getitem__(self, index: int | slice):
+        return self._built()[index]
+
+    def __iter__(self) -> Iterator[Decision]:
+        return iter(self._built())
+
+    def __eq__(self, other: object) -> bool:
+        return self._built() == other
+
+    def __hash__(self) -> int:
+        return hash(self._built())
+
+    def __repr__(self) -> str:
+        return repr(self._built())
+
+
 @dataclass(frozen=True)
 class AlgorithmTrace:
     """The resulting schedule plus one decision record per job.
 
+    ``decisions`` is the kernel's lazy view (see ``_Decisions``), which
+    builds its records on first read, or any sequence of ``Decision``s,
+    such as a tuple; either way it compares as the tuple of its records.
     ``counters`` holds the kernel's work: ``index_rebuilds`` (the times an
     arrival outlived a candidate and the tree was rebuilt over the
     survivors), ``tree_steps`` (the tree depth, added once per job) and
@@ -67,7 +120,7 @@ class AlgorithmTrace:
     """
 
     schedule: Schedule
-    decisions: tuple[Decision, ...]
+    decisions: Sequence[Decision]
     counters: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
 
 
@@ -140,7 +193,6 @@ def _place(instance: Instance, keep_earlier: bool) -> AlgorithmTrace:
     earliest = math.inf
     rebuilds = steps = 0
     chosen: list[int] = []
-    opened: list[bool] = []
     scanned: list[int] = []
     for i, start in enumerate(starts):
         size, finish = sizes[i], finishes[i]
@@ -169,7 +221,6 @@ def _place(instance: Instance, keep_earlier: bool) -> AlgorithmTrace:
                     node += 1
             k = node - width
             sid = candidates[k]
-            opened.append(False)
             scanned.append(k + 1)
             value = free[sid] = free[sid] - size
             tree[node] = value
@@ -186,7 +237,6 @@ def _place(instance: Instance, keep_earlier: bool) -> AlgorithmTrace:
                 termination[sid] = finish
                 close_times[sid] = jobs[i].finish
         else:
-            opened.append(True)
             scanned.append(len(candidates))
             sid = len(free)
             value = capacity - size
@@ -221,8 +271,6 @@ def _place(instance: Instance, keep_earlier: bool) -> AlgorithmTrace:
         # NextFit's one open server counts as scanned even once expired; the
         # first job found no server, so its 0 stands
         scanned[1:] = [1] * (len(jobs) - 1)
-    # the records take their fields in order: keyword calls cost more
-    decisions = tuple(map(Decision, range(len(jobs)), chosen, opened, scanned))
     servers = tuple(
         map(Server, range(len(members)), map(tuple, members), open_times, close_times)
     )
@@ -231,7 +279,9 @@ def _place(instance: Instance, keep_earlier: bool) -> AlgorithmTrace:
         "tree_steps": steps,
         "servers_opened": len(servers),
     }
-    return AlgorithmTrace(Schedule(instance, servers), decisions, counters)
+    return AlgorithmTrace(
+        Schedule(instance, servers), _Decisions(chosen, scanned), counters
+    )
 
 
 def next_fit(instance: Instance) -> AlgorithmTrace:

@@ -389,7 +389,8 @@ def cost(schedule: Schedule) -> Fraction:
     """Total rented time: sum over servers of close - open.
 
     Window ends are summed as int numerators, one running sum per
-    denominator, so only one Fraction is built per distinct denominator.
+    denominator; those sums are then put over the lcm of the denominators,
+    so the one Fraction built is the result.
     """
     by_denominator: dict[int, int] = {}
     for srv in schedule.servers:
@@ -397,8 +398,9 @@ def cost(schedule: Schedule) -> Fraction:
         by_denominator[denominator] = by_denominator.get(denominator, 0) + numerator
         numerator, denominator = srv.open_time.as_integer_ratio()
         by_denominator[denominator] = by_denominator.get(denominator, 0) - numerator
-    return sum(
-        (Fraction(n, d) for d, n in by_denominator.items()), Fraction(0)
+    common = math.lcm(*by_denominator)
+    return Fraction(
+        sum(n * (common // d) for d, n in by_denominator.items()), common
     )
 
 

@@ -6,15 +6,19 @@ from fractions import Fraction
 import pytest
 
 from rentlab import (
+    algorithms,
+    analysis,
     check_schedule,
+    cli,
     cost,
     first_fit,
     make_instance,
     next_fit,
     scale_time,
     server_type_partition,
+    write_instance,
 )
-from rentlab.algorithms import AlgorithmTrace
+from rentlab.algorithms import AlgorithmTrace, Decision
 from rentlab.generators import (
     ggu_extended,
     long_uniform,
@@ -218,6 +222,49 @@ def test_counters_record_kernel_work_outside_equality():
         bare = AlgorithmTrace(trace.schedule, trace.decisions)
         assert bare.counters == {}
         assert bare == trace and repr(bare) == repr(trace)
+
+
+@pytest.fixture
+def decisions_built(monkeypatch):
+    """The job index of every Decision built while the test runs."""
+    built = []
+
+    class Counted(Decision):
+        __slots__ = ()
+
+        def __new__(cls, *fields):
+            built.append(fields[0])
+            return super().__new__(cls, *fields)
+
+    monkeypatch.setattr(algorithms, "Decision", Counted)
+    return built
+
+
+def test_run_and_verify_paths_build_no_decision(decisions_built, tmp_path):
+    path = tmp_path / "ggu.jobs"
+    write_instance(path, ggu_extended(6, F(1, 2))[0])
+    for alg in ("firstfit", "nextfit"):
+        out, schedule_out = tmp_path / f"{alg}.json", tmp_path / f"{alg}-schedule.json"
+        argv = ["run", "--alg", alg, "--in", str(path), "--out", str(out),
+                "--schedule-out", str(schedule_out)]
+        assert cli.main(argv) == 0
+    assert analysis.suite_nextfit_2t(trials=20).passed
+    assert analysis.suite_strict_ff_2(trials=20).passed
+    assert analysis.suite_weights(trials=4).passed
+    assert decisions_built == []
+
+
+def test_decisions_are_built_once_on_first_read(decisions_built):
+    inst = ggu_extended(6, F(1, 2))[0]
+    for policy in (first_fit, next_fit):
+        trace = policy(inst)
+        assert len(trace.decisions) == len(inst.jobs)
+        assert decisions_built == []
+        first = trace.decisions[0]
+        assert decisions_built == list(range(len(inst.jobs)))
+        decisions_built.clear()
+        assert trace.decisions[0] is first and len(list(trace.decisions)) == len(inst.jobs)
+        assert decisions_built == []
 
 
 # ---------------------------------------------------------------------------
