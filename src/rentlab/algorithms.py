@@ -316,6 +316,22 @@ class ServerTypePartition:
         return (len(self.type1), len(self.type2), len(self.type3))
 
 
+def _round_split(
+    members: Sequence[int], values: Sequence[int], starts: Sequence[int]
+) -> tuple[int, int, int, int]:
+    """``(first, n_first, rest, n_rest)`` for one server of the two-round
+    setting: ``values`` summed over the members of the first round (lattice
+    start 0) and over the rest, and how many members each round holds."""
+    first = rest = n_first = 0
+    for i in members:
+        if starts[i]:
+            rest += values[i]
+        else:
+            first += values[i]
+            n_first += 1
+    return first, n_first, rest, len(members) - n_first
+
+
 def server_type_partition(trace: AlgorithmTrace) -> ServerTypePartition:
     """Partition a trace's servers for the two-round, duration-2 setting."""
     instance = trace.schedule.instance
@@ -323,29 +339,19 @@ def server_type_partition(trace: AlgorithmTrace) -> ServerTypePartition:
     # every start is now 0 or 1, so a lattice start is 0 or unit; masses are
     # summed as lattice sizes and turned into Fractions at the end
     lat = instance.lattice
-    sizes, starts = lat.sizes, lat.starts
     type1, type2, type3 = [], [], []
     mass0_t1 = mass0_t2 = mass1 = 0
     for srv in trace.schedule.servers:
-        at0 = at1 = 0
-        has0 = has1 = False
-        for i in srv.job_indices:
-            if starts[i]:
-                at1 += sizes[i]
-                has1 = True
-            else:
-                at0 += sizes[i]
-                has0 = True
-        if has0 and has1:
+        at0, n0, at1, n1 = _round_split(srv.job_indices, lat.sizes, lat.starts)
+        if n0 and n1:
             type2.append(srv)
             mass0_t2 += at0
-            mass1 += at1
-        elif has0:
+        elif n0:
             type1.append(srv)
             mass0_t1 += at0
         else:
             type3.append(srv)
-            mass1 += at1
+        mass1 += at1
     return ServerTypePartition(
         type1=tuple(type1),
         type2=tuple(type2),

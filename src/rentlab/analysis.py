@@ -21,7 +21,13 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .algorithms import AlgorithmTrace, first_fit, next_fit, server_type_partition
+from .algorithms import (
+    AlgorithmTrace,
+    _round_split,
+    first_fit,
+    next_fit,
+    server_type_partition,
+)
 from .generators import (
     _COIN_KEY,
     _equal_duration_jobs,
@@ -148,14 +154,13 @@ def classify_servers(trace: AlgorithmTrace, t) -> list[ServerTypeInfo]:
     below-threshold rather than raising; the weight argument budgets for a
     bounded number of them.
     """
-    t = _check_two_arrival_uniform(trace, t)
-    jobs = trace.schedule.instance.jobs
+    _check_two_arrival_uniform(trace, t)
+    lat = trace.schedule.instance.lattice
     out: list[ServerTypeInfo] = []
     for srv in trace.schedule.servers:
-        at_zero = [jobs[i].size for i in srv.job_indices if jobs[i].start == 0]
-        x0 = sum(at_zero, Fraction(0))
-        total = sum((jobs[i].size for i in srv.job_indices), Fraction(0))
-        items0 = len(at_zero)
+        at0, items0, at_t, _ = _round_split(srv.job_indices, lat.sizes, lat.starts)
+        x0 = Fraction(at0, lat.capacity)
+        total = Fraction(at0 + at_t, lat.capacity)
         label = ServerType.BELOW_THRESHOLD
         gap1: Optional[Fraction] = None
         gap2: Optional[Fraction] = None
@@ -297,12 +302,7 @@ def verify_weights(trace: AlgorithmTrace, opt_schedule: Schedule, t) -> WeightRe
     violations = []
     ff_total = 0
     for srv in trace.schedule.servers:
-        w1 = w2 = 0
-        for i in srv.job_indices:
-            if starts[i]:
-                w2 += weights[i]
-            else:
-                w1 += weights[i]
+        w1, _, w2, _ = _round_split(srv.job_indices, weights, starts)
         server_weights.append((srv.id, w1 * scale, w2 * scale))
         ff_total += w1 + w2
         if w1 + w2 < full:
@@ -349,7 +349,9 @@ class LayerProfile:
     layer_mass: tuple[Fraction, ...]  # index u = total size arriving at time u
 
 
-def _check_escalating(trace: AlgorithmTrace, level_count: int) -> None:
+def _check_escalating(trace: AlgorithmTrace, k: int, level_count: int) -> None:
+    if k < 2:
+        raise ValueError("k must be at least 2")
     if level_count <= 0:
         raise ValueError("level_count must be positive")
     require_shape(trace.schedule.instance, 2, range(level_count + 1))
@@ -361,9 +363,7 @@ def layer_profile(trace: AlgorithmTrace, k: int, level_count: int) -> LayerProfi
     The designated set is every server opened at 0 and closed at
     level_count + 2; there must be exactly k >= 2 of them.
     """
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    _check_escalating(trace, level_count)
+    _check_escalating(trace, k, level_count)
     designated = [
         srv
         for srv in trace.schedule.servers
@@ -422,9 +422,7 @@ def util_ratio_bound(trace: AlgorithmTrace, k: int, level_count: int) -> UtilRat
     horizon [0, level_count + 2].  The floor 2/3 - 2/(3k) - 2/(3(l+2))
     tends to 2/3 as both parameters grow.
     """
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    _check_escalating(trace, level_count)
+    _check_escalating(trace, k, level_count)
     servers = trace.schedule.servers
     if len(servers) != k or any(
         srv.open_time != 0 or srv.close_time != level_count + 2 for srv in servers

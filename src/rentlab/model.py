@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import accumulate
-from operator import gt
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
@@ -91,15 +90,9 @@ class Job:
 
 
 def _on_lattice(values: list[Fraction]) -> tuple[int, list[int]]:
-    """(L, [v * L]) for L the lcm of the denominators: exact ints, in order.
-
-    Equal values share one int object, so a lattice kept on an instance
-    costs little more than its lists when jobs repeat their sizes or times.
-    """
+    """(L, [v * L]) for L the lcm of the denominators: exact ints, in order."""
     scale = math.lcm(*{v.denominator for v in values})
-    scaled = [v.numerator * (scale // v.denominator) for v in values]
-    shared: dict[int, int] = {}
-    return scale, [shared.setdefault(x, x) for x in scaled]
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 @dataclass(frozen=True)
@@ -114,9 +107,10 @@ class Lattice:
     ``Fraction(v, unit)``.
 
     Each distinct ``Job`` object is mapped once and its ints are shared by
-    every position that holds it.  ``parse_instance`` shares one ``Job`` per
-    distinct line, and ``long_uniform`` and the random families one per
-    distinct row, so a 10,100-job ``long_uniform`` file maps 101 jobs.
+    every position that holds it; equal values of distinct ``Job``s are not
+    merged into one int object.  ``parse_instance`` shares one
+    ``Job`` per distinct line, and ``long_uniform`` and the random families
+    one per distinct row, so a 10,100-job ``long_uniform`` file maps 101 jobs.
     """
 
     capacity: int
@@ -486,11 +480,10 @@ def check_schedule(schedule: Schedule) -> list[Violation]:
 
     Capacity only needs testing at job starts within each server: once a job
     is running, the concurrent load can only drop until the next start.  One
-    sweep per server visits its members by start, adding the jobs that
-    arrive at each distinct start and dropping, from a heap ordered by
-    finish, those that have left.  The sweep and the window tests run on the
-    instance's lattice, and members already in start order, as every
-    schedule the policies build holds them, are not sorted again.
+    sweep per server sorts its members by start and visits them, adding the
+    jobs that arrive at each distinct start and dropping, from a heap
+    ordered by finish, those that have left.  The sweep and the window tests
+    run on the instance's lattice.
     """
     violations: list[Violation] = []
     lat = schedule.instance.lattice
@@ -517,10 +510,8 @@ def check_schedule(schedule: Schedule) -> list[Violation]:
             members.append(i)
         if not members:
             continue
+        members.sort(key=starts.__getitem__)
         begins = list(map(starts.__getitem__, members))
-        if any(map(gt, begins, begins[1:])):  # the policies add jobs in start order
-            members.sort(key=starts.__getitem__)
-            begins.sort()
         if not (
             _at_tick(server.open_time, unit, begins[0])
             and _at_tick(server.close_time, unit, max(map(finishes.__getitem__, members)))

@@ -249,6 +249,17 @@ def test_layer_profile_errors():
         layer_profile(first_fit(inst), 2, 2)
 
 
+@pytest.mark.parametrize("check", [layer_profile, util_ratio_bound])
+def test_escalating_checks_refuse_k_then_level_count_then_shape(check):
+    trace = first_fit(make_instance([(F(1, 2), 0, 1)]))
+    with pytest.raises(ValueError, match="^k must be at least 2$"):
+        check(trace, 1, 0)
+    with pytest.raises(ValueError, match="^level_count must be positive$"):
+        check(trace, 2, 0)
+    with pytest.raises(ValueError, match="job 0 has duration 1; expected 2"):
+        check(trace, 2, 2)
+
+
 # Every caller of model.require_shape, as (the call, the duration it needs,
 # the starts it allows as the message shows them, or None for any start).
 SHAPE_CALLERS = {

@@ -35,6 +35,9 @@ random_equal_duration draws with job counts up to 5000.  The suites look
 their draws up in one job table per run, checked to share each row's Job
 across trials.  The weight ledger sums int weights on the lattice; its
 reference sums weight_w1 and weight_w2 Fractions per server.
+classify_servers sums lattice sizes per round as server_type_partition
+does; its reference sums each server's Fraction sizes.  check_schedule
+sorts each server's members by start, checked against shuffled members.
 
 The file paths keep their plain versions here too: parse_instance parses
 every line, the schedule text comes from ``json.dumps(indent=2)``, cost sums
@@ -46,6 +49,7 @@ import json
 import math
 import random
 import struct
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -98,7 +102,10 @@ from rentlab.analysis import (
     IGNORED_BUDGET,
     T_MIN,
     OptServerCheck,
+    ServerType,
+    ServerTypeInfo,
     WeightReport,
+    classify_servers,
     find_uniform_two_arrival,
     verify_weights,
     weight_w1,
@@ -366,6 +373,41 @@ def reference_verify_weights(trace, opt_schedule, t):
         opt_total=opt_total,
         item_total=sum(weights, F(0)),
     )
+
+
+def reference_classify_servers(trace, t):
+    """The server buckets from per-job Fraction sizes summed per server."""
+    analysis._check_two_arrival_uniform(trace, t)
+    jobs = trace.schedule.instance.jobs
+    out = []
+    for srv in trace.schedule.servers:
+        at_zero = [jobs[i].size for i in srv.job_indices if jobs[i].start == 0]
+        x0 = sum(at_zero, F(0))
+        total = sum((jobs[i].size for i in srv.job_indices), F(0))
+        items0 = len(at_zero)
+        label = ServerType.BELOW_THRESHOLD
+        gap1 = gap2 = None
+        if x0 >= F(5, 6):
+            if total >= F(11, 12):
+                label = ServerType.TYPE_I
+        elif x0 >= F(2, 3):
+            if total >= F(11, 12):
+                label = ServerType.TYPE_IIA
+            elif total >= F(5, 6):
+                label = ServerType.TYPE_IIB if items0 == 1 else ServerType.TYPE_IIC
+                gap1 = F(5, 6) - x0
+                gap2 = F(11, 12) - total
+        elif x0 > F(1, 2) and items0 == 1:
+            if total >= F(11, 12):
+                label = ServerType.TYPE_IIIA
+            elif total >= F(5, 6):
+                label = ServerType.TYPE_IIIB
+            elif total >= F(3, 4):
+                label = ServerType.TYPE_IIIC
+                gap1 = F(2, 3) - x0
+                gap2 = F(5, 6) - total
+        out.append(ServerTypeInfo(srv.id, x0, total, items0, label, gap1, gap2))
+    return out
 
 
 def reference_scale_time(instance, factor):
@@ -884,7 +926,9 @@ def test_sweeps_match_reference_on_random_partitions():
     assert gapped > 0
 
 
-def test_check_schedule_matches_reference_on_broken_schedules():
+def broken_schedules():
+    """Schedules that overfill servers, duplicate, drop or invent job
+    indices and misstate windows, each also on a stretched time axis."""
     jobs = [
         (F(1, 2), 0, 2), (F(2, 3), 0, 1), (F(1, 3), 1, 3), (F(3, 4), 1, 2),
         (F(1, 2), 2, 4), (F(1, 2), 2, 3), (F(1, 4), 5, 6),
@@ -906,20 +950,52 @@ def test_check_schedule_matches_reference_on_broken_schedules():
         (Server(0, (0, 2, 3), F(0), F(5)), server(1, 1, 4, 5, 6, 3)),
     ]
     for servers in cases:
-        for schedule in (
-            Schedule(instance, servers),
-            Schedule(stretched(instance), tuple(
-                Server(srv.id, srv.job_indices,
-                       stretch(srv.open_time), stretch(srv.close_time))
-                for srv in servers
-            )),
-        ):
-            violations = check_schedule(schedule)
-            expected = reference_check_schedule(schedule)
-            assert violations == expected
-            # time and load come back as Fractions, printed as the reference's
-            assert [str(v) for v in violations] == [str(v) for v in expected]
-            assert any(v.rule == "capacity exceeded" for v in violations)
+        yield Schedule(instance, servers)
+        yield Schedule(stretched(instance), tuple(
+            Server(srv.id, srv.job_indices,
+                   stretch(srv.open_time), stretch(srv.close_time))
+            for srv in servers
+        ))
+
+
+def test_check_schedule_matches_reference_on_broken_schedules():
+    for schedule in broken_schedules():
+        violations = check_schedule(schedule)
+        expected = reference_check_schedule(schedule)
+        assert violations == expected
+        # time and load come back as Fractions, printed as the reference's
+        assert [str(v) for v in violations] == [str(v) for v in expected]
+        assert any(v.rule == "capacity exceeded" for v in violations)
+
+
+def with_members_shuffled(schedule, rng):
+    """The schedule with each server's job indices in a random order."""
+    servers = []
+    for srv in schedule.servers:
+        indices = list(srv.job_indices)
+        rng.shuffle(indices)
+        servers.append(Server(srv.id, tuple(indices), srv.open_time, srv.close_time))
+    return Schedule(schedule.instance, tuple(servers))
+
+
+def test_check_schedule_ignores_the_order_of_members():
+    # the policies list members in start order; check_schedule sorts them
+    # whatever their order, so a shuffle finds the same violations
+    rng = random.Random(53)
+    for instance in online_instances():
+        for policy in (first_fit, next_fit):
+            schedule = policy(instance).schedule
+            for _ in range(3):
+                assert check_schedule(with_members_shuffled(schedule, rng)) == []
+    for schedule in broken_schedules():
+        violations = check_schedule(schedule)
+        for _ in range(10):
+            shuffled = with_members_shuffled(schedule, rng)
+            found = check_schedule(shuffled)
+            # a bad index is reported where the shuffle put it; the rest in
+            # server and time order
+            assert Counter(found) == Counter(violations)
+            assert found == reference_check_schedule(shuffled)
 
 
 def test_check_schedule_matches_reference_on_window_types_and_order():
@@ -1470,6 +1546,23 @@ def test_server_type_partition_matches_fraction_reference():
         for policy in (first_fit, next_fit):
             trace = policy(instance)
             assert server_type_partition(trace) == reference_server_type_partition(trace)
+
+
+def test_classify_servers_matches_fraction_reference():
+    # ggu(6, 1/2) and 40 sampled uniform traces, ten at each weights t
+    cases = [(first_fit(ggu_extended(6, F(1, 2))[0]), F(1, 2))]
+    for k in range(40):
+        t = _WEIGHT_T_VALUES[k % len(_WEIGHT_T_VALUES)]
+        _, trace, _ = find_uniform_two_arrival(t, seed=k * 7919 + 5)
+        cases.append((trace, t))
+    labels = set()
+    for trace, t in cases:
+        infos = classify_servers(trace, t)
+        assert infos == reference_classify_servers(trace, t)
+        for info in infos:
+            assert type(info.load_at_zero) is F and type(info.total_load) is F
+        labels |= {info.label for info in infos}
+    assert labels == set(ServerType)  # every bucket is met
 
 
 def test_sweeps_match_reference_on_generated_unit_instances():
