@@ -51,9 +51,9 @@ from .model import (
     utilization,
 )
 from .optimal import (
+    _interval_ticks,
     arrival_ceiling_profile,
     brute_force_opt,
-    interval_floor,
     verify_certificate,
 )
 
@@ -684,14 +684,17 @@ def suite_nextfit_2t(
 
 
 def _strict_ff_2_failure(instance: Instance) -> Optional[dict]:
-    trace = first_fit(instance)
+    trace = first_fit(instance)  # validates the trial
     ff_cost = cost(trace.schedule)
-    floor = interval_floor(instance)
-    if ff_cost > 2 * floor:
+    lat = instance.lattice
+    ticks = _interval_ticks(lat)
+    # FirstFit's cost against twice the floor, cross-multiplied on ints
+    if ff_cost.numerator * lat.unit > 2 * ticks * ff_cost.denominator:
         # the floor does not settle it: search, within the search's own limit
         try:
             opt = brute_force_opt(instance).cost
         except ValueError as error:
+            floor = Fraction(ticks, lat.unit)
             return {
                 "reason": f"unsettled: firstfit cost {format_rational(ff_cost)} "
                 f"exceeds twice the interval floor {format_rational(floor)}, "

@@ -8,8 +8,13 @@ first start to last finish, idle gaps included.
 
 Two prunings keep this usable: a group extension is rejected as soon as the
 accumulated cost reaches the incumbent, and the search stops outright when
-the incumbent meets the utilization/span lower bound, since nothing can beat
-a proven floor.
+the incumbent meets a lower bound, since nothing can beat a proven floor.
+The floor is max(utilization, span) until an incumbent lies above it; the
+interval floor, stronger and costlier, is then read once and is the floor
+from there on.  Costs never fall along a branch, so the first partition of
+optimal cost is recorded before the incumbent can prune it, and a stop at
+any floor at most the optimum leaves the result and the partitions
+examined as an exhaustive walk gives them.
 
 The search runs on the instance's integer lattice: sizes, loads, times and
 costs are ints, so every fit test, cost step and comparison decides exactly
@@ -33,6 +38,7 @@ from itertools import accumulate
 from .model import (
     Instance,
     InfeasibleScheduleError,
+    Lattice,
     Schedule,
     _active_sizes,
     arrival_mass,
@@ -56,8 +62,10 @@ class OptResult:
     comparisons of a group's load with the room a job leaves),
     ``load_sums`` (the live-member sets whose load was summed, each once),
     ``incumbent_updates`` (the times a complete partition beat the best so
-    far) and ``stopped_at_floor`` (whether the incumbent met the lower bound
-    and ended the search early).  It takes no part in equality or repr.
+    far) and ``stopped_at_floor`` (whether the incumbent met a lower bound,
+    max(utilization, span) or the interval floor, and ended the search
+    early; it is true exactly when the cost equals ``interval_floor``).  It
+    takes no part in equality or repr.
     """
 
     schedule: Schedule
@@ -92,6 +100,11 @@ def brute_force_opt(instance: Instance, max_jobs: int = 10) -> OptResult:
     max(utilization, span) becomes the int
     ``floor(max(utilization, span) * unit)``: for an int cost ``c``,
     ``c / unit <= bound`` holds exactly when ``c <= floor(bound * unit)``.
+    The first incumbent above that floor reads the interval floor, already
+    an int on the lattice, which is at least max(utilization, span) and at
+    most the optimum; the search stops when an incumbent meets it.  It is
+    read at most once, and not at all when the first incumbent meets the
+    cheap floor.
     """
     if max_jobs < 1:
         raise ValueError(f"max_jobs must be at least 1, got {max_jobs}")
@@ -120,12 +133,13 @@ def brute_force_opt(instance: Instance, max_jobs: int = 10) -> OptResult:
     best: int | None = None
     best_masks: list[int] = []
     examined = nodes = fit_tests = updates = 0
-    finished = False
+    finished = sharpened = False  # sharpened: floor is the interval floor
     masks: list[int] = []  # per group, its job indices as bits
     max_finish: list[int] = []  # per group, its latest finish
 
     def descend(i: int, acc: int) -> None:
         nonlocal best, best_masks, examined, nodes, fit_tests, updates, finished
+        nonlocal floor, sharpened
         nodes += 1
         if i == n:
             examined += 1
@@ -133,8 +147,9 @@ def brute_force_opt(instance: Instance, max_jobs: int = 10) -> OptResult:
                 best = acc
                 best_masks = masks.copy()
                 updates += 1
-                if best <= floor:
-                    finished = True
+                if best > floor and not sharpened:
+                    floor, sharpened = _interval_ticks(lat), True
+                finished = best <= floor
             return
         finish, live, bit = finishes[i], alive[i], 1 << i
         room = capacity - sizes[i]
@@ -222,12 +237,18 @@ def interval_floor(instance: Instance) -> Fraction:
     """
     require_valid(instance)
     lat = instance.lattice
+    return Fraction(_interval_ticks(lat), lat.unit)
+
+
+def _interval_ticks(lat: Lattice) -> int:
+    """``interval_floor`` in lattice time units, on a lattice its callers
+    have validated."""
     total = bins = last = 0
     for t, active in _active_sizes(lat):
         total += bins * (t - last)
         bins = _bin_floor(active, lat.capacity)
         last = t
-    return Fraction(total, lat.unit)
+    return total
 
 
 def _bin_floor(active: dict[int, int], capacity: int) -> int:

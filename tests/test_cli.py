@@ -282,7 +282,7 @@ def _plant_zero_ceilings(monkeypatch):
 
 def _plant_zero_floor(monkeypatch):
     # FirstFit's cost then always exceeds twice the floor, so every trial searches
-    monkeypatch.setattr(analysis, "interval_floor", lambda instance: Fraction(0))
+    monkeypatch.setattr(analysis, "_interval_ticks", lambda lattice: 0)
 
 
 def _plant_low_opt(monkeypatch):
@@ -720,14 +720,16 @@ def test_opt_timing_reports_search_counters(tmp_path):
     assert run_cli(*argv, "--timing") == 0
     report = json.loads(report_path.read_text())
     # job 2 does not fit beside jobs 0 and 1 at time 1, so {0, 1}, {2} is
-    # the first partition; its cost 4 is above the floor 3, and a server of
-    # its own for job 1 already costs 4: four calls, one incumbent, no stop.
+    # the first partition; its cost 4 is above max(utilization, span) = 3
+    # but meets the interval floor 4 (one server on [0, 1), two on [1, 2),
+    # one on [2, 3)), so the search stops there: four calls, one incumbent.
     # Job 1 is tested against {0} and job 2 against {0, 1}: two fit tests,
     # each on a live-member set not summed before
     assert report["counters"] == {
         "fit_tests": 2, "incumbent_updates": 1, "load_sums": 2, "nodes": 4,
-        "stopped_at_floor": False,
+        "stopped_at_floor": True,
     }
+    assert report["lower_bounds"]["interval"]["exact"] == "4"
     assert report["partitions_examined"] == 1
     assert run_cli(*argv) == 0
     report = json.loads(report_path.read_text())
@@ -925,7 +927,7 @@ GOLDEN_REPORTS = {
     "run --alg nextfit --in wide.jobs":
         "107aa66751380284807cc7f63ed5177c98d63dfe50c7705799eed50ff50cb779",
     "opt --in opt.jobs --schedule-out opt.schedule.json":
-        "73f23e48e3e1fc1ea3e221464770507f6d8536e6b0478650b64c5b6dbe6d2c9e",
+        "0660b1de667d638911f84796e6dc983c4e19e298531085c08122e5127b1134b9",
     "run --alg firstfit --in inst.jobs --schedule-out inst.firstfit.json":
         "ab13eaf53c360eb8f14d9043a94ab53921412873ad3f3604b8623aa7ee592b5e",
     "run --alg nextfit --in inst.jobs --schedule-out inst.nextfit.json":
@@ -975,7 +977,8 @@ MERGE_JOBS = """\
 
 
 # Eight jobs of mixed durations with an idle stretch from 3 to 4: the optimum
-# (12) lies above both lower bounds and below FirstFit (13) and NextFit (14).
+# (12) lies above utilization and span, meets the interval floor, and lies
+# below FirstFit (13) and NextFit (14).
 OPT_JOBS = """\
 1/3 0 3/2
 1/3 0 5/2
@@ -1069,8 +1072,9 @@ def test_opt_report_and_schedule_match_golden_digests(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     Path("opt.jobs").write_text(OPT_JOBS)
     report = run_golden("opt --in opt.jobs --schedule-out opt.schedule.json")
-    floor = max(Fraction(b["exact"]) for b in report["lower_bounds"].values())
-    assert floor < Fraction(report["cost"]["exact"])
+    bounds = {name: Fraction(b["exact"]) for name, b in report["lower_bounds"].items()}
+    assert max(bounds["utilization"], bounds["span"]) < bounds["interval"]
+    assert bounds["interval"] == Fraction(report["cost"]["exact"])
     for alg in ("firstfit", "nextfit"):
         assert run_cli("run", "--alg", alg, "--in", "opt.jobs", "--out", "alg.json") == 0
         alg_cost = json.loads(Path("alg.json").read_text())["cost"]["exact"]

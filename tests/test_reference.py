@@ -13,9 +13,11 @@ each server's load at each of its starts, a point query of the arrival
 ceiling at each event time, a sampler that builds every draw and runs
 first_fit on it, and the server-type split that sums Fraction sizes.
 brute_force_opt searches on the lattice too, with member bitmasks and a
-memo of live-member loads; its reference is the same partition search with
-Fraction loads, costs and floor, and counts the same search effort, so the
-two are checked to walk one tree.  interval_floor sweeps lattice ints; its
+memo of live-member loads, and stops at the interval floor; its reference
+is the same partition search with Fraction loads and costs, stops at the
+reference's max(ceil(mass), L2) integral, read before the search rather
+than at its first incumbent, and counts the same search effort, so the two
+are checked to walk one tree.  interval_floor sweeps lattice ints; its
 references take each event interval's ceil(mass), its L2 with each alpha's
 sets built apart, and its bin-packing number by enumeration, all on
 Fractions.  The lattice maps each distinct Job object once, checked against
@@ -90,7 +92,7 @@ from rentlab import (
     verify_certificate,
     write_schedule,
 )
-from rentlab import analysis, generators, model
+from rentlab import analysis, generators, model, optimal
 from rentlab.algorithms import (
     AlgorithmTrace,
     Decision,
@@ -537,7 +539,7 @@ class _RefGroup:
         return sum((size for fin, size in self.members if fin > t), F(0))
 
 
-def reference_brute_force_opt(instance, max_jobs=10):
+def reference_brute_force_opt(instance, max_jobs=10, stop_at_interval=True):
     if max_jobs < 1:
         raise ValueError(f"max_jobs must be at least 1, got {max_jobs}")
     require_valid(instance)
@@ -547,6 +549,9 @@ def reference_brute_force_opt(instance, max_jobs=10):
         raise ValueError(f"{n} jobs exceeds brute-force limit of {max_jobs}")
     util_b, span_b = lower_bounds(instance)
     floor = max(util_b, span_b)
+    if stop_at_interval:
+        # at least max(util_b, span_b), and at most the optimum
+        floor = reference_interval_bounds(instance)[1]
 
     best_cost = None
     best_groups = None
@@ -1827,8 +1832,7 @@ def check_opt(instance, max_jobs=10):
     assert got.partitions_examined <= counters["nodes"]
     assert 1 <= counters["incumbent_updates"] <= got.partitions_examined
     # the cost never beats a floor, so it stops there only by meeting it
-    floor = max(got.util_bound, got.span_bound)
-    assert counters["stopped_at_floor"] == (got.cost == floor)
+    assert counters["stopped_at_floor"] == (got.cost == interval_floor(instance))
     return got
 
 
@@ -1886,6 +1890,45 @@ def test_opt_matches_reference_past_the_default_limit():
     got = check_opt(instance, 14)
     assert got.cost == 11
     assert not got.counters["stopped_at_floor"]
+
+
+def test_opt_stop_at_the_interval_floor_keeps_the_result():
+    # a floor at most the optimum can end the search only once the first
+    # optimal partition is the incumbent, so the schedule, cost and
+    # partitions examined are those of the search that stops only at
+    # max(utilization, span), and only the search effort falls
+    for instance in opt_instances():
+        got = brute_force_opt(instance)
+        expected = reference_brute_force_opt(instance, stop_at_interval=False)
+        assert got == expected
+        assert got.counters["nodes"] <= expected.counters["nodes"]
+
+
+def test_opt_reads_the_interval_floor_at_most_once(monkeypatch):
+    reads = []
+    real = optimal._interval_ticks
+
+    def counting(lattice):
+        reads.append(lattice)
+        return real(lattice)
+
+    monkeypatch.setattr(optimal, "_interval_ticks", counting)
+    for instance in opt_instances():
+        reads.clear()
+        got = brute_force_opt(instance)
+        assert len(reads) <= 1
+        # an incumbent above max(utilization, span) reads it
+        if got.cost > max(got.util_bound, got.span_bound):
+            assert len(reads) == 1
+    # not for the empty instance, nor when the first incumbent meets
+    # max(utilization, span): one server holds every job for the span
+    for instance in (
+        Instance(()),
+        make_instance([(F(1, 3), 0, 2), (F(1, 3), F(1, 2), 2), (F(1, 3), 1, 2)]),
+    ):
+        reads.clear()
+        assert brute_force_opt(instance).counters["stopped_at_floor"]
+        assert reads == []
 
 
 def test_opt_errors_match_reference():
@@ -2006,6 +2049,21 @@ def test_interval_floor_builds_one_fraction(monkeypatch):
     floor = interval_floor(instance)
     monkeypatch.undo()
     assert len(built) == 1 and floor > 0
+
+
+def test_strict_ff_2_validates_each_trial_once(monkeypatch):
+    # first_fit validates the trial, and the floor reads its lattice as is
+    seen = recorded_trials(monkeypatch, "strict-ff-2", checked=False, trials=50)
+    validated = []
+    real = model.validate
+
+    def counting(instance):
+        validated.append(instance)
+        return real(instance)
+
+    monkeypatch.setattr(model, "validate", counting)
+    assert [analysis._strict_ff_2_failure(instance) for instance in seen] == [None] * 50
+    assert validated == seen
 
 
 def test_default_strict_ff_2_is_settled_by_the_floor(monkeypatch):
