@@ -22,6 +22,11 @@ the root.  A Decision's ``servers_scanned`` is therefore not a measure of
 work: it is the chosen server's 1-based rank among the live candidates, the
 count a linear scan in opening order would test.  The kernel's own work is
 in ``AlgorithmTrace.counters``.
+
+Departures are kept by finish time.  Jobs of equal duration, the paper's
+setting, leave in large groups, so an arrival takes each finish it has
+reached off a heap once and returns the capacity of every job that ends
+then.
 """
 
 from __future__ import annotations
@@ -163,9 +168,10 @@ def _place(instance: Instance, keep_earlier: bool) -> AlgorithmTrace:
 
     Sizes, free capacities and times are the instance's lattice ints
     (capacity 1 is ``lattice.capacity``), so each test decides as it would
-    on the Fractions.  Servers live in parallel lists indexed by id; one
-    heap of (finish, id, size) returns each job's size to its server once
-    an arrival reaches its finish.
+    on the Fractions.  Servers live in parallel lists indexed by id.
+    ``leaving`` maps each finish to the jobs that end then, and a heap holds
+    its distinct finishes: an arrival pops every finish it has reached and
+    returns each of those jobs' sizes to its server, before its fit test.
 
     The tree's leaves are the candidates in opening order.  It is rebuilt
     over the survivors only when an arrival outlives a candidate, so
@@ -184,7 +190,8 @@ def _place(instance: Instance, keep_earlier: bool) -> AlgorithmTrace:
     members: list[list[int]] = []
     open_times: list[Fraction] = []
     close_times: list[Fraction] = []
-    departures: list[tuple[int, int, int]] = []
+    leaving: dict[int, list[int]] = {}  # by lattice finish, the jobs ending then
+    ends: list[int] = []  # a heap of the finishes in ``leaving``
     candidates: list[int] = []  # server ids in opening order, one per leaf
     leaf: list[int] = []  # per server, its leaf, or -1 once not a candidate
     tree, width, depth = [0, 0], 1, 0
@@ -196,11 +203,14 @@ def _place(instance: Instance, keep_earlier: bool) -> AlgorithmTrace:
     scanned: list[int] = []
     for i, start in enumerate(starts):
         size, finish = sizes[i], finishes[i]
-        while departures and departures[0][0] <= start:
-            _, sid, returned = heappop(departures)
-            value = free[sid] = free[sid] + returned
-            if (k := leaf[sid]) >= 0:
-                _raise_leaf(tree, width + k, value)
+        while ends and ends[0] <= start:
+            # the order of one finish's returns does not matter: all of them
+            # come before this arrival's fit test
+            for j in leaving.pop(heappop(ends)):
+                sid = chosen[j]
+                value = free[sid] = free[sid] + sizes[j]
+                if (k := leaf[sid]) >= 0:
+                    _raise_leaf(tree, width + k, value)
         if start > earliest:
             # a server whose last job ends exactly at this start stays
             live = [sid for sid in candidates if termination[sid] >= start]
@@ -266,7 +276,12 @@ def _place(instance: Instance, keep_earlier: bool) -> AlgorithmTrace:
                 tree, width, depth = [0, value], 1, 0
                 earliest = finish
         chosen.append(sid)
-        heappush(departures, (finish, sid, size))
+        bucket = leaving.get(finish)
+        if bucket is None:
+            leaving[finish] = [i]
+            heappush(ends, finish)
+        else:
+            bucket.append(i)
     if not keep_earlier:
         # NextFit's one open server counts as scanned even once expired; the
         # first job found no server, so its 0 stands

@@ -255,24 +255,27 @@ def _grid_trial(seed: int, layout: tuple) -> list[tuple[int, int]]:
     ``_randint_key(horizon * start_grid)``, random_equal_duration's.
 
     Both seedings read the seed's stream from its first word, so its words
-    are read once, in blocks, and decoded as CPython draws them.
+    are read once, in blocks, and decoded as CPython draws them.  A draw
+    that runs past the words read so far is decoded again from its first
+    word once the next block is in; the draws before it are kept.
     """
     unit, low, n_limit, n_shift, size_limit, size_shift, key_limit, key_shift, key_step = layout
     getrandbits = random.Random(seed).getrandbits
     block, words = _WORD_BLOCK, b"" if unit == 8 else ()
+    n, draws, done = None, [], 0  # done: the first word of the next draw
     while True:
         # getrandbits fills an int from its least significant word up, so
         # each word's top byte is the last of its four little-endian bytes
         raw = getrandbits(8 * block.size).to_bytes(block.size, "little")
         words += raw[3::4] if unit == 8 else block.unpack(raw)
         try:
-            pos = 0
-            while words[pos] >= n_limit:
-                pos += 1
-            n = low + (words[pos] >> n_shift)
-            draws = []
-            pos = 0
-            for _ in range(n):
+            if n is None:
+                pos = 0
+                while words[pos] >= n_limit:
+                    pos += 1
+                n = low + (words[pos] >> n_shift)
+            pos = done
+            for _ in range(n - len(draws)):
                 while words[pos] >= size_limit:
                     pos += 1
                 size = (words[pos] >> size_shift) + 1
@@ -281,6 +284,7 @@ def _grid_trial(seed: int, layout: tuple) -> list[tuple[int, int]]:
                     pos += 1
                 draws.append((size, words[pos] >> key_shift))
                 pos += key_step
+                done = pos
             return draws
         except IndexError:
             block = struct.Struct(f"<{block.size // 2}I")

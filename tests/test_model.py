@@ -250,6 +250,27 @@ def test_make_schedule_rejects_bad_groups():
         make_schedule(inst, [[]])
 
 
+def test_server_is_a_named_tuple_with_the_dataclass_repr():
+    srv = Server(0, (1, 2), F(0), F(3, 2))
+    # field for field the frozen dataclass's repr
+    assert repr(srv) == (
+        "Server(id=0, job_indices=(1, 2), open_time=Fraction(0, 1), "
+        "close_time=Fraction(3, 2))"
+    )
+    with pytest.raises(AttributeError):
+        srv.close_time = F(2)
+    assert srv.close_time == F(3, 2)
+    plain = (0, (1, 2), F(0), F(3, 2))
+    assert srv == plain and plain == srv and hash(srv) == hash(plain)
+    keyword = Server(id=0, job_indices=(1, 2), open_time=F(0), close_time=F(3, 2))
+    assert keyword == srv and repr(keyword) == repr(srv)
+    # make_schedule builds its servers by keyword
+    inst = make_instance([(F(1, 3), 0, 1), (F(1, 2), 0, F(3, 2)), (F(1, 6), 0, 1)])
+    assert make_schedule(inst, [[1, 2], [0]]).servers == (
+        Server(0, (1, 2), F(0), F(3, 2)), Server(1, (0,), F(0), F(1))
+    )
+
+
 def test_check_schedule_flags_violations():
     inst = make_instance([(F(6, 10), 0, 2), (F(6, 10), 0, 2)])
     overfull = make_schedule(inst, [[0, 1]])

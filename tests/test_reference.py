@@ -11,7 +11,12 @@ with Fraction loads, the instance checks and measures on the jobs'
 Fractions, a per-time count over every job, a capacity check that re-sums
 each server's load at each of its starts, a point query of the arrival
 ceiling at each event time, a sampler that builds every draw and runs
-first_fit on it, and the server-type split that sums Fraction sizes.
+first_fit on it, and the server-type split that sums Fraction sizes.  The
+linear scan also counts the kernel's work as its tree would do it: a
+rebuild at each arrival that drops a candidate, and ceil(log2 c) steps for
+a FirstFit query over c candidates; the kernel's returns of capacity,
+grouped by finish, are checked on jobs that share a finish, end at an
+arrival or all end apart.
 brute_force_opt searches on the lattice too, with member bitmasks and a
 memo of live-member loads, and stops at the interval floor; its reference
 is the same partition search with Fraction loads and costs, stops at the
@@ -53,6 +58,7 @@ import random
 import struct
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -145,9 +151,18 @@ class _RefServer:
 
 
 def reference_place(instance, keep_earlier):
+    """The linear scan, with the kernel's counters in its terms: the tree is
+    rebuilt at each arrival that drops a candidate, and a FirstFit query
+    walks ceil(log2 c) levels of a tree over c candidates; NextFit's has
+    one leaf."""
     servers, candidates, decisions = [], [], []
+    rebuilds = steps = 0
     for i, jb in enumerate(instance.jobs):
-        candidates = [srv for srv in candidates if srv.termination >= jb.start]
+        live = [srv for srv in candidates if srv.termination >= jb.start]
+        rebuilds += len(live) < len(candidates)
+        candidates = live
+        if keep_earlier:
+            steps += (max(len(candidates), 1) - 1).bit_length()
         target, scanned = None, 0
         for srv in candidates:
             scanned += 1
@@ -171,7 +186,12 @@ def reference_place(instance, keep_earlier):
     frozen = tuple(
         Server(b.id, tuple(b.indices), b.open_time, b.termination) for b in servers
     )
-    return AlgorithmTrace(Schedule(instance, frozen), tuple(decisions))
+    counters = {
+        "index_rebuilds": rebuilds,
+        "tree_steps": steps,
+        "servers_opened": len(servers),
+    }
+    return AlgorithmTrace(Schedule(instance, frozen), tuple(decisions), counters)
 
 
 def reference_validate(instance):
@@ -796,6 +816,7 @@ def check_trace(trace, keep_earlier):
     assert repr(got) == repr(expected) and repr(trace) == repr(reference)
     assert got[1:] == expected[1:] and got[::-2] == expected[::-2]
     assert type(got[:]) is tuple and tuple(got) == expected
+    assert trace.counters == reference.counters
     # the opened flags are derived from the server ids on read
     assert [d.opened_new_server for d in got] == [d.opened_new_server for d in expected]
 
@@ -830,7 +851,8 @@ def placed(policy, keep_earlier, rows):
     """The policy's trace on ``rows``, checked against the reference."""
     instance = make_instance(rows)
     trace = policy(instance)
-    assert trace == reference_place(instance, keep_earlier)
+    reference = reference_place(instance, keep_earlier)
+    assert trace == reference and trace.counters == reference.counters
     return trace
 
 
@@ -909,6 +931,86 @@ def test_placement_matches_reference_with_many_live_candidates():
 
     check()
     assert peak >= 64
+
+
+@pytest.mark.parametrize("m", [1, 40])
+def test_jobs_sharing_a_finish_return_capacity_to_each_server(m):
+    # m jobs of 3/5 open m servers and end together at 2; jobs of 2/5 fill
+    # the servers until 5; at 2 all m returns come before the first fit
+    # test, so the m new jobs of 3/5 fill the servers in opening order
+    rows = [(F(3, 5), 0, 2)] * m + [(F(2, 5), 0, 5)] * m + [(F(3, 5), 2, 4)] * m
+    trace = placed(first_fit, True, rows)
+    for k in range(m):
+        assert trace.decisions[2 * m + k] == Decision(2 * m + k, k, False, k + 1)
+    assert trace.counters["servers_opened"] == m
+    placed(next_fit, False, rows)
+
+
+def test_capacity_returns_at_an_arrival_equal_to_the_finish():
+    # job 0 ends exactly at 1, so its 3/4 is back for the job arriving then
+    rows = [(F(3, 4), 0, 1), (F(1, 4), 0, 3), (F(3, 4), 1, 2)]
+    for policy, keep_earlier in ((first_fit, True), (next_fit, False)):
+        trace = placed(policy, keep_earlier, rows)
+        assert trace.decisions[2] == Decision(2, 0, False, 1)
+
+
+def test_rebuild_in_the_arrival_that_returns_capacity():
+    # at 2 the jobs ending at 1 leave servers 0 and 1 together, and server
+    # 0, whose last job was among them, is then dropped from the candidates
+    rows = [(F(1, 2), 0, 1), (F(1, 2), 0, 1), (F(3, 4), 0, 1), (F(1, 4), 0, 3),
+            (F(3, 4), 2, 3)]
+    trace = placed(first_fit, True, rows)
+    assert trace.decisions[4] == Decision(4, 1, False, 1)
+    assert trace.counters["index_rebuilds"] == 1
+    # NextFit left server 0 when job 2 opened server 1
+    trace = placed(next_fit, False, rows)
+    assert trace.decisions[4] == Decision(4, 1, False, 1)
+
+
+def test_placement_matches_reference_on_distinct_finishes():
+    # general durations, with every finish its own: each bucket holds one job
+    rng = random.Random(43)
+    for _ in range(40):
+        n = rng.randint(1, 40)
+        starts = sorted(rng.randint(0, 2 * n) for _ in range(n))
+        instance = make_instance(
+            (F(rng.randint(1, 12), 12), s, s + rng.randint(1, 8) + F(i + 1, n + 1))
+            for i, s in enumerate(starts)
+        )
+        assert len(set(instance.lattice.finishes)) == n
+        check_policies(instance)
+
+
+def test_placement_matches_reference_on_shared_finishes():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    # few starts and durations, so many jobs leave at each finish, often
+    # at an arrival, and servers terminate between arrivals
+    rows = st.lists(
+        st.tuples(
+            st.integers(1, 6),  # size /6
+            st.integers(0, 12),  # start /2
+            st.integers(1, 3),  # duration
+        ),
+        max_size=60,
+    )
+    shared = rebuilt = 0
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(rows)
+    def check(drawn):
+        nonlocal shared, rebuilt
+        jobs = sorted((F(s, 2), F(p, 6), d) for p, s, d in drawn)
+        instance = make_instance([(size, s, s + d) for s, size, d in jobs])
+        for policy, keep_earlier in ((first_fit, True), (next_fit, False)):
+            check_trace(policy(instance), keep_earlier)
+        finishes = instance.lattice.finishes
+        shared += len(set(finishes)) < len(finishes)
+        rebuilt += first_fit(instance).counters["index_rebuilds"] > 0
+
+    check()
+    assert shared > 0 and rebuilt > 0
 
 
 def test_sweeps_match_reference_on_random_partitions():
@@ -1289,6 +1391,38 @@ def test_equal_duration_trials_replay_on_generated_seeds():
             )
 
     check()
+
+
+def test_trials_past_the_first_blocks_match_plain_draws(monkeypatch):
+    # with the default blocks of 32, then 64 more words: of nextfit-2t's
+    # 500 default trials at --max-jobs 40, 381 read past the first block
+    # and 145 past the second; weights attempts read past the first block
+    # on 11 of the seeds below
+    blocks = []
+
+    class Counted(random.Random):
+        def getrandbits(self, k):
+            blocks[-1] += 1
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(generators, "random", SimpleNamespace(Random=Counted))
+
+    def read(trial, seed, *args):
+        blocks.append(0)
+        return trial(seed, *args)
+
+    read_past = Counter()
+    for trial in range(500):
+        seed = 20240601 * 1_000_003 + trial
+        draws = read(replayed_equal_duration, seed, 40)
+        assert draws == reference_equal_duration_trial(seed, 40), seed
+        read_past[blocks[-1]] += 1
+    assert read_past == {1: 119, 2: 236, 3: 145}
+    read_past.clear()
+    for seed in [*range(10_000), OVERRUN_SEED]:
+        assert read(replayed, seed) == reference_trial(seed), seed
+        read_past[blocks[-1]] += 1
+    assert read_past == {1: 9_990, 2: 11}
 
 
 # the check each grid-trial suite runs on one trial's instance
