@@ -171,7 +171,8 @@ def _place(instance: Instance, keep_earlier: bool) -> AlgorithmTrace:
     on the Fractions.  Servers live in parallel lists indexed by id.
     ``leaving`` maps each finish to the jobs that end then, and a heap holds
     its distinct finishes: an arrival pops every finish it has reached and
-    returns each of those jobs' sizes to its server, before its fit test.
+    returns each of those jobs' sizes to its server, if still a candidate,
+    before its fit test.
 
     The tree's leaves are the candidates in opening order.  It is rebuilt
     over the survivors only when an arrival outlives a candidate, so
@@ -205,11 +206,12 @@ def _place(instance: Instance, keep_earlier: bool) -> AlgorithmTrace:
         size, finish = sizes[i], finishes[i]
         while ends and ends[0] <= start:
             # the order of one finish's returns does not matter: all of them
-            # come before this arrival's fit test
+            # come before this arrival's fit test; a server that is no longer
+            # a candidate never is again, so its free capacity is not kept
             for j in leaving.pop(heappop(ends)):
                 sid = chosen[j]
-                value = free[sid] = free[sid] + sizes[j]
                 if (k := leaf[sid]) >= 0:
+                    value = free[sid] = free[sid] + sizes[j]
                     _raise_leaf(tree, width + k, value)
         if start > earliest:
             # a server whose last job ends exactly at this start stays

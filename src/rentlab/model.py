@@ -28,7 +28,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
+from operator import eq, itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -469,63 +470,113 @@ def make_schedule(instance: Instance, groups: Sequence[Sequence[int]]) -> Schedu
     return Schedule(instance=instance, servers=tuple(servers))
 
 
-def _at_tick(value, scale: int, tick: int) -> bool:
-    """Whether the number ``value`` equals ``Fraction(tick, scale)``.
+def _tick(value, scale: int) -> int | None:
+    """``value * scale`` when that is an int, else None.
 
-    The ratio of a rational ``value`` is in lowest terms, so it can equal a
+    The ratio of a rational ``value`` is in lowest terms, so it is a
     fraction of ``scale`` only when its denominator divides ``scale``.
     """
     numerator, denominator = value.as_integer_ratio()
-    return scale % denominator == 0 and numerator * (scale // denominator) == tick
+    return None if scale % denominator else numerator * (scale // denominator)
+
+
+def _covers(chained: list, n: int) -> bool:
+    """Whether ``chained`` holds each of ``0 .. n-1`` exactly once.
+
+    The sorted indices are compared with ``range(n)`` one by one, which
+    builds no list of n ints.
+    """
+    return len(chained) == n and all(map(eq, sorted(chained), range(n)))
+
+
+def _members_walk(servers, n: int, violations: list[Violation]):
+    """(id, members, open, close) of each server with an in-range member.
+
+    Before each server is yielded, its empty-server, out-of-range and
+    repeated-index faults are appended to ``violations``, in index order;
+    once the servers are exhausted, one fault per job never assigned.  So a
+    caller that appends a server's other faults before asking for the next
+    one keeps every fault in server order.
+    """
+    assigned = [False] * n
+    for sid, indices, opened, closed in servers:
+        if not indices:
+            violations.append(Violation("server holds no jobs", server_id=sid))
+            continue
+        members = []
+        for i in indices:
+            if not 0 <= i < n:
+                violations.append(
+                    Violation("job index out of range", job_index=i, server_id=sid)
+                )
+                continue
+            if assigned[i]:
+                violations.append(
+                    Violation("job assigned twice", job_index=i, server_id=sid)
+                )
+            assigned[i] = True
+            members.append(i)
+        if members:
+            yield sid, members, opened, closed
+    violations += [
+        Violation("job never assigned", job_index=i)
+        for i, seen in enumerate(assigned)
+        if not seen
+    ]
 
 
 def check_schedule(schedule: Schedule) -> list[Violation]:
     """Check completeness, rental-window consistency and capacity.
 
-    Capacity only needs testing at job starts within each server: once a job
-    is running, the concurrent load can only drop until the next start.  One
-    sweep per server sorts its members by start and visits them, adding the
-    jobs that arrive at each distinct start and dropping, from a heap
-    ordered by finish, those that have left.  The sweep and the window tests
-    run on the instance's lattice.
+    One whole-schedule test comes first: when the servers' job indices,
+    chained, are each job index exactly once and no server is empty, no
+    membership rule can break.  Otherwise ``_members_walk`` visits the
+    indices one by one to name each such fault in order, and passes on each
+    server's in-range members.  Either way every server with members then
+    gets the same window test and capacity sweep, on the instance's lattice.
+
+    The window test compares the min start and the max finish of the
+    members with the window's ticks; each distinct window object becomes its
+    lattice tick once per call (keyed by ``id``: the servers keep every
+    window alive).  When no size is negative, a server whose members' total
+    size fits in one server cannot be overloaded, and is not swept.  Only
+    the others are sorted by start and swept: capacity is tested at each
+    distinct start, since once a job is running the load can only drop
+    until the next start.  The sweep adds the jobs that arrive at each start
+    and drops, from a heap ordered by finish, those that have left.
     """
     violations: list[Violation] = []
     lat = schedule.instance.lattice
     starts, finishes, sizes = lat.starts, lat.finishes, lat.sizes
     capacity, unit = lat.capacity, lat.unit
-    n = len(starts)
-    assigned = [False] * n
-    for server in schedule.servers:
-        if not server.job_indices:
-            violations.append(Violation("server holds no jobs", server_id=server.id))
-            continue
-        members = []
-        for i in server.job_indices:
-            if not 0 <= i < n:
-                violations.append(
-                    Violation("job index out of range", job_index=i, server_id=server.id)
-                )
-                continue
-            if assigned[i]:
-                violations.append(
-                    Violation("job assigned twice", job_index=i, server_id=server.id)
-                )
-            assigned[i] = True
-            members.append(i)
-        if not members:
-            continue
-        members.sort(key=starts.__getitem__)
-        begins = list(map(starts.__getitem__, members))
-        if not (
-            _at_tick(server.open_time, unit, begins[0])
-            and _at_tick(server.close_time, unit, max(map(finishes.__getitem__, members)))
-        ):
+    servers = schedule.servers
+    index_lists = list(map(itemgetter(1), servers))
+    if all(index_lists) and _covers(list(chain.from_iterable(index_lists)), len(starts)):
+        checked = servers
+    else:
+        checked = _members_walk(servers, len(starts), violations)
+    nonnegative = min(sizes, default=0) >= 0
+    start_of, finish_of = starts.__getitem__, finishes.__getitem__
+    size_of = sizes.__getitem__
+    ticks: dict[int, int | None] = {}  # lattice tick by window id
+    for sid, members, opened, closed in checked:
+        if nonnegative and sum(map(size_of, members)) <= capacity:
+            begins = None
+            first = min(map(start_of, members))
+        else:
+            members = sorted(members, key=start_of)
+            begins = list(map(start_of, members))
+            first = begins[0]
+        if (low := ticks.get(id(opened))) is None:
+            low = ticks[id(opened)] = _tick(opened, unit)
+        if (high := ticks.get(id(closed))) is None:
+            high = ticks[id(closed)] = _tick(closed, unit)
+        if low != first or high != max(map(finish_of, members)):
             violations.append(
-                Violation(
-                    "rental window must span min start to max finish",
-                    server_id=server.id,
-                )
+                Violation("rental window must span min start to max finish", server_id=sid)
             )
+        if begins is None:
+            continue
         running: list[tuple[int, int]] = []  # (finish, size) heap
         here = 0
         k = 0
@@ -543,16 +594,11 @@ def check_schedule(schedule: Schedule) -> list[Violation]:
                 violations.append(
                     Violation(
                         "capacity exceeded",
-                        server_id=server.id,
+                        server_id=sid,
                         time=Fraction(s, unit),
                         load=Fraction(here, capacity),
                     )
                 )
-    violations += [
-        Violation("job never assigned", job_index=i)
-        for i, seen in enumerate(assigned)
-        if not seen
-    ]
     return violations
 
 
@@ -637,12 +683,12 @@ def schedule_to_dict(schedule: Schedule) -> dict:
     return {
         "servers": [
             {
-                "id": srv.id,
-                "jobs": list(srv.job_indices),
-                "open": format_rational(srv.open_time),
-                "close": format_rational(srv.close_time),
+                "id": sid,
+                "jobs": list(indices),
+                "open": format_rational(opened),
+                "close": format_rational(closed),
             }
-            for srv in schedule.servers
+            for sid, indices, opened, closed in schedule.servers
         ]
     }
 
@@ -679,6 +725,31 @@ def _server_from_entry(k: int, entry, rational) -> Server:
     return Server(sid, tuple(indices), *times)
 
 
+def _servers_at_once(entries: list, n: int, rational) -> tuple[Server, ...] | None:
+    """The servers of ``entries`` read column by column, or None when any
+    entry or the coverage of ``0 .. n-1`` is at fault, without naming it."""
+    try:
+        ids, index_lists, opens, closes = [
+            list(map(itemgetter(key), entries)) for key in ("id", "jobs", "open", "close")
+        ]
+    except (KeyError, TypeError):
+        return None
+    if not (
+        {*map(type, ids)} <= {int}
+        and {*map(type, index_lists)} <= {list}
+        and {*map(type, opens), *map(type, closes)} <= {str}
+    ):
+        return None
+    chained = list(chain.from_iterable(index_lists))
+    if not ({*map(type, chained)} <= {int} and _covers(chained, n)):
+        return None
+    try:
+        open_times, close_times = list(map(rational, opens)), list(map(rational, closes))
+    except ValueError:
+        return None
+    return tuple(map(Server, ids, map(tuple, index_lists), open_times, close_times))
+
+
 def schedule_from_dict(instance: Instance, data: dict) -> Schedule:
     """Rebuild a schedule against its instance.
 
@@ -687,15 +758,24 @@ def schedule_from_dict(instance: Instance, data: dict) -> Schedule:
     must appear exactly once and indices must be in range (stored schedules
     are claims about a known instance; a silent partial read would hide a
     mismatched file).
+
+    The entries are read in whole-file passes: their fields as columns,
+    each column's types tested at once, each distinct window text parsed
+    once, and the chained job indices tested to be each job exactly once.
+    Only when one of those fails are the entries walked one by one, to name
+    the first fault.
     """
     entries = data.get("servers") if isinstance(data, dict) else None
     if type(entries) is not list:
         raise ValueError("schedule must be an object with a 'servers' list")
     rational = cache(parse_rational)
+    n = len(instance.jobs)
+    servers = _servers_at_once(entries, n, rational)
+    if servers is not None:
+        return Schedule(instance=instance, servers=servers)
     servers = tuple(
         _server_from_entry(k, entry, rational) for k, entry in enumerate(entries)
     )
-    n = len(instance.jobs)
     covered = [False] * n
     for server in servers:
         for i in server.job_indices:
@@ -726,16 +806,15 @@ def _schedule_text(schedule: Schedule) -> str:
     """
     entries = []
     shown: dict[int, str] = {}  # window text by id; the schedule keeps each alive
-    for srv in schedule.servers:
-        jobs = ",\n        ".join(map(str, srv.job_indices))
+    for sid, indices, opened, closed in schedule.servers:
+        jobs = ",\n        ".join(map(str, indices))
         jobs = f"[\n        {jobs}\n      ]" if jobs else "[]"
-        opened, closed = srv.open_time, srv.close_time
         if (open_text := shown.get(id(opened))) is None:
             open_text = shown[id(opened)] = format_rational(opened)
         if (close_text := shown.get(id(closed))) is None:
             close_text = shown[id(closed)] = format_rational(closed)
         entries.append(
-            f'    {{\n      "id": {srv.id},\n      "jobs": {jobs},\n'
+            f'    {{\n      "id": {sid},\n      "jobs": {jobs},\n'
             f'      "open": "{open_text}",\n'
             f'      "close": "{close_text}"\n    }}'
         )

@@ -44,11 +44,17 @@ across trials.  The weight ledger sums int weights on the lattice; its
 reference sums weight_w1 and weight_w2 Fractions per server.
 classify_servers sums lattice sizes per round as server_type_partition
 does; its reference sums each server's Fraction sizes.  check_schedule
-sorts each server's members by start, checked against shuffled members.
+tests the chained job indices of all servers at once, walks them one by one
+only to name a membership fault, and sweeps only servers whose members'
+total size exceeds capacity, sorted by start; its reference re-sums each
+server's load at each start, checked on broken, covering, shuffled,
+invalid-instance and generated schedules.
 
 The file paths keep their plain versions here too: parse_instance parses
 every line, the schedule text comes from ``json.dumps(indent=2)``, cost sums
-Fraction windows and schedule_from_dict parses every window text.
+Fraction windows and schedule_from_dict parses every window text and walks
+every entry, where the fast one reads the entries as columns and walks them
+only to name a fault.
 """
 
 import heapq
@@ -1033,46 +1039,200 @@ def test_sweeps_match_reference_on_random_partitions():
     assert gapped > 0
 
 
+SEVEN_JOBS = Instance(tuple(Job(*row) for row in [
+    (F(1, 2), 0, 2), (F(2, 3), 0, 1), (F(1, 3), 1, 3), (F(3, 4), 1, 2),
+    (F(1, 2), 2, 4), (F(1, 2), 2, 3), (F(1, 4), 5, 6),
+]))
+
+
+def spanning(instance, sid, *idx):
+    """Server ``sid`` holding ``idx``, rented from its in-range members'
+    min start to their max finish."""
+    members = [instance.jobs[i] for i in idx if 0 <= i < len(instance.jobs)]
+    return Server(sid, idx, min(jb.start for jb in members),
+                  max(jb.finish for jb in members))
+
+
+def with_stretched_copy(instance, servers):
+    """The schedule, and its copy on a stretched time axis in which each
+    window object is stretched once, so shared windows stay shared."""
+    windows = {}
+    for srv in servers:
+        for w in (srv.open_time, srv.close_time):
+            windows.setdefault(id(w), stretch(F(w)))
+    yield Schedule(instance, servers)
+    yield Schedule(stretched(instance), tuple(
+        Server(srv.id, srv.job_indices,
+               windows[id(srv.open_time)], windows[id(srv.close_time)])
+        for srv in servers
+    ))
+
+
 def broken_schedules():
     """Schedules that overfill servers, duplicate, drop or invent job
     indices and misstate windows, each also on a stretched time axis."""
-    jobs = [
-        (F(1, 2), 0, 2), (F(2, 3), 0, 1), (F(1, 3), 1, 3), (F(3, 4), 1, 2),
-        (F(1, 2), 2, 4), (F(1, 2), 2, 3), (F(1, 4), 5, 6),
-    ]
-    instance = Instance(tuple(Job(*row) for row in jobs))
+    instance = SEVEN_JOBS
 
     def server(sid, *idx):
-        members = [instance.jobs[i] for i in idx if 0 <= i < len(instance.jobs)]
-        return Server(sid, idx, min(jb.start for jb in members),
-                      max(jb.finish for jb in members))
+        return spanning(instance, sid, *idx)
 
+    # jobs that never run (finish <= start), and a negative size that lets a
+    # server overfill although its members' total fits
+    never = make_instance([(F(3, 4), 0, 2), (F(3, 4), 1, 1), (F(1, 2), 1, 3), (F(1, 2), 3, 2)])
+    negative = make_instance([(F(1), 0, 3), (F(-1, 2), 0, 1), (F(1, 2), 1, 3)])
     cases = [
         # overfull at 0, 1 and 2 on one server, idle from 4 to 5
-        (server(0, 6, 0, 1, 2, 3, 4, 5),),
+        (instance, (server(0, 6, 0, 1, 2, 3, 4, 5),)),
         # duplicates, out-of-range indices, an empty server, a missing job
-        (server(0, 0, 1, 1), Server(1, (), F(0), F(1)),
-         server(2, 9, 3, -8, 2), server(3, 4, 5)),
+        (instance, (server(0, 0, 1, 1), Server(1, (), F(0), F(1)),
+                    server(2, 9, 3, -8, 2), server(3, 4, 5))),
         # a wrong window and a job on two servers
-        (Server(0, (0, 2, 3), F(0), F(5)), server(1, 1, 4, 5, 6, 3)),
+        (instance, (Server(0, (0, 2, 3), F(0), F(5)), server(1, 1, 4, 5, 6, 3))),
+        # every job once: a window fault and a capacity fault on one server
+        (instance, (Server(0, (0, 1), F(0), F(3)), server(1, 2, 3), server(2, 4, 5, 6))),
+        # membership faults, each before the window and capacity faults of
+        # its server, and a server overfull by a repeated job
+        (instance, (server(0, 1, 0), Server(1, (2, 9, 3), F(1), F(2)),
+                    Server(2, (), F(0), F(1)), server(3, 4, 5, 4))),
+        (never, (spanning(never, 0, 0, 2), spanning(never, 1, 1, 3))),
+        (never, (spanning(never, 0, 0, 1, 2, 3),)),
+        (negative, (spanning(negative, 0, 0, 1, 2),)),
     ]
-    for servers in cases:
-        yield Schedule(instance, servers)
-        yield Schedule(stretched(instance), tuple(
-            Server(srv.id, srv.job_indices,
-                   stretch(srv.open_time), stretch(srv.close_time))
-            for srv in servers
-        ))
+    for owner, servers in cases:
+        yield from with_stretched_copy(owner, servers)
+
+
+def check_against_reference(schedule):
+    """check_schedule's violations equal the reference's, in order, and
+    print as the reference's: time and load come back as Fractions."""
+    violations = check_schedule(schedule)
+    expected = reference_check_schedule(schedule)
+    assert violations == expected
+    assert [str(v) for v in violations] == [str(v) for v in expected]
+    return violations
 
 
 def test_check_schedule_matches_reference_on_broken_schedules():
     for schedule in broken_schedules():
-        violations = check_schedule(schedule)
-        expected = reference_check_schedule(schedule)
-        assert violations == expected
-        # time and load come back as Fractions, printed as the reference's
-        assert [str(v) for v in violations] == [str(v) for v in expected]
+        violations = check_against_reference(schedule)
         assert any(v.rule == "capacity exceeded" for v in violations)
+
+
+def covering_schedules():
+    """Schedules of SEVEN_JOBS that hold every job once on non-empty
+    servers, with the number of window faults each has; none is overfull."""
+    instance = SEVEN_JOBS
+
+    def servers(*groups):
+        return tuple(spanning(instance, sid, *g) for sid, g in enumerate(groups))
+
+    two = F(2)
+    yield 0, servers((0, 5), (1, 2), (3, 6), (4,))  # totals of exactly 1
+    yield 0, servers((1, 4, 6), (0, 2), (3,), (5,))  # over 1 in total, never at once
+    yield 3, (Server(0, (0, 2), F(0), F(4)), Server(1, (1,), F(1, 2), F(1)),
+              spanning(instance, 2, 3, 5), Server(3, (4, 6), F(2), F(5)))
+    # equal windows as distinct objects; one object as one server's close
+    # and another's open, right for both and then wrong for the second
+    yield 0, (Server(0, (0,), F(0), two), Server(1, (4, 5), two, F(4)),
+              Server(2, (1,), F(0), F(1)), Server(3, (2,), F(1), F(3)),
+              Server(4, (3, 6), F(1), F(6)))
+    four = F(4)
+    yield 1, (Server(0, (0, 4), F(0), four), Server(1, (2, 5), four, F(3)),
+              Server(2, (1, 3), F(0), F(2)), Server(3, (6,), F(5), F(6)))
+    yield 2, (Server(0, (0, 4), F(0), F(4)), Server(1, (2, 5), F(1), two),
+              Server(2, (1, 3), F(0), two), Server(3, (6,), two, F(6)))
+    # int and float windows, on and off the lattice
+    yield 0, (Server(0, (0, 5), 0, 3), Server(1, (1, 2), 0.0, 3.0),
+              Server(2, (3, 6), 1, 6.0), Server(3, (4,), 2.0, 4))
+    yield 2, (Server(0, (0, 5), 0.1, 3), Server(1, (1, 2), 0, 3),
+              Server(2, (3, 6), 1, 6), Server(3, (4,), 2, 4.5))
+
+
+def test_check_schedule_matches_reference_on_covering_schedules():
+    for faults, servers in covering_schedules():
+        for schedule in with_stretched_copy(SEVEN_JOBS, servers):
+            violations = check_against_reference(schedule)
+            assert {v.rule for v in violations} <= {
+                "rental window must span min start to max finish"
+            }
+        assert len(check_schedule(Schedule(SEVEN_JOBS, servers))) == faults
+
+
+def test_check_schedule_sweeps_only_servers_that_can_overfill(monkeypatch):
+    # a server whose members' total size fits in one server is not swept;
+    # one over 1 in total is, even when it never overfills
+    pushed = []
+
+    def counting(heap, item):
+        pushed.append(item)
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(model, "heapq", SimpleNamespace(heappush=counting, heappop=heapq.heappop))
+    (_, exact), (_, apart), *_ = covering_schedules()
+    assert check_schedule(Schedule(SEVEN_JOBS, exact)) == []
+    assert pushed == []
+    assert check_schedule(Schedule(SEVEN_JOBS, apart)) == []
+    assert len(pushed) == 3
+    # a negative size voids the total's bound, so every server is swept
+    negative = make_instance([(F(1, 2), 0, 1), (F(-1, 2), 0, 1)])
+    assert check_schedule(make_schedule(negative, [[0], [1]])) == []
+    assert len(pushed) == 5
+
+
+def test_check_schedule_matches_reference_on_invalid_instances():
+    # one server holding every job, and a random split: the total-size
+    # bound must not skip a sweep where a size is zero or negative
+    rng = random.Random(59)
+    for instance in (*invalid_instances(), *arbitrary_instances()):
+        n = len(instance.jobs)
+        labels = [rng.randrange(3) for _ in range(n)]
+        for groups in ([list(range(n))], [
+            [i for i in range(n) if labels[i] == g] for g in sorted(set(labels))
+        ]):
+            check_against_reference(make_schedule(instance, groups))
+
+
+def test_check_schedule_matches_reference_on_generated_schedules():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    value = st.sampled_from(
+        [F(-1, 2), F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1), F(3, 2), F(2), F(7, 3)]
+    )
+    edit = st.tuples(
+        st.sampled_from(["add", "drop", "open", "close", "empty"]),
+        st.integers(0, 20), st.integers(-2, 12), value,
+    )
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        st.lists(st.tuples(value, value, value), min_size=1, max_size=10),
+        st.randoms(use_true_random=False), st.lists(edit, max_size=3),
+    )
+    def check(rows, rng, edits):
+        instance = make_instance(rows)
+        n = len(rows)
+        labels = [rng.randrange(4) for _ in range(n)]
+        groups = [[i for i in range(n) if labels[i] == g] for g in sorted(set(labels))]
+        for group in groups:
+            rng.shuffle(group)
+        servers = [list(spanning(instance, sid, *g)) for sid, g in enumerate(groups)]
+        check_against_reference(Schedule(instance, tuple(map(Server._make, servers))))
+        # perturbed: an index added (maybe out of range or repeated) or
+        # dropped, a window changed, an empty server put in
+        for kind, k, index, time in edits:
+            srv = servers[k % len(servers)]
+            if kind == "add":
+                srv[1] = (*srv[1], index)
+            elif kind == "drop" and len(srv[1]) > 1:
+                srv[1] = srv[1][1:]
+            elif kind in ("open", "close"):
+                srv[2 if kind == "open" else 3] = time
+            elif kind == "empty":
+                servers.insert(k % len(servers), [len(servers), (), time, time])
+        check_against_reference(Schedule(instance, tuple(map(Server._make, servers))))
+
+    check()
 
 
 def with_members_shuffled(schedule, rng):
@@ -1889,6 +2049,24 @@ def test_schedule_from_dict_errors_match_reference():
         {"servers": [entry(0, [0, 1])]},
         {"servers": None},
         [],
+        # the first bad entry is named, whatever a later one's fault
+        {"servers": [good[0], entry(1, [2], "1", 2), {"id": 2}]},
+        {"servers": [entry(0, [0, 0]), entry(1, [2], "x")]},
+        {"servers": [entry(0, [0, 1]), entry(1, [2], "1", "2"), entry("2", [])]},
+        # a bool id or index in an entry otherwise valid
+        {"servers": [good[0], entry(False, [2], "1", "2")]},
+        {"servers": [entry(0, [0, True]), good[1]]},
+        {"servers": [entry(0, [False, 1]), good[1]]},
+        # entries that are not objects
+        {"servers": [good[0], [1, [2], "1", "2"]]},
+        {"servers": [good[0], "entry"]},
+        {"servers": [None, good[1]]},
+        # jobs that are not a list
+        {"servers": [entry(0, (0, 1)), good[1]]},
+        {"servers": [entry(0, "01"), good[1]]},
+        {"servers": [good[0], entry(1, 2, "1", "2")]},
+        # a missing key after an earlier type fault
+        {"servers": [entry(0, [0, 1], "0", None), {"id": 1, "jobs": [2], "open": "1"}]},
     ]
     failures = 0
     for data in cases:
@@ -1897,6 +2075,58 @@ def test_schedule_from_dict_errors_match_reference():
     assert failures == len(cases) - 1
     with pytest.raises(ValueError, match=r"^server entry 1: open: zero denominator"):
         schedule_from_dict(instance, cases[1])
+    # no fault: an empty server, repeated ids and window texts, ids in any order
+    valid = {"servers": [entry(5, []), entry(-1, [2, 1], "0", "2"), entry(5, [0])]}
+    schedule = same_outcome(schedule_from_dict, reference_schedule_from_dict, instance, valid)
+    assert [srv.id for srv in schedule.servers] == [5, -1, 5]
+    assert schedule.servers[1].open_time is schedule.servers[2].open_time
+
+
+def test_schedule_from_dict_matches_reference_on_generated_entries():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    instance = make_instance([(F(1, 2), 0, 1)] * 4)
+    index = st.integers(-1, 4) | st.sampled_from([True, False, 1.0, "2", None])
+    value = {
+        "id": st.integers(-2, 3) | st.sampled_from([True, 1.0, "1"]),
+        "jobs": st.lists(index, max_size=3) | st.sampled_from([(0, 1), "01", 3, None]),
+        "open": st.sampled_from(["0", "1/2", "3", "1/0", "x", 0, None]),
+    }
+    value["close"] = value["open"]
+    key = st.sampled_from(sorted(value))
+    # each edit changes an index, sets or deletes a field, or puts in an
+    # entry that is not an object; with none, the entries are valid
+    edit = st.one_of(
+        st.tuples(st.just("index"), st.integers(0, 7), index),
+        key.flatmap(lambda k: st.tuples(st.just("field"), st.integers(0, 3), st.just(k), value[k])),
+        st.tuples(st.just("delete"), st.integers(0, 3), key),
+        st.tuples(st.just("insert"), st.integers(0, 3), st.sampled_from([None, [], "entry", 7])),
+    )
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(st.permutations(range(4)), st.integers(0, 4), st.lists(edit, max_size=3))
+    def check(order, cut, edits):
+        entries = [
+            {"id": 0, "jobs": order[:cut], "open": "0", "close": "1"},
+            {"id": 1, "jobs": order[cut:], "open": "0", "close": "1"},
+        ]
+        for kind, k, *args in edits:
+            target = entries[k % len(entries)]
+            if kind == "index" and type(target) is dict and type(target.get("jobs")) is list:
+                jobs = target["jobs"] = list(target["jobs"])
+                if jobs:
+                    jobs[k % len(jobs)] = args[0]
+            elif kind == "field" and type(target) is dict:
+                target[args[0]] = args[1]
+            elif kind == "delete" and type(target) is dict:
+                target.pop(args[0], None)
+            elif kind == "insert":
+                entries.insert(k % (len(entries) + 1), args[0])
+        same_outcome(schedule_from_dict, reference_schedule_from_dict,
+                     instance, {"servers": entries})
+
+    check()
 
 
 def test_file_paths_match_reference_on_generated_text():
