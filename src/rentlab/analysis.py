@@ -135,12 +135,13 @@ def _check_two_arrival_uniform(trace: AlgorithmTrace, t: Fraction) -> Fraction:
     """Every job unit-duration starting at 0 or t; every server spans [0, 1+t]."""
     t = second_arrival(t)
     require_shape(trace.schedule.instance, 1, {0, t})
+    close = 1 + t
     for srv in trace.schedule.servers:
-        if srv.open_time != 0 or srv.close_time != 1 + t:
+        if srv.open_time != 0 or srv.close_time != close:
             raise ValueError(
                 f"server {srv.id} spans "
                 f"[{format_rational(srv.open_time)}, "
-                f"{format_rational(srv.close_time)}], expected [0, {format_rational(1 + t)}]"
+                f"{format_rational(srv.close_time)}], expected [0, {format_rational(close)}]"
             )
     return t
 
@@ -619,9 +620,10 @@ def _check_at_least(name: str, value: int, least: int) -> None:
 
 
 def _first_failure(trials, check) -> Optional[SuiteResult]:
-    """The first ``(locator, instance)`` trial that ``check`` fails, or None."""
-    for locator, instance in trials:
-        failure = check(instance)
+    """The first ``(locator, instance, *args)`` trial that
+    ``check(instance, *args)`` fails, or None."""
+    for locator, instance, *args in trials:
+        failure = check(instance, *args)
         if failure is not None:
             return SuiteResult(False, {**locator, **failure}, instance)
     return None
@@ -709,9 +711,11 @@ def _strict_ff_2_failure(instance: Instance) -> Optional[dict]:
     k1, k2, k3 = part.counts
     if ff_cost != 2 * k1 + 3 * k2 + 2 * k3:
         return {"reason": "cost does not decompose as 2*k1 + 3*k2 + 2*k3"}
-    if k1 >= 2 and not 2 * part.start0_mass_type1 > k1:
+    # 2*A > k, cross-multiplied on the mass's ints
+    mass1, mass2 = part.start0_mass_type1, part.start0_mass_type2
+    if k1 >= 2 and not 2 * mass1.numerator > k1 * mass1.denominator:
         return {"reason": "type-1 first-arrival mass fails 2*A > k"}
-    if k2 >= 2 and not 2 * part.start0_mass_type2 > k2:
+    if k2 >= 2 and not 2 * mass2.numerator > k2 * mass2.denominator:
         return {"reason": "type-2 first-arrival mass fails 2*A > k"}
     return None
 
@@ -749,30 +753,37 @@ def suite_strict_ff_2(
 _WEIGHT_T_VALUES = (Fraction(1, 28), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 
 
-def _weights_failure(instance: Instance, reference=None) -> Optional[dict]:
+def _weights_failure(instance: Instance, reference=None, trace=None) -> Optional[dict]:
+    """The weight ledger's failure on ``instance``, against ``reference``
+    (by default the searched optimum) and ``trace``, its FirstFit trace
+    (by default run here, so that a dumped instance re-fails alone)."""
     if reference is None:
         reference = brute_force_opt(instance, max_jobs=_UNIFORM_N_RANGE[1]).schedule
+    if trace is None:
+        trace = first_fit(instance)
     t = max(jb.start for jb in instance.jobs)
-    reason = verify_weights(first_fit(instance), reference, t).failure
+    reason = verify_weights(trace, reference, t).failure
     return None if reason is None else {"reason": reason}
 
 
 def suite_weights(trials: int = 200, seed: int = 104729) -> SuiteResult:
     """The weight ledger holds on ggu(6, 1/2) and on sampled uniform instances."""
     _check_at_least("trials", trials, 1)
+    # too large to search, ggu(6, 1/2) is weighed against its certificate
     ggu, certificate = ggu_extended(6, Fraction(1, 2))
-    ggu_case = [({"case": "ggu k=6 t=1/2"}, ggu)]
+    ggu_case = [({"case": "ggu k=6 t=1/2"}, ggu, certificate)]
 
     def sampled():
         for trial in range(trials):
             t = _WEIGHT_T_VALUES[trial % len(_WEIGHT_T_VALUES)]
             first_seed = seed * 1_000_003 + trial * 10_007
-            instance, _, used_seed = find_uniform_two_arrival(t, first_seed)
-            yield {"trial": trial, "seed": used_seed, "t": format_rational(t)}, instance
+            instance, trace, used_seed = find_uniform_two_arrival(t, first_seed)
+            locator = {"trial": trial, "seed": used_seed, "t": format_rational(t)}
+            # the sampler's FirstFit trace is checked, not run again
+            yield locator, instance, None, trace
 
-    # too large to search, ggu(6, 1/2) is weighed against its certificate
     return (
-        _first_failure(ggu_case, lambda case: _weights_failure(case, certificate))
+        _first_failure(ggu_case, _weights_failure)
         or _first_failure(sampled(), _weights_failure)
         or SuiteResult(True, {"trials": trials, "seed": seed})
     )

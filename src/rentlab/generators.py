@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import struct
+from _random import Random as _MersenneTwister
 from fractions import Fraction
 from functools import cache
 from inspect import Parameter, signature
@@ -258,9 +259,14 @@ def _grid_trial(seed: int, layout: tuple) -> list[tuple[int, int]]:
     are read once, in blocks, and decoded as CPython draws them.  A draw
     that runs past the words read so far is decoded again from its first
     word once the next block is in; the draws before it are kept.
+
+    The seed goes straight to ``_random.Random``, the C type that
+    ``random.Random`` subclasses.  An int seed gives the same words either
+    way, and this skips the Python-level ``Random.__init__`` and
+    ``Random.seed`` (on Python 3.9 the C constructor ignores its seed).
     """
     unit, low, n_limit, n_shift, size_limit, size_shift, key_limit, key_shift, key_step = layout
-    getrandbits = random.Random(seed).getrandbits
+    getrandbits = _MersenneTwister(seed).getrandbits
     block, words = _WORD_BLOCK, b"" if unit == 8 else ()
     n, draws, done = None, [], 0  # done: the first word of the next draw
     while True:

@@ -91,9 +91,13 @@ class Job:
 
 
 def _on_lattice(values: list[Fraction]) -> tuple[int, list[int]]:
-    """(L, [v * L]) for L the lcm of the denominators: exact ints, in order."""
-    scale = math.lcm(*{v.denominator for v in values})
-    return scale, [v.numerator * (scale // v.denominator) for v in values]
+    """(L, [v * L]) for L the lcm of the denominators: exact ints, in order.
+
+    Each value is read once, as its ``(numerator, denominator)`` pair.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = math.lcm(*{den for _, den in ratios})
+    return scale, [num * (scale // den) for num, den in ratios]
 
 
 @dataclass(frozen=True)
@@ -122,23 +126,27 @@ class Lattice:
 
 
 def _build_lattice(jobs: tuple[Job, ...]) -> Lattice:
+    """The lattice of ``jobs``, mapping each distinct ``Job`` object once.
+
+    When every position holds its own ``Job``, the rows' int columns are
+    the lattice.  Otherwise each column is expanded to the positions by one
+    ``itemgetter`` over the rows' slots.
+    """
     # keyed by identity: the jobs tuple keeps every object, and so its id, alive
     distinct = dict(zip(map(id, jobs), jobs))
-    slot = dict(zip(distinct, range(len(distinct))))
-    slots = list(map(slot.__getitem__, map(id, jobs)))
-    rows = distinct.values()
+    rows = jobs if len(distinct) == len(jobs) else distinct.values()
     capacity, sizes = _on_lattice([jb.size for jb in rows])
     unit, times = _on_lattice([jb.start for jb in rows] + [jb.finish for jb in rows])
     starts, finishes = times[: len(rows)], times[len(rows) :]
-    # through lists: a tuple built from an iterator is resized as it grows,
-    # which raised peak RSS by about 2% on runs of many small instances
-    return Lattice(
-        capacity,
-        tuple(list(map(sizes.__getitem__, slots))),
-        unit,
-        tuple(list(map(starts.__getitem__, slots))),
-        tuple(list(map(finishes.__getitem__, slots))),
-    )
+    if rows is jobs:
+        # tuples of lists: a tuple built from an iterator is resized as it
+        # grows, which raised peak RSS by about 2% on runs of many small
+        # instances
+        return Lattice(capacity, tuple(sizes), unit, tuple(starts), tuple(finishes))
+    # two or more positions, so the getter returns a tuple, sized once
+    slot = dict(zip(distinct, range(len(rows))))
+    expand = itemgetter(*map(slot.__getitem__, map(id, jobs)))
+    return Lattice(capacity, expand(sizes), unit, expand(starts), expand(finishes))
 
 
 @dataclass(frozen=True)

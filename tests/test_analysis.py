@@ -1,14 +1,13 @@
 """Weight ledgers, server taxonomy, layer inequalities, multiplier sequences."""
 
 import hashlib
-import random
 import re
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from rentlab import analysis, first_fit, make_instance, server_type_partition
+from rentlab import analysis, first_fit, generators, make_instance, server_type_partition
 from rentlab.analysis import (
     IGNORED_BUDGET,
     T_MIN,
@@ -30,6 +29,20 @@ from rentlab.optimal import active_ceil_bound, arrival_ceiling_profile, brute_fo
 
 F = Fraction
 T = F(1, 2)
+
+
+def count_seedings(monkeypatch):
+    """The seeds of every trial seeding, recorded at the seam through which
+    ``generators._grid_trial`` seeds its Mersenne Twister."""
+    made = []
+    twister = generators._MersenneTwister
+
+    def counting(seed):
+        made.append(seed)
+        return twister(seed)
+
+    monkeypatch.setattr(generators, "_MersenneTwister", counting)
+    return made
 
 
 def two_arrival(rows_at_zero, rows_at_t, t=T):
@@ -366,13 +379,6 @@ def test_find_uniform_two_arrival_is_deterministic():
 def test_default_weights_sampling_is_pinned(monkeypatch):
     # on pass the weights report echoes only trials and seed, so pin what
     # its sampler accepts over all 200 default trials, and how often it seeds
-    made = []
-
-    class CountingRandom(random.Random):
-        def __init__(self, x=None):
-            made.append(x)
-            super().__init__(x)
-
     accepted = []
 
     def recording(t, seed):
@@ -381,7 +387,7 @@ def test_default_weights_sampling_is_pinned(monkeypatch):
         return found
 
     monkeypatch.setattr(analysis, "find_uniform_two_arrival", recording)
-    monkeypatch.setattr(random, "Random", CountingRandom)
+    made = count_seedings(monkeypatch)
     assert analysis.suite_weights().passed
     monkeypatch.undo()
     assert len(accepted) == 200
@@ -396,14 +402,7 @@ def test_default_weights_sampling_is_pinned(monkeypatch):
 
 def test_default_strict_ff_2_seeds_each_trial_once(monkeypatch):
     # the job count and the draws come from one seeding of the trial seed
-    made = []
-
-    class CountingRandom(random.Random):
-        def __init__(self, x=None):
-            made.append(x)
-            super().__init__(x)
-
-    monkeypatch.setattr(random, "Random", CountingRandom)
+    made = count_seedings(monkeypatch)
     assert analysis.suite_strict_ff_2().passed
     monkeypatch.undo()
     assert made == [7 * 1_000_003 + trial for trial in range(500)]
@@ -411,14 +410,7 @@ def test_default_strict_ff_2_seeds_each_trial_once(monkeypatch):
 
 def test_default_nextfit_2t_seeds_each_trial_once(monkeypatch):
     # the job count and the draws come from one seeding of the trial seed
-    made = []
-
-    class CountingRandom(random.Random):
-        def __init__(self, x=None):
-            made.append(x)
-            super().__init__(x)
-
-    monkeypatch.setattr(random, "Random", CountingRandom)
+    made = count_seedings(monkeypatch)
     assert analysis.suite_nextfit_2t().passed
     monkeypatch.undo()
     assert made == [20240601 * 1_000_003 + trial for trial in range(500)]

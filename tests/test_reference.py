@@ -26,14 +26,17 @@ are checked to walk one tree.  interval_floor sweeps lattice ints; its
 references take each event interval's ceil(mass), its L2 with each alpha's
 sets built apart, and its bin-packing number by enumeration, all on
 Fractions.  The lattice maps each distinct Job object once, checked against
-the lattice of distinct copies of the same rows, and the random families
+the lattice of distinct copies of the same rows and against one scaled by
+the lcm of every position's denominators, and the random families
 sort int draws and share one Job per distinct row, one Fraction per size and
 one window per start key, checked against the Fraction draws sorted by
 start.
 
 A trial, as the weights sampler, strict-ff-2 and nextfit-2t draw it, seeds
-one random.Random and decodes the job count and the draws from that seed's
-Mersenne Twister words.  Its reference is the path it replaced:
+one Mersenne Twister, the C type under random.Random, and decodes the job
+count and the draws from that seed's words; the words are checked against
+random.Random's own on negative, 0, past 2^32 and 2^64 and the suites'
+trial seeds.  Its reference is the path it replaced:
 randint(low, high) on one seeding and the generator's draws on another,
 compared for the sampler's (4, 8) over 50,001 seeds (negative, 0, past 2^32
 and 2^64) and on a seed whose draws read past the word block, for
@@ -125,7 +128,7 @@ from rentlab.analysis import (
     weight_w1,
     weight_w2,
 )
-from rentlab.model import _schedule_text
+from rentlab.model import Lattice, _schedule_text
 from rentlab.generators import (
     _COIN_KEY,
     _grid_trial,
@@ -1317,6 +1320,51 @@ def test_lattice_of_shared_jobs_matches_distinct_copies():
     assert len({id(jb) for jb in long_uniform(4, 6).jobs}) == 7
 
 
+def reference_lattice(jobs):
+    """The lattice from every position's Fractions, with no dedupe: sizes
+    over the lcm of all size denominators, times over that of all times'."""
+
+    def scaled(value, scale):
+        tick = value * scale
+        assert tick.denominator == 1
+        return tick.numerator
+
+    capacity = math.lcm(*(jb.size.denominator for jb in jobs))
+    unit = math.lcm(*(x.denominator for jb in jobs for x in (jb.start, jb.finish)))
+    return Lattice(
+        capacity,
+        tuple(scaled(jb.size, capacity) for jb in jobs),
+        unit,
+        tuple(scaled(jb.start, unit) for jb in jobs),
+        tuple(scaled(jb.finish, unit) for jb in jobs),
+    )
+
+
+def test_lattice_matches_reference_on_both_builder_branches():
+    ggu = ggu_extended(36, F(1, 2))[0]
+    job, bad = Job(F(1, 6), F(1, 4), F(9, 4)), Job(F(-3, 5), F(7, 2), F(1, 3))
+    cases = [
+        Instance(()),
+        make_instance([(F(2, 7), F(1, 3), F(5, 2))]),
+        make_instance([(F(1, 2), 0, 1), (F(1, 3), F(1, 5), 2), (F(3, 4), F(7, 6), 3)]),
+        make_instance([(F(1, 2), 0, 1)] * 3),  # equal rows, distinct objects
+        long_uniform(4, 6),  # shared rows
+        random_two_arrival(50, F(1, 3), seed=8),
+        random_equal_duration(300, seed=5, horizon=20),
+        ggu,  # denominators up to 1000 * 18**36
+        Instance(ggu.jobs + ggu.jobs[::97]),
+        Instance((job, bad, Job(F(1, 6), F(1, 4), F(9, 4)))),  # a negative size
+        Instance((job, bad, job, bad)),
+    ]
+    # each position its own Job: the rows are the lattice; else expanded
+    own_rows = Counter(len({id(jb) for jb in c.jobs}) == len(c.jobs) for c in cases)
+    assert own_rows == {True: 6, False: 5}
+    for instance in cases:
+        # columns compare equal only as tuples
+        assert instance.lattice == reference_lattice(instance.jobs)
+    assert cases[-1].lattice.sizes == (5, -18, 5, -18)
+
+
 def test_lattice_of_shared_jobs_matches_copies_on_generated_rows():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
@@ -1447,6 +1495,24 @@ def replayed(seed, low=4, high=8, size_grid=12):
     return _grid_trial(seed, _trial_layout(low, high, size_grid, _COIN_KEY))
 
 
+def test_seeding_seam_gives_the_words_of_random_random():
+    # _grid_trial seeds the C type under random.Random; an int seed gives
+    # the same words either way, here read in _grid_trial's blocks of 32,
+    # 64, 128, ... words, past the 624-word state's first regeneration
+    seeds = [
+        -(2**70), -(2**32), -1, 0, 1, 2**32 - 1, 2**32, 2**32 + 1,
+        2**64, 2**64 + 1, 2**80 + 7, OVERRUN_SEED,
+        *(20240601 * 1_000_003 + trial for trial in range(40)),  # nextfit-2t
+        *(7 * 1_000_003 + trial for trial in range(40)),  # strict-ff-2
+        # the first attempts of weights' first trials
+        *(104729 * 1_000_003 + trial * 10_007 + a for trial in range(8) for a in range(5)),
+    ]
+    for seed in seeds:
+        seam, plain = generators._MersenneTwister(seed), random.Random(seed)
+        for words in (32, 64, 128, 256, 512):
+            assert seam.getrandbits(32 * words) == plain.getrandbits(32 * words), (seed, words)
+
+
 def test_uniform_draws_replay_two_seedings():
     seeds = [
         *range(-10_000, 10_000),
@@ -1481,7 +1547,7 @@ def test_trial_refuses_ranges_it_cannot_decode(monkeypatch):
     def no_seeding(seed):
         raise AssertionError("seeded before refusing the range")
 
-    monkeypatch.setattr(random, "Random", no_seeding)
+    monkeypatch.setattr(generators, "_MersenneTwister", no_seeding)
     for low, high, size_grid in ((2, 1, 12), (2, 2**32 + 2, 12), (1, 2**32, 12), (4, 8, 0)):
         with pytest.raises(ValueError, match="must each range over 1 to 2"):
             _trial_layout(low, high, size_grid, _COIN_KEY)
@@ -1560,12 +1626,12 @@ def test_trials_past_the_first_blocks_match_plain_draws(monkeypatch):
     # on 11 of the seeds below
     blocks = []
 
-    class Counted(random.Random):
+    class Counted(generators._MersenneTwister):
         def getrandbits(self, k):
             blocks[-1] += 1
             return super().getrandbits(k)
 
-    monkeypatch.setattr(generators, "random", SimpleNamespace(Random=Counted))
+    monkeypatch.setattr(generators, "_MersenneTwister", Counted)
 
     def read(trial, seed, *args):
         blocks.append(0)
