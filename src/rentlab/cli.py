@@ -35,7 +35,7 @@ from .model import (
     write_instance,
     write_schedule,
 )
-from .optimal import _interval_ticks, brute_force_opt
+from .optimal import brute_force_opt
 
 _ALGORITHMS = {"nextfit": next_fit, "firstfit": first_fit}
 
@@ -240,10 +240,6 @@ def cmd_opt(args) -> int:
         instance = read_instance(args.input)
     with _phase(phases, "solve"):
         result = brute_force_opt(instance, max_jobs=args.max_jobs)
-    with _phase(phases, "measure"):
-        # the search has validated the instance: read interval_floor's ticks
-        lat = instance.lattice
-        floor = Fraction(_interval_ticks(lat), lat.unit)
     fields = {
         "cost": _rational_pair(result.cost),
         "servers": len(result.schedule.servers),
@@ -251,7 +247,7 @@ def cmd_opt(args) -> int:
         "lower_bounds": {
             "utilization": _rational_pair(result.util_bound),
             "span": _rational_pair(result.span_bound),
-            "interval": _rational_pair(floor),
+            "interval": _rational_pair(result.interval_bound),
         },
     }
     if args.timing:

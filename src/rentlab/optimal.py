@@ -8,13 +8,11 @@ first start to last finish, idle gaps included.
 
 Two prunings keep this usable: a group extension is rejected as soon as the
 accumulated cost reaches the incumbent, and the search stops outright when
-the incumbent meets a lower bound, since nothing can beat a proven floor.
-The floor is max(utilization, span) until an incumbent lies above it; the
-interval floor, stronger and costlier, is then read once and is the floor
-from there on.  Costs never fall along a branch, so the first partition of
-optimal cost is recorded before the incumbent can prune it, and a stop at
-any floor at most the optimum leaves the result and the partitions
-examined as an exhaustive walk gives them.
+the incumbent meets the interval floor, read once before the search, since
+nothing can beat a proven floor.  Costs never fall along a branch, so the
+first partition of optimal cost is recorded before the incumbent can prune
+it, and a stop at any floor at most the optimum leaves the result and the
+partitions examined as an exhaustive walk gives them.
 
 The search runs on the instance's integer lattice: sizes, loads, times and
 costs are ints, so every fit test, cost step and comparison decides exactly
@@ -57,15 +55,18 @@ from .model import (
 class OptResult:
     """Outcome of the exact search.
 
+    ``util_bound``, ``span_bound`` and ``interval_bound`` are the
+    instance's utilization, span and ``interval_floor``, each at most
+    ``cost``; the search stops only at ``interval_bound``.
+
     ``counters`` holds the search's work: ``nodes`` (calls of the
     recursion, one per partial partition extended), ``fit_tests`` (the
     comparisons of a group's load with the room a job leaves),
     ``load_sums`` (the live-member sets whose load was summed, each once),
     ``incumbent_updates`` (the times a complete partition beat the best so
-    far) and ``stopped_at_floor`` (whether the incumbent met a lower bound,
-    max(utilization, span) or the interval floor, and ended the search
-    early; it is true exactly when the cost equals ``interval_floor``).  It
-    takes no part in equality or repr.
+    far) and ``stopped_at_floor`` (whether the incumbent met the interval
+    floor and ended the search early; it is true exactly when the cost
+    equals ``interval_bound``).  It takes no part in equality or repr.
     """
 
     schedule: Schedule
@@ -73,6 +74,7 @@ class OptResult:
     partitions_examined: int
     util_bound: Fraction
     span_bound: Fraction
+    interval_bound: Fraction
     counters: dict = field(default_factory=dict, compare=False, repr=False)
 
 
@@ -96,15 +98,10 @@ def brute_force_opt(instance: Instance, max_jobs: int = 10) -> OptResult:
     ``mask & alive[i]``, read from a memo of such sums that fills as the
     search runs (never a table of all 2^n sets); a job fits when that load
     is at most ``capacity`` minus its size.  The running cost is an int in
-    lattice time units (``unit`` is time 1), so the floor
-    max(utilization, span) becomes the int
-    ``floor(max(utilization, span) * unit)``: for an int cost ``c``,
-    ``c / unit <= bound`` holds exactly when ``c <= floor(bound * unit)``.
-    The first incumbent above that floor reads the interval floor, already
-    an int on the lattice, which is at least max(utilization, span) and at
-    most the optimum; the search stops when an incumbent meets it.  It is
-    read at most once, and not at all when the first incumbent meets the
-    cheap floor.
+    lattice time units (``unit`` is time 1), as is the interval floor, which
+    is read once, after the job limit is checked, and is at least
+    max(utilization, span) and at most the optimum; the search stops when
+    an incumbent meets it.
     """
     if max_jobs < 1:
         raise ValueError(f"max_jobs must be at least 1, got {max_jobs}")
@@ -116,7 +113,7 @@ def brute_force_opt(instance: Instance, max_jobs: int = 10) -> OptResult:
     lat = instance.lattice
     capacity, sizes = lat.capacity, lat.sizes
     starts, finishes = lat.starts, lat.finishes
-    floor = math.floor(max(util_b, span_b) * lat.unit)
+    floor = _interval_ticks(lat)
 
     # a job that ends by a start has a lower index, since its own start came
     # first, so alive[i] is every earlier job but those ended by starts[i]
@@ -133,13 +130,12 @@ def brute_force_opt(instance: Instance, max_jobs: int = 10) -> OptResult:
     best: int | None = None
     best_masks: list[int] = []
     examined = nodes = fit_tests = updates = 0
-    finished = sharpened = False  # sharpened: floor is the interval floor
+    finished = False
     masks: list[int] = []  # per group, its job indices as bits
     max_finish: list[int] = []  # per group, its latest finish
 
     def descend(i: int, acc: int) -> None:
         nonlocal best, best_masks, examined, nodes, fit_tests, updates, finished
-        nonlocal floor, sharpened
         nodes += 1
         if i == n:
             examined += 1
@@ -147,8 +143,6 @@ def brute_force_opt(instance: Instance, max_jobs: int = 10) -> OptResult:
                 best = acc
                 best_masks = masks.copy()
                 updates += 1
-                if best > floor and not sharpened:
-                    floor, sharpened = _interval_ticks(lat), True
                 finished = best <= floor
             return
         finish, live, bit = finishes[i], alive[i], 1 << i
@@ -192,6 +186,7 @@ def brute_force_opt(instance: Instance, max_jobs: int = 10) -> OptResult:
         partitions_examined=examined,
         util_bound=util_b,
         span_bound=span_b,
+        interval_bound=Fraction(floor, lat.unit),
         counters={
             "nodes": nodes,
             "fit_tests": fit_tests,

@@ -24,7 +24,7 @@ from rentlab import (
     read_instance,
     write_instance,
 )
-from rentlab import cli
+from rentlab import cli, optimal
 from rentlab.cli import _flag, build_parser, main
 from rentlab.generators import FAMILIES, family_parameters, ggu_extended
 
@@ -712,12 +712,25 @@ def test_run_timing_flag_adds_wall_time(tmp_path):
     assert sorted(phases) == ["measure", "parse", "solve", "write_schedule"]
 
 
-def test_opt_timing_reports_search_counters(tmp_path):
+def test_opt_timing_reports_search_counters(tmp_path, monkeypatch):
     inst_path = tmp_path / "three.jobs"
     inst_path.write_text("1/2 0 2\n1/2 0 2\n1/2 1 3\n")
     report_path = tmp_path / "report.json"
     argv = ["opt", "--in", str(inst_path), "--out", str(report_path)]
+    reads = []
+    real = optimal._interval_ticks
+
+    def counting(lattice):
+        reads.append(lattice)
+        return real(lattice)
+
+    # in every rentlab module that holds the function by its own name: the
+    # search reads the floor once, and the report takes it from the result
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rentlab") and getattr(module, "_interval_ticks", None) is real:
+            monkeypatch.setattr(module, "_interval_ticks", counting)
     assert run_cli(*argv, "--timing") == 0
+    assert len(reads) == 1
     report = json.loads(report_path.read_text())
     # job 2 does not fit beside jobs 0 and 1 at time 1, so {0, 1}, {2} is
     # the first partition; its cost 4 is above max(utilization, span) = 3

@@ -137,6 +137,7 @@ def test_brute_force_never_beats_lower_bounds_or_loses_to_online():
         assert opt.cost >= spn
         assert opt.util_bound == util
         assert opt.span_bound == spn
+        assert max(util, spn) <= opt.interval_bound <= opt.cost
         assert opt.cost <= cost(next_fit(inst).schedule)
         assert opt.cost <= cost(first_fit(inst).schedule)
 

@@ -577,10 +577,9 @@ def reference_brute_force_opt(instance, max_jobs=10, stop_at_interval=True):
     if n > max_jobs:
         raise ValueError(f"{n} jobs exceeds brute-force limit of {max_jobs}")
     util_b, span_b = lower_bounds(instance)
-    floor = max(util_b, span_b)
-    if stop_at_interval:
-        # at least max(util_b, span_b), and at most the optimum
-        floor = reference_interval_bounds(instance)[1]
+    # at least max(util_b, span_b), and at most the optimum
+    interval_b = reference_interval_bounds(instance)[1]
+    floor = interval_b if stop_at_interval else max(util_b, span_b)
 
     best_cost = None
     best_groups = None
@@ -634,7 +633,7 @@ def reference_brute_force_opt(instance, max_jobs=10, stop_at_interval=True):
     }
     return OptResult(
         make_schedule(instance, best_groups), best_cost, examined, util_b, span_b,
-        counters,
+        interval_b, counters,
     )
 
 
@@ -2262,7 +2261,8 @@ def check_opt(instance, max_jobs=10):
     assert got.partitions_examined <= counters["nodes"]
     assert 1 <= counters["incumbent_updates"] <= got.partitions_examined
     # the cost never beats a floor, so it stops there only by meeting it
-    assert counters["stopped_at_floor"] == (got.cost == interval_floor(instance))
+    assert got.interval_bound == interval_floor(instance)
+    assert counters["stopped_at_floor"] == (got.cost == got.interval_bound)
     return got
 
 
@@ -2334,7 +2334,7 @@ def test_opt_stop_at_the_interval_floor_keeps_the_result():
         assert got.counters["nodes"] <= expected.counters["nodes"]
 
 
-def test_opt_reads_the_interval_floor_at_most_once(monkeypatch):
+def test_opt_reads_the_interval_floor_exactly_once(monkeypatch):
     reads = []
     real = optimal._interval_ticks
 
@@ -2345,12 +2345,9 @@ def test_opt_reads_the_interval_floor_at_most_once(monkeypatch):
     monkeypatch.setattr(optimal, "_interval_ticks", counting)
     for instance in opt_instances():
         reads.clear()
-        got = brute_force_opt(instance)
-        assert len(reads) <= 1
-        # an incumbent above max(utilization, span) reads it
-        if got.cost > max(got.util_bound, got.span_bound):
-            assert len(reads) == 1
-    # not for the empty instance, nor when the first incumbent meets
+        brute_force_opt(instance)
+        assert reads == [instance.lattice]
+    # also for the empty instance, and when the first incumbent meets
     # max(utilization, span): one server holds every job for the span
     for instance in (
         Instance(()),
@@ -2358,7 +2355,12 @@ def test_opt_reads_the_interval_floor_at_most_once(monkeypatch):
     ):
         reads.clear()
         assert brute_force_opt(instance).counters["stopped_at_floor"]
-        assert reads == []
+        assert reads == [instance.lattice]
+    # an instance past the limit is refused before the floor is read
+    reads.clear()
+    with pytest.raises(ValueError):
+        brute_force_opt(make_instance([(F(1, 2), 0, 1)] * 4), 3)
+    assert reads == []
 
 
 def test_opt_errors_match_reference():
