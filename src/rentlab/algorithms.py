@@ -18,10 +18,11 @@ The kernel finds that first candidate without testing the others.  A tree
 over the candidates, in opening order, holds at each node the largest free
 capacity of any candidate below it (Johnson's tree-based FirstFit, with
 departures raising free capacity), so each placement walks one path from
-the root.  A Decision's ``servers_scanned`` is therefore not a measure of
+the root.  A trace's ``servers_scanned`` is therefore not a measure of
 work: it is the chosen server's 1-based rank among the live candidates, the
 count a linear scan in opening order would test.  The kernel's own work is
-in ``AlgorithmTrace.counters``.
+in ``AlgorithmTrace.counters``.  A trace keeps each job's server id and
+rank as two int columns, and builds ``Decision`` records only when read.
 
 Departures are kept by finish time.  Jobs of equal duration, the paper's
 setting, leave in large groups, so an arrival takes each finish it has
@@ -32,13 +33,14 @@ then.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from heapq import heappop, heappush
 from itertools import accumulate
 from operator import gt
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .model import Instance, Schedule, Server, require_shape, require_valid
 
@@ -53,10 +55,8 @@ class Decision(NamedTuple):
     NextFit's one open server counts as scanned for every job after the
     first, even once it has expired.
 
-    The kernel builds none: a trace's records are built from its columns
-    the first time they are read.  A named tuple is half the cost of a
-    frozen dataclass, with the same repr, and it also equals the plain
-    tuple of its four values.
+    The kernel builds none (see ``AlgorithmTrace.decisions``).  A record is
+    read-only and equals (and hashes as) the plain tuple of its values.
     """
 
     job_index: int
@@ -65,68 +65,35 @@ class Decision(NamedTuple):
     servers_scanned: int
 
 
-class _Decisions(Sequence):
-    """A trace's decisions, kept as the kernel's two int columns.
-
-    The tuple of ``Decision`` records is built on first use and kept; the
-    view acts as that tuple under ``==`` (either way round), ``hash`` and
-    ``repr``, and its slices are tuples.  ``len`` builds nothing.  Server
-    ids are handed out in opening order, so job i opened its server
-    exactly when its id exceeds every earlier job's.  Two first reads that
-    race build equal tuples, so either may be kept.
-    """
-
-    __slots__ = ("_chosen", "_scanned", "_records")
-
-    def __init__(self, chosen: list[int], scanned: list[int]) -> None:
-        self._chosen, self._scanned = chosen, scanned
-        self._records: Optional[tuple[Decision, ...]] = None
-
-    def _built(self) -> tuple[Decision, ...]:
-        if self._records is None:
-            chosen = self._chosen
-            opened = map(gt, chosen, accumulate(chosen[:-1], max, initial=-1))
-            # the records take their fields in order: keyword calls cost more
-            self._records = tuple(
-                map(Decision, range(len(chosen)), chosen, opened, self._scanned)
-            )
-        return self._records
-
-    def __len__(self) -> int:
-        return len(self._chosen)
-
-    def __getitem__(self, index: int | slice):
-        return self._built()[index]
-
-    def __iter__(self) -> Iterator[Decision]:
-        return iter(self._built())
-
-    def __eq__(self, other: object) -> bool:
-        return self._built() == other
-
-    def __hash__(self) -> int:
-        return hash(self._built())
-
-    def __repr__(self) -> str:
-        return repr(self._built())
-
-
 @dataclass(frozen=True)
 class AlgorithmTrace:
-    """The resulting schedule plus one decision record per job.
+    """The resulting schedule plus each job's placement, as two columns.
 
-    ``decisions`` is the kernel's lazy view (see ``_Decisions``), which
-    builds its records on first read, or any sequence of ``Decision``s,
-    such as a tuple; either way it compares as the tuple of its records.
-    ``counters`` holds the kernel's work: ``index_rebuilds`` (the times an
-    arrival outlived a candidate and the tree was rebuilt over the
-    survivors), ``tree_steps`` (the tree depth, added once per job) and
-    ``servers_opened``.  It takes no part in equality or repr.
+    ``server_ids[i]`` is the server job i went to and ``servers_scanned[i]``
+    its ``Decision.servers_scanned``; a trace compares, hashes and prints by
+    these columns.  ``decisions`` builds one ``Decision`` per job from them
+    on first read and keeps the tuple.  ``counters`` holds the kernel's
+    work: ``index_rebuilds`` (the times an arrival outlived a candidate and
+    the tree was rebuilt over the survivors), ``tree_steps`` (the tree
+    depth, added once per job) and ``servers_opened``.  It takes no part in
+    equality or repr.
     """
 
     schedule: Schedule
-    decisions: Sequence[Decision]
+    server_ids: tuple[int, ...]
+    servers_scanned: tuple[int, ...]
     counters: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
+
+    @cached_property
+    def decisions(self) -> tuple[Decision, ...]:
+        # ids are handed out in opening order, so job i opened its server
+        # exactly when its id exceeds every earlier job's
+        chosen = self.server_ids
+        opened = map(gt, chosen, accumulate(chosen[:-1], max, initial=-1))
+        # the records take their fields in order: keyword calls cost more
+        return tuple(
+            map(Decision, range(len(chosen)), chosen, opened, self.servers_scanned)
+        )
 
 
 def _max_tree(
@@ -297,7 +264,7 @@ def _place(instance: Instance, keep_earlier: bool) -> AlgorithmTrace:
         "servers_opened": len(servers),
     }
     return AlgorithmTrace(
-        Schedule(instance, servers), _Decisions(chosen, scanned), counters
+        Schedule(instance, servers), tuple(chosen), tuple(scanned), counters
     )
 
 

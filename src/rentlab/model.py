@@ -179,9 +179,8 @@ def make_instance(rows: Iterable[Sequence]) -> Instance:
 class Server(NamedTuple):
     """A rented server: which jobs it holds and its rental window.
 
-    A named tuple, as ``algorithms.Decision`` is: read-only, with the repr
-    of the frozen dataclass it replaced, built in about half the time, and
-    equal to (and hashed as) the plain tuple of its four values.
+    A named tuple, as ``algorithms.Decision`` is: read-only, and equal to
+    (and hashed as) the plain tuple of its four values.
     """
 
     id: int

@@ -219,9 +219,9 @@ def test_counters_record_kernel_work_outside_equality():
     for (policy, inst), counters in expected.items():
         trace = policy(inst)
         assert trace.counters == counters
-        bare = AlgorithmTrace(trace.schedule, trace.decisions)
+        bare = AlgorithmTrace(trace.schedule, trace.server_ids, trace.servers_scanned)
         assert bare.counters == {}
-        assert bare == trace and repr(bare) == repr(trace)
+        assert bare == trace and hash(bare) == hash(trace) and repr(bare) == repr(trace)
 
 
 @pytest.fixture
@@ -257,13 +257,14 @@ def test_run_and_verify_paths_build_no_decision(decisions_built, tmp_path):
 def test_decisions_are_built_once_on_first_read(decisions_built):
     inst = ggu_extended(6, F(1, 2))[0]
     for policy in (first_fit, next_fit):
-        trace = policy(inst)
-        assert len(trace.decisions) == len(inst.jobs)
+        trace, again = policy(inst), policy(inst)
+        assert len(trace.server_ids) == len(trace.servers_scanned) == len(inst.jobs)
+        assert trace == again and hash(trace) == hash(again)
         assert decisions_built == []
-        first = trace.decisions[0]
+        records = trace.decisions
         assert decisions_built == list(range(len(inst.jobs)))
         decisions_built.clear()
-        assert trace.decisions[0] is first and len(list(trace.decisions)) == len(inst.jobs)
+        assert trace.decisions is records and len(records) == len(inst.jobs)
         assert decisions_built == []
 
 
