@@ -36,6 +36,7 @@ from .generators import (
     _grid_trial,
     _randint_key,
     _trial_layout,
+    _two_arrival_jobs,
     ggu_extended,
     long_uniform,
     second_arrival,
@@ -534,17 +535,15 @@ def find_uniform_two_arrival(t, seed: int):
 
     Each draw is tested on the integer size grid, which never reads t: the
     accepted seed depends on ``seed`` alone, and t only sets the second
-    start of the accepted instance.  Only that draw is built as an Instance
-    and run through first_fit.
+    start of the accepted instance.  Only that draw is built as an Instance,
+    from random_two_arrival's job table, and run through first_fit.
     """
     t = second_arrival(t)
     layout = _trial_layout(*_UNIFORM_N_RANGE, _UNIFORM_SIZE_GRID, _COIN_KEY)
     for cand_seed in range(seed, seed + _UNIFORM_MAX_ATTEMPTS):
         draws = _grid_trial(cand_seed, layout)
         if _uniform_first_fit(draws, _UNIFORM_SIZE_GRID):
-            windows = ((Fraction(0), Fraction(1)), (t, t + 1))
-            job = _grid_job_table(_UNIFORM_SIZE_GRID, windows.__getitem__)
-            instance = _grid_jobs(draws, job)
+            instance = _grid_jobs(draws, _two_arrival_jobs(_UNIFORM_SIZE_GRID, t))
             return instance, first_fit(instance), cand_seed
     raise RuntimeError(
         f"no uniform-server instance found in {_UNIFORM_MAX_ATTEMPTS} attempts"

@@ -8,14 +8,13 @@ separation between groups is why everything downstream runs on Fractions.
 
 from __future__ import annotations
 
-import random
 import struct
 from _random import Random as _MersenneTwister
 from fractions import Fraction
 from functools import cache
 from inspect import Parameter, signature
 from itertools import starmap
-from operator import itemgetter
+from operator import index, itemgetter
 
 from .model import Instance, Job, Schedule, as_rational, make_schedule
 
@@ -151,12 +150,10 @@ def nf_nemesis(n_pairs_half: int) -> Instance:
     n = n_pairs_half
     if n < 1:
         raise ValueError("N must be at least 1")
-    sliver = Fraction(1, 2 * n)
-    jobs = []
-    for _ in range(2 * n):
-        jobs.append(Job(HALF, Fraction(0), Fraction(1)))
-        jobs.append(Job(sliver, Fraction(0), Fraction(1)))
-    return Instance(tuple(jobs))
+    # every pair repeats two Jobs, and so two lattice rows (one at N = 1)
+    half = Job(HALF, Fraction(0), Fraction(1))
+    sliver = half if n == 1 else Job(Fraction(1, 2 * n), half.start, half.finish)
+    return Instance((half, sliver) * (2 * n))
 
 
 def _grid_job_table(size_grid: int, window_at):
@@ -182,24 +179,6 @@ def _grid_jobs(draws: list[tuple[int, int]], job) -> Instance:
     return Instance(tuple(list(starmap(job, draws))))
 
 
-def random_two_arrival(n: int, t, seed: int, size_grid: int = 12) -> Instance:
-    """n unit-duration jobs arriving at 0 or t, sizes uniform on the grid.
-
-    Sizes are drawn from {1/D, ..., D/D} and each start is a fair coin over
-    {0, t}.  Deterministic in (n, t, seed, size_grid); jobs come out sorted
-    by start.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if size_grid < 1:
-        raise ValueError("size_grid must be at least 1")
-    t = second_arrival(t)
-    windows = ((Fraction(0), Fraction(1)), (t, t + 1))
-    rng = random.Random(seed)
-    draws = [(rng.randint(1, size_grid), rng.random() >= 0.5) for _ in range(n)]
-    return _grid_jobs(draws, _grid_job_table(size_grid, windows.__getitem__))
-
-
 # A trial's first block of Mersenne Twister words; each later one is twice as long
 _WORD_BLOCK = struct.Struct("<32I")
 
@@ -221,18 +200,17 @@ def _trial_layout(low: int, high: int, size_grid: int, key: tuple[int, int, int]
     ``randint(low, high)``, sizes ``randint(1, size_grid)`` and start keys
     laid out by ``key``.
 
-    A count or size range of no values, or of 2**32 or more (drawn from
-    several words at a time), raises ValueError.  Each draw is a test on
-    the top bits of a word: when no draw keeps more than 8 bits, the top
-    byte of each word decides it, and the trial reads only those bytes.
+    A range of no values, or of 2**32 or more (drawn from several words at
+    a time), raises ValueError naming the first such range.  Each draw is a
+    test on the top bits of a word: when no draw keeps more than 8 bits,
+    the top byte of each word decides it, and the trial reads only those bytes.
     """
-    width = high - low + 1
-    if not (0 < width < 2**32 and 0 < size_grid < 2**32):
-        raise ValueError(
-            f"a trial's job counts [{low}, {high}] and sizes [1, {size_grid}] "
-            "must each range over 1 to 2**32 - 1 values"
-        )
     key_values, key_bits, key_step = key
+    for name, first, last in (("job counts", low, high), ("grid sizes", 1, size_grid),
+                              ("grid starts", 0, key_values - 1)):
+        if not 0 <= last - first < 2**32 - 1:
+            raise ValueError(f"{name} [{first}, {last}] must range over 1 to 2**32 - 1 values")
+    width = high - low + 1
     draws = (
         (width, width.bit_length()),
         (size_grid, size_grid.bit_length()),
@@ -251,9 +229,10 @@ def _grid_trial(seed: int, layout: tuple) -> list[tuple[int, int]]:
     ``random.Random(seed).randint(low, high)``, then the n draws
     ``(randint(1, size_grid), start key)`` that a second
     ``random.Random(seed)`` gives, for the ``layout`` of
-    ``_trial_layout(low, high, size_grid, key)``.  With ``key`` as
-    ``_COIN_KEY`` these are random_two_arrival's draws; as
-    ``_randint_key(horizon * start_grid)``, random_equal_duration's.
+    ``_trial_layout(low, high, size_grid, key)``.  random_two_arrival
+    (``key`` as ``_COIN_KEY``) and random_equal_duration (as
+    ``_randint_key(horizon * start_grid)``) draw through it with the
+    one-value count range [n, n], whose count leaves their draws at word 0.
 
     Both seedings read the seed's stream from its first word, so its words
     are read once, in blocks, and decoded as CPython draws them.  A draw
@@ -296,6 +275,29 @@ def _grid_trial(seed: int, layout: tuple) -> list[tuple[int, int]]:
             block = struct.Struct(f"<{block.size // 2}I")
 
 
+def _two_arrival_jobs(size_grid: int, t: Fraction):
+    """random_two_arrival's table: key 0 starts at 0, key 1 at t, for one unit."""
+    windows = ((Fraction(0), Fraction(1)), (t, t + 1))
+    return _grid_job_table(size_grid, windows.__getitem__)
+
+
+def random_two_arrival(n: int, t, seed: int, size_grid: int = 12) -> Instance:
+    """n unit-duration jobs arriving at 0 or t, sizes uniform on the grid.
+
+    Sizes are drawn from {1/D, ..., D/D} and each start is a fair coin over
+    {0, t}, as ``random.Random(seed)`` draws them for an int seed, decoded
+    by the suites' ``_grid_trial``; D must lie below 2**32.  Deterministic
+    in (n, t, seed, size_grid); jobs come out sorted by start.
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if size_grid < 1:
+        raise ValueError("size_grid must be at least 1")
+    layout = _trial_layout(n, n, size_grid, _COIN_KEY)
+    t = second_arrival(t)
+    return _grid_jobs(_grid_trial(index(seed), layout), _two_arrival_jobs(size_grid, t))
+
+
 def _equal_duration_jobs(size_grid: int, start_grid: int):
     """random_equal_duration's table: key k starts at k/start_grid, for one unit."""
     return _grid_job_table(
@@ -305,27 +307,23 @@ def _equal_duration_jobs(size_grid: int, start_grid: int):
 
 
 def random_equal_duration(
-    n: int,
-    seed: int,
-    size_grid: int = 8,
-    start_grid: int = 4,
-    horizon: int = 3,
+    n: int, seed: int, size_grid: int = 8, start_grid: int = 4, horizon: int = 3
 ) -> Instance:
     """n unit-duration jobs with grid starts anywhere in [0, horizon].
 
     Starts land on multiples of 1/start_grid, sizes on multiples of
-    1/size_grid; deterministic in the parameters, sorted by start.
+    1/size_grid, as ``random.Random(seed)`` draws them for an int seed,
+    decoded by the suites' ``_grid_trial``; size_grid and
+    horizon * start_grid + 1 must lie below 2**32.  Deterministic in the
+    parameters, sorted by start.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     if size_grid < 1 or start_grid < 1 or horizon < 0:
         raise ValueError("grids must be positive and horizon non-negative")
-    rng = random.Random(seed)
-    draws = [
-        (rng.randint(1, size_grid), rng.randint(0, horizon * start_grid))
-        for _ in range(n)
-    ]
-    return _grid_jobs(draws, _equal_duration_jobs(size_grid, start_grid))
+    layout = _trial_layout(n, n, size_grid, _randint_key(horizon * start_grid))
+    jobs = _equal_duration_jobs(size_grid, start_grid)
+    return _grid_jobs(_grid_trial(index(seed), layout), jobs)
 
 
 # Every family by its generator, whose signature gives the family's

@@ -113,9 +113,10 @@ class Lattice:
 
     Each distinct ``Job`` object is mapped once and its ints are shared by
     every position that holds it; equal values of distinct ``Job``s are not
-    merged into one int object.  ``parse_instance`` shares one
-    ``Job`` per distinct line, and ``long_uniform`` and the random families
-    one per distinct row, so a 10,100-job ``long_uniform`` file maps 101 jobs.
+    merged into one int object.  ``parse_instance`` shares one ``Job`` per
+    distinct line, and ``long_uniform``, ``nf_nemesis`` and the random
+    families one per distinct row, so a 10,100-job ``long_uniform`` file
+    maps 101 jobs.
     """
 
     capacity: int
@@ -129,8 +130,9 @@ def _build_lattice(jobs: tuple[Job, ...]) -> Lattice:
     """The lattice of ``jobs``, mapping each distinct ``Job`` object once.
 
     When every position holds its own ``Job``, the rows' int columns are
-    the lattice.  Otherwise each column is expanded to the positions by one
-    ``itemgetter`` over the rows' slots.
+    the lattice.  Otherwise, as for parsed files, ``long_uniform``,
+    ``nf_nemesis`` and the random families, each column is expanded to the
+    positions by one ``itemgetter`` over the rows' slots.
     """
     # keyed by identity: the jobs tuple keeps every object, and so its id, alive
     distinct = dict(zip(map(id, jobs), jobs))

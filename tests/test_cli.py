@@ -119,6 +119,11 @@ BAD_RANDOM_ARGUMENTS = [
          "grids must be positive and horizon non-negative")
         for flag in ("--size-grid 0", "--start-grid 0", "--horizon -1")
     ],
+    # 2**32 sizes or starts or more: CPython draws them from several words
+    ("--family random-two-arrival --n 3 --t 1/2 --seed 1 --size-grid 4294967296",
+     "grid sizes [1, 4294967296] must range over 1 to 2**32 - 1 values"),
+    ("--family random-equal-duration --n 3 --seed 1 --start-grid 65536 --horizon 65536",
+     "grid starts [0, 4294967296] must range over 1 to 2**32 - 1 values"),
 ]
 
 

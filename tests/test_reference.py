@@ -27,10 +27,13 @@ references take each event interval's ceil(mass), its L2 with each alpha's
 sets built apart, and its bin-packing number by enumeration, all on
 Fractions.  The lattice maps each distinct Job object once, checked against
 the lattice of distinct copies of the same rows and against one scaled by
-the lcm of every position's denominators, and the random families
-sort int draws and share one Job per distinct row, one Fraction per size and
-one window per start key, checked against the Fraction draws sorted by
-start.
+the lcm of every position's denominators; nf_nemesis repeats one Job per
+distinct row.  The random families decode their draws through the trial
+reader below, sort int draws and share one Job per distinct row, one
+Fraction per size and one window per start key, checked against
+random.Random's Fraction draws sorted by start, for up to 2000 jobs, size
+grids up to 2^32 - 1, start ranges past 2^31 and seeds below 0 and past
+2^64.
 
 A trial, as the weights sampler, strict-ff-2 and nextfit-2t draw it, seeds
 one Mersenne Twister, the C type under random.Random, and decodes the job
@@ -67,6 +70,7 @@ import random
 import struct
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
@@ -1310,10 +1314,14 @@ def test_lattice_of_shared_jobs_matches_distinct_copies():
         parse_instance(MESSY_TEXT),
         random_equal_duration(300, seed=5, horizon=20),
         random_two_arrival(50, F(1, 3), seed=8),
+        nf_nemesis(5),
         make_instance([(F(1, 2), 0, 1)] * 3),  # equal rows, distinct objects
     ]
     for instance in shared:
         assert instance.lattice == lattice_of_copies(instance)
+    # nf_nemesis repeats one Job per distinct row, one row at N = 1
+    for n_pairs in (1, 5):
+        assert_shared_rows(nf_nemesis(n_pairs))
     # a Job at positions far apart, and rows that no validity rule allows
     job, bad = Job(F(1, 6), F(1, 4), F(9, 4)), Job(F(-3, 5), F(7, 2), F(1, 3))
     instance = Instance((job, bad, Job(F(1, 6), F(1, 4), F(9, 4)), bad, job))
@@ -1451,6 +1459,14 @@ def assert_shared_rows(instance):
         assert len({id(v) for v in values}) == len(set(values))
 
 
+# Wide inputs of the random families: job counts that read past the first
+# word blocks, size grids decoded from words' top bytes (up to 255 values)
+# and from whole words, and seeds far below 0 and past 2**64
+WIDE_COUNTS = (0, 1, 7, 40, 300, 2000)
+WIDE_SIZE_GRIDS = (1, 12, 256, 257, 999_983, 2**32 - 1)
+WIDE_SEEDS = (-(2**70) - 3, -1, 2**64 + 1, 2**80 + 7)
+
+
 def test_two_arrival_draws_match_reference():
     for seed in range(60):
         for t in _WEIGHT_T_VALUES:
@@ -1459,6 +1475,11 @@ def test_two_arrival_draws_match_reference():
                 instance = random_two_arrival(n, t, seed, size_grid)
                 assert instance == reference_two_arrival(n, t, seed, size_grid)
                 assert_shared_rows(instance)
+    for i, (n, size_grid) in enumerate(product(WIDE_COUNTS, WIDE_SIZE_GRIDS)):
+        seed, t = WIDE_SEEDS[i % 4], _WEIGHT_T_VALUES[i % 3]
+        instance = random_two_arrival(n, t, seed, size_grid)
+        assert instance == reference_two_arrival(n, t, seed, size_grid), (n, seed, size_grid)
+        assert_shared_rows(instance)
 
 
 def test_equal_duration_draws_match_reference():
@@ -1468,6 +1489,15 @@ def test_equal_duration_draws_match_reference():
                 instance = random_equal_duration(n, seed, *grids)
                 assert instance == reference_equal_duration(n, seed, *grids)
                 assert_shared_rows(instance)
+    # start ranges of one value (horizon 0), of 8 bits, and of 2**31 + 1
+    # values, just past 2**31: each count and each size grid meets all three
+    starts = ((5, 0), (4, 50), (2**16, 2**15))
+    for k, n in enumerate(WIDE_COUNTS):
+        for g, size_grid in enumerate(WIDE_SIZE_GRIDS):
+            seed, grids = WIDE_SEEDS[(k + g) % 4], (size_grid, *starts[(k + g) % 3])
+            instance = random_equal_duration(n, seed, *grids)
+            assert instance == reference_equal_duration(n, seed, *grids), (n, seed, grids)
+            assert_shared_rows(instance)
 
 
 def test_uniform_sampler_matches_fraction_reference():
@@ -1550,14 +1580,28 @@ def test_trial_refuses_ranges_it_cannot_decode(monkeypatch):
         raise AssertionError("seeded before refusing the range")
 
     monkeypatch.setattr(generators, "_MersenneTwister", no_seeding)
-    for low, high, size_grid in ((2, 1, 12), (2, 2**32 + 2, 12), (1, 2**32, 12), (4, 8, 0)):
-        with pytest.raises(ValueError, match="must each range over 1 to 2"):
-            _trial_layout(low, high, size_grid, _COIN_KEY)
+    refused = [
+        ((2, 1, 12, _COIN_KEY), r"job counts \[2, 1\]"),
+        ((2, 2**32 + 2, 12, _COIN_KEY), r"job counts \[2, 4294967298\]"),
+        ((1, 2**32, 12, _COIN_KEY), r"job counts \[1, 4294967296\]"),
+        ((4, 8, 0, _COIN_KEY), r"grid sizes \[1, 0\]"),
+        ((1, 3, 8, _randint_key(2**32)), r"grid starts \[0, 4294967296\]"),
+        ((1, 3, 8, _randint_key(2**32 - 1)), r"grid starts \[0, 4294967295\]"),
+    ]
+    for args, name in refused:
+        with pytest.raises(ValueError, match=name + r" must range over 1 to 2\*\*32 - 1 values"):
+            _trial_layout(*args)
     monkeypatch.undo()
-    # the widest size grid it takes, 2**32 - 1 sizes, decodes as CPython draws
+    # the widest size grid and key range it takes, 2**32 - 1 values each,
+    # decode as CPython draws
     for seed in range(100):
         wide = (seed, 1, 3, 2**32 - 1)
         assert replayed(*wide) == reference_trial(*wide), seed
+        n = random.Random(seed).randint(1, 3)
+        rng = random.Random(seed)
+        expected = [(rng.randint(1, 8), rng.randint(0, 2**32 - 2)) for _ in range(n)]
+        layout = _trial_layout(1, 3, 8, _randint_key(2**32 - 2))
+        assert _grid_trial(seed, layout) == expected, seed
 
 
 def test_uniform_draws_replay_on_generated_seeds():

@@ -63,8 +63,8 @@ def test_modules_import_no_unused_names():
 OPTIONAL = {"hypothesis", "pytest_benchmark"}
 
 
-def optional_imports(source: str) -> list[str]:
-    """``import`` statements, at any depth, that load a module of ``OPTIONAL``."""
+def imports_of(source: str, roots) -> list[str]:
+    """``import`` statements, at any depth, that load a module under ``roots``."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -76,7 +76,7 @@ def optional_imports(source: str) -> list[str]:
         found += [
             f"line {node.lineno}: {name}"
             for name in names
-            if name.split(".")[0] in OPTIONAL
+            if name.split(".")[0] in roots
         ]
     return found
 
@@ -91,7 +91,7 @@ def test_optional_imports_finds_import_statements():
         "    from hypothesis import given\n"
         "    hypothesis = pytest.importorskip('hypothesis')\n"
     )
-    assert optional_imports(source) == [
+    assert imports_of(source, OPTIONAL) == [
         "line 2: hypothesis.strategies",
         "line 3: pytest_benchmark",
         "line 6: hypothesis",
@@ -104,7 +104,21 @@ def test_tests_reach_optional_modules_through_importorskip():
     found = {
         path.name: hits
         for path in modules
-        for hits in [optional_imports(path.read_text())]
+        for hits in [imports_of(path.read_text(), OPTIONAL)]
+        if hits
+    }
+    assert found == {}
+
+
+def test_modules_draw_only_through_the_seeding_seam():
+    # every draw goes through generators._MersenneTwister, the seam that the
+    # seeding counts patch; a module that imports random could draw around it
+    source = "import random\nfrom _random import Random\ndef f():\n    from random import choice\n"
+    assert imports_of(source, {"random"}) == ["line 1: random", "line 4: random"]
+    found = {
+        path.name: hits
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for hits in [imports_of(path.read_text(), {"random"})]
         if hits
     }
     assert found == {}
