@@ -5,7 +5,9 @@ capacity-1 servers that are paid for from their first start to their last
 finish.  The package provides the NextFit and FirstFit policies with full
 decision traces, a brute-force optimum for small instances, adversarial and
 random instance families, and the weight/layer accounting used to certify
-competitive-ratio bounds.  Everything runs on ``fractions.Fraction``.
+competitive-ratio bounds.  Every value at the API is a
+``fractions.Fraction``; the work inside runs on each instance's integer
+lattice.
 """
 
 from .algorithms import (

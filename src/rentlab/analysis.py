@@ -132,9 +132,12 @@ class ServerTypeInfo:
     total_load_gap: Optional[Fraction] = None
 
 
-def _check_two_arrival_uniform(trace: AlgorithmTrace, t: Fraction) -> Fraction:
-    """Every job unit-duration starting at 0 or t; every server spans [0, 1+t]."""
-    t = second_arrival(t)
+def _check_two_arrival_uniform(trace: AlgorithmTrace) -> Fraction:
+    """The second arrival t, the trace's latest start, refused outside (0, 1);
+    then every job unit-duration starting at 0 or t, every server spanning
+    [0, 1+t]."""
+    lat = trace.schedule.instance.lattice
+    t = second_arrival(Fraction(max(lat.starts, default=0), lat.unit))
     require_shape(trace.schedule.instance, 1, {0, t})
     close = 1 + t
     for srv in trace.schedule.servers:
@@ -147,8 +150,9 @@ def _check_two_arrival_uniform(trace: AlgorithmTrace, t: Fraction) -> Fraction:
     return t
 
 
-def classify_servers(trace: AlgorithmTrace, t) -> list[ServerTypeInfo]:
-    """Bucket every FirstFit server of a uniform two-arrival trace.
+def classify_servers(trace: AlgorithmTrace) -> list[ServerTypeInfo]:
+    """Bucket every FirstFit server of a uniform two-arrival trace, whose
+    second arrival t is its latest start.
 
     Thresholds are half-open downward: a first-arrival load of exactly 1/2
     falls below the lowest bucket, and type-III buckets require exactly one
@@ -156,7 +160,7 @@ def classify_servers(trace: AlgorithmTrace, t) -> list[ServerTypeInfo]:
     below-threshold rather than raising; the weight argument budgets for a
     bounded number of them.
     """
-    _check_two_arrival_uniform(trace, t)
+    _check_two_arrival_uniform(trace)
     lat = trace.schedule.instance.lattice
     out: list[ServerTypeInfo] = []
     for srv in trace.schedule.servers:
@@ -279,12 +283,12 @@ def _lattice_weights(instance: Instance) -> tuple[int, list[int]]:
     return _W_UNITS * capacity, weights
 
 
-def verify_weights(trace: AlgorithmTrace, opt_schedule: Schedule, t) -> WeightReport:
+def verify_weights(trace: AlgorithmTrace, reference: Schedule) -> WeightReport:
     """Run the full weight ledger against a FirstFit trace and a reference.
 
     The reference schedule may be a true optimum or any feasible certificate;
     it is checked for feasibility first.  Requires the uniform two-arrival
-    setting and t in [1/28, 1).
+    setting, with t the trace's latest start, and t in [1/28, 1).
 
     The ledger runs on the int weights of ``_lattice_weights``: a FirstFit
     server falls short when its ints sum below 131·C, a reference server of
@@ -292,9 +296,9 @@ def verify_weights(trace: AlgorithmTrace, opt_schedule: Schedule, t) -> WeightRe
     R·unit <= 168·C·ℓ, and the totals are int sums.  Fractions are built
     only for the report's fields.
     """
-    t = _weight_arrival(_check_two_arrival_uniform(trace, t))
+    t = _weight_arrival(_check_two_arrival_uniform(trace))
     instance = trace.schedule.instance
-    verify_certificate(instance, opt_schedule)
+    verify_certificate(instance, reference)
     lat = instance.lattice
     starts, finishes, unit = lat.starts, lat.finishes, lat.unit
     full, weights = _lattice_weights(instance)
@@ -313,7 +317,7 @@ def verify_weights(trace: AlgorithmTrace, opt_schedule: Schedule, t) -> WeightRe
     opt_checks = []
     opt_total = 0
     cap_rate = _W2_RATE * lat.capacity
-    for srv in opt_schedule.servers:
+    for srv in reference.servers:
         members = srv.job_indices
         weight = sum(map(weights.__getitem__, members))
         length = max(map(finishes.__getitem__, members)) - min(
@@ -351,21 +355,27 @@ class LayerProfile:
     layer_mass: tuple[Fraction, ...]  # index u = total size arriving at time u
 
 
-def _check_escalating(trace: AlgorithmTrace, k: int, level_count: int) -> None:
+def _check_escalating(trace: AlgorithmTrace, k: int) -> int:
+    """The level count l, the integer part of the trace's latest start, once
+    k >= 2, l >= 1 and every job has duration 2 and starts at 0, 1, ..., l."""
     if k < 2:
         raise ValueError("k must be at least 2")
+    lat = trace.schedule.instance.lattice
+    level_count = max(lat.starts, default=0) // lat.unit
     if level_count <= 0:
         raise ValueError("level_count must be positive")
     require_shape(trace.schedule.instance, 2, range(level_count + 1))
+    return level_count
 
 
-def layer_profile(trace: AlgorithmTrace, k: int, level_count: int) -> LayerProfile:
+def layer_profile(trace: AlgorithmTrace, k: int) -> LayerProfile:
     """Mass per arrival layer over the servers rented for the whole horizon.
 
-    The designated set is every server opened at 0 and closed at
-    level_count + 2; there must be exactly k >= 2 of them.
+    The level count is the trace's latest start.  The designated set is
+    every server opened at 0 and closed at level_count + 2; there must be
+    exactly k >= 2 of them.
     """
-    _check_escalating(trace, k, level_count)
+    level_count = _check_escalating(trace, k)
     designated = [
         srv
         for srv in trace.schedule.servers
@@ -387,13 +397,14 @@ def layer_profile(trace: AlgorithmTrace, k: int, level_count: int) -> LayerProfi
     )
 
 
-def check_layer_inequalities(profile: LayerProfile, k: int) -> list[str]:
+def check_layer_inequalities(profile: LayerProfile) -> list[str]:
     """The busy-server mass inequalities; returns the failures (none expected).
 
-    Layer 0 must exceed k/2, and every adjacent pair must satisfy
-    mass[u] + mass[u-1]/2 > (k-1)/2; both follow from each arrival wave
-    nearly filling k already-loaded servers.
+    For k the number of the profile's servers, layer 0 must exceed k/2, and
+    every adjacent pair must satisfy mass[u] + mass[u-1]/2 > (k-1)/2; both
+    follow from each arrival wave nearly filling k already-loaded servers.
     """
+    k = len(profile.server_ids)
     failures = []
     mass = profile.layer_mass
     if not mass[0] > Fraction(k, 2):
@@ -417,14 +428,14 @@ class UtilRatioBound:
     passed: bool
 
 
-def util_ratio_bound(trace: AlgorithmTrace, k: int, level_count: int) -> UtilRatioBound:
+def util_ratio_bound(trace: AlgorithmTrace, k: int) -> UtilRatioBound:
     """Utilization-to-cost ratio against its guaranteed floor.
 
     Applies when FirstFit rented exactly k servers, each for the whole
-    horizon [0, level_count + 2].  The floor 2/3 - 2/(3k) - 2/(3(l+2))
-    tends to 2/3 as both parameters grow.
+    horizon [0, l + 2], where the level count l is the trace's latest start.
+    The floor 2/3 - 2/(3k) - 2/(3(l+2)) tends to 2/3 as both grow.
     """
-    _check_escalating(trace, k, level_count)
+    level_count = _check_escalating(trace, k)
     servers = trace.schedule.servers
     if len(servers) != k or any(
         srv.open_time != 0 or srv.close_time != level_count + 2 for srv in servers
@@ -760,8 +771,7 @@ def _weights_failure(instance: Instance, reference=None, trace=None) -> Optional
         reference = brute_force_opt(instance, max_jobs=_UNIFORM_N_RANGE[1]).schedule
     if trace is None:
         trace = first_fit(instance)
-    t = max(jb.start for jb in instance.jobs)
-    reason = verify_weights(trace, reference, t).failure
+    reason = verify_weights(trace, reference).failure
     return None if reason is None else {"reason": reason}
 
 
@@ -789,13 +799,15 @@ def suite_weights(trials: int = 200, seed: int = 104729) -> SuiteResult:
 
 
 def _layers_failure(instance: Instance) -> Optional[dict]:
+    """The layer checks on ``instance``, for k its jobs at time 0.  The
+    ledgers read l from the trace, and the profile holds the l + 1 layers,
+    so the horizon l + 2 is the profile's length + 1."""
     k = sum(jb.start == 0 for jb in instance.jobs)
-    level_count = int(max(jb.start for jb in instance.jobs))
     trace = first_fit(instance)
-    profile = layer_profile(trace, k, level_count)
-    failures = check_layer_inequalities(profile, k)
-    bound = util_ratio_bound(trace, k, level_count)
-    expected = Fraction(2, 3) + Fraction(1, k * (level_count + 2))
+    profile = layer_profile(trace, k)
+    failures = check_layer_inequalities(profile)
+    bound = util_ratio_bound(trace, k)
+    expected = Fraction(2, 3) + Fraction(1, k * (len(profile.layer_mass) + 1))
     if bound.ratio != expected:
         failures.append("utilization/cost misses its exact value")
     if not bound.passed:

@@ -177,7 +177,7 @@ def test_criterion_9_finite_trends_match_asymptotics():
     excesses = []
     for k, level_count in ((2, 2), (4, 4), (8, 10)):
         trace = first_fit(long_uniform(k, level_count))
-        result = util_ratio_bound(trace, k, level_count)
+        result = util_ratio_bound(trace, k)
         excesses.append(result.ratio - F(2, 3))
     ok = ok and excesses[0] > excesses[1] > excesses[2] > 0
     report(

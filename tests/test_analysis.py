@@ -99,7 +99,7 @@ def test_classify_three_reference_servers():
         [F(9, 10), F(43, 60), F(11, 20)],
         [F(1, 10), F(1, 6), F(1, 4)],
     )
-    infos = classify_servers(first_fit(inst), T)
+    infos = classify_servers(first_fit(inst))
     assert [info.label for info in infos] == [
         ServerType.TYPE_I,
         ServerType.TYPE_IIB,
@@ -130,7 +130,7 @@ def test_classify_remaining_buckets():
     ]
     for at_zero, at_t, expected in cases:
         inst = two_arrival(at_zero, at_t)
-        infos = classify_servers(first_fit(inst), T)
+        infos = classify_servers(first_fit(inst))
         assert len(infos) == 1
         assert infos[0].label == expected
 
@@ -138,7 +138,7 @@ def test_classify_remaining_buckets():
 def test_classify_is_a_partition():
     for seed in range(15):
         _, trace, _ = find_uniform_two_arrival(T, seed=seed * 1000 + 1)
-        infos = classify_servers(trace, T)
+        infos = classify_servers(trace)
         assert len(infos) == len(trace.schedule.servers)
         assert [i.server_id for i in infos] == [
             s.id for s in trace.schedule.servers
@@ -151,7 +151,7 @@ def test_classify_gap_inequalities():
     bad = 0
     for seed in range(25):
         _, trace, _ = find_uniform_two_arrival(T, seed=seed * 977 + 3)
-        for info in classify_servers(trace, T):
+        for info in classify_servers(trace):
             if info.start_load_gap is None:
                 continue
             assert info.start_load_gap <= F(1, 6)
@@ -162,18 +162,37 @@ def test_classify_gap_inequalities():
 
 
 def test_classify_rejects_non_uniform_shapes():
-    inst = make_instance([(F(1, 2), 0, 2)])
+    inst = make_instance([(F(1, 2), 0, 2), (F(1, 2), T, 1 + T)])
     with pytest.raises(ValueError, match="job 0 has duration 2; expected 1"):
-        classify_servers(first_fit(inst), T)
+        classify_servers(first_fit(inst))
 
-    inst = make_instance([(F(1, 2), 0, 1), (F(1, 2), F(1, 4), F(5, 4))])
+    inst = make_instance(
+        [(F(1, 2), 0, 1), (F(1, 2), F(1, 4), F(5, 4)), (F(1, 2), T, 1 + T)]
+    )
     with pytest.raises(ValueError, match="expected 0 or 1/2"):
-        classify_servers(first_fit(inst), T)
+        classify_servers(first_fit(inst))
 
     # a server that never receives a second-arrival job closes early
     inst = make_instance([(F(9, 10), 0, 1), (F(9, 10), T, 1 + T)])
     with pytest.raises(ValueError, match="server 0 spans"):
-        classify_servers(first_fit(inst), T)
+        classify_servers(first_fit(inst))
+
+
+# The two-round ledgers, each called on a trace alone
+TWO_ROUND_LEDGERS = {
+    "classify_servers": classify_servers,
+    "verify_weights": lambda trace: verify_weights(trace, trace.schedule),
+}
+
+
+@pytest.mark.parametrize("ledger", TWO_ROUND_LEDGERS)
+def test_two_round_ledgers_refuse_a_latest_start_outside_0_1(ledger):
+    # no job after time 0, no job at all, and a latest start of 1 leave no
+    # second arrival t in (0, 1)
+    for rows in ([(F(1, 2), 0, 1)], [], [(F(1, 2), 0, 1), (F(1, 2), 1, 2)]):
+        message = "^second arrival t must lie strictly between 0 and 1$"
+        with pytest.raises(ValueError, match=message):
+            TWO_ROUND_LEDGERS[ledger](first_fit(make_instance(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +201,8 @@ def test_classify_rejects_non_uniform_shapes():
 
 def test_verify_weights_on_adversarial_family():
     inst, cert = ggu_extended(6, T)
-    report = verify_weights(first_fit(inst), cert, T)
+    report = verify_weights(first_fit(inst), cert)
+    assert report.t == T
     assert report.passed
     assert report.ff_violations == ()
     assert report.ff_total == report.item_total
@@ -195,7 +215,7 @@ def test_verify_weights_on_adversarial_family():
 
 def test_weight_report_failure_names_first_broken_rule():
     inst, cert = ggu_extended(6, T)
-    report = verify_weights(first_fit(inst), cert, T)
+    report = verify_weights(first_fit(inst), cert)
     over = replace(report.opt_checks[0], weight=F(3), ok=False)
     cases = [
         (replace(report, ignored_budget=-1), "0 servers below weight 1+t (budget -1)"),
@@ -215,7 +235,8 @@ def test_verify_weights_on_sampled_instances():
         t = [F(1, 28), F(1, 4), F(1, 2), F(3, 4)][trial % 4]
         inst, trace, _ = find_uniform_two_arrival(t, seed=trial * 3571 + 11)
         opt = brute_force_opt(inst, max_jobs=8)
-        report = verify_weights(trace, opt.schedule, t)
+        report = verify_weights(trace, opt.schedule)
+        assert report.t == t
         assert report.passed
         assert len(report.ff_violations) <= IGNORED_BUDGET
 
@@ -225,7 +246,7 @@ def test_verify_weights_requires_t_at_least_minimum():
     trace = first_fit(inst)
     opt = brute_force_opt(inst)
     with pytest.raises(ValueError, match=r"^second arrival 1/50 outside \[1/28, 1\)$"):
-        verify_weights(trace, opt.schedule, F(1, 50))
+        verify_weights(trace, opt.schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -235,18 +256,20 @@ def test_verify_weights_requires_t_at_least_minimum():
 def test_layer_profile_reference_values():
     k, levels = 4, 4
     trace = first_fit(long_uniform(k, levels))
-    profile = layer_profile(trace, k, levels)
+    profile = layer_profile(trace, k)
     assert len(profile.server_ids) == k
     assert profile.layer_mass[0] == F(8, 3)
     assert profile.layer_mass[1] == F(4, 3)
     # even layers carry the small overflow excess 1/levels
     assert profile.layer_mass[2] == F(4, 3) + F(1, 4) * 4 / 4
-    assert check_layer_inequalities(profile, k) == []
+    assert check_layer_inequalities(profile) == []
 
 
 def test_layer_inequalities_reported_when_broken():
-    profile_like = layer_profile(first_fit(long_uniform(2, 2)), 2, 2)
-    failures = check_layer_inequalities(profile_like, 100)
+    # long_uniform(2, 2)'s masses, read as if they were spread over 100 servers
+    profile = layer_profile(first_fit(long_uniform(2, 2)), 2)
+    profile_like = replace(profile, server_ids=tuple(range(100)))
+    failures = check_layer_inequalities(profile_like)
     assert failures
     assert "layer 0" in failures[0]
 
@@ -254,51 +277,79 @@ def test_layer_inequalities_reported_when_broken():
 def test_layer_profile_errors():
     trace = first_fit(long_uniform(2, 4))
     with pytest.raises(ValueError, match="expected 3 full-horizon"):
-        layer_profile(trace, 3, 4)
+        layer_profile(trace, 3)
+    # FirstFit opens a second server at 1, and neither spans [0, 3]
+    trace = first_fit(make_instance([(F(1), 0, 2), (F(1), 1, 3)]))
     with pytest.raises(ValueError, match="no server spans"):
-        layer_profile(trace, 2, 6)
-    inst = make_instance([(F(1, 2), 0, 1)])
+        layer_profile(trace, 2)
+    inst = make_instance([(F(1, 2), 0, 1), (F(1, 2), 2, 4)])
     with pytest.raises(ValueError, match="job 0 has duration 1; expected 2"):
-        layer_profile(first_fit(inst), 2, 2)
+        layer_profile(first_fit(inst), 2)
 
 
-@pytest.mark.parametrize("check", [layer_profile, util_ratio_bound])
+@pytest.mark.parametrize(
+    "check",
+    [
+        layer_profile,
+        util_ratio_bound,
+        pytest.param(
+            lambda trace, k: check_layer_inequalities(layer_profile(trace, k)),
+            id="check_layer_inequalities",
+        ),
+    ],
+)
 def test_escalating_checks_refuse_k_then_level_count_then_shape(check):
-    trace = first_fit(make_instance([(F(1, 2), 0, 1)]))
+    # no job after time 0, and no job at all, leave no level to count
+    for rows in ([(F(1, 2), 0, 1)], []):
+        trace = first_fit(make_instance(rows))
+        with pytest.raises(ValueError, match="^k must be at least 2$"):
+            check(trace, 1)
+        with pytest.raises(ValueError, match="^level_count must be positive$"):
+            check(trace, 2)
+    trace = first_fit(make_instance([(F(1, 2), 0, 1), (F(1, 2), 1, 3)]))
     with pytest.raises(ValueError, match="^k must be at least 2$"):
-        check(trace, 1, 0)
-    with pytest.raises(ValueError, match="^level_count must be positive$"):
-        check(trace, 2, 0)
-    with pytest.raises(ValueError, match="job 0 has duration 1; expected 2"):
-        check(trace, 2, 2)
+        check(trace, 1)
+    with pytest.raises(ValueError, match="^job 0 has duration 1; expected 2$"):
+        check(trace, 2)
 
 
 # Every caller of model.require_shape, as (the call, the duration it needs,
-# the starts it allows as the message shows them, or None for any start).
+# the starts it allows as the message shows them, or None for any start, and
+# for a caller that reads its setting from the latest start, that start).
 SHAPE_CALLERS = {
-    "active_ceil_bound": (lambda inst: active_ceil_bound(inst, F(1)), 1, None),
-    "arrival_ceiling_profile": (arrival_ceiling_profile, 1, None),
-    "classify_servers": (lambda inst: classify_servers(first_fit(inst), T), 1, "0 or 1/2"),
+    "active_ceil_bound": (lambda inst: active_ceil_bound(inst, F(1)), 1, None, None),
+    "arrival_ceiling_profile": (arrival_ceiling_profile, 1, None, None),
+    "classify_servers": (
+        lambda inst: classify_servers(first_fit(inst)), 1, "0 or 1/2", T
+    ),
     "verify_weights": (
-        lambda inst: verify_weights(trace := first_fit(inst), trace.schedule, T),
+        lambda inst: verify_weights(trace := first_fit(inst), trace.schedule),
         1,
         "0 or 1/2",
+        T,
     ),
-    "layer_profile": (lambda inst: layer_profile(first_fit(inst), 2, 2), 2, "0, 1 or 2"),
+    "layer_profile": (lambda inst: layer_profile(first_fit(inst), 2), 2, "0, 1 or 2", 2),
     "server_type_partition": (
-        lambda inst: server_type_partition(first_fit(inst)), 2, "0 or 1"
+        lambda inst: server_type_partition(first_fit(inst)), 2, "0 or 1", None
     ),
 }
 
 
 @pytest.mark.parametrize("caller", SHAPE_CALLERS)
 def test_shape_messages_at_every_caller(caller):
-    call, duration, shown = SHAPE_CALLERS[caller]
-    long = make_instance([(F(1, 2), 0, duration), (F(1, 2), 0, duration + F(1, 3))])
+    call, duration, shown, latest = SHAPE_CALLERS[caller]
+    # a job at the latest start, last, so that a setting read from it holds;
+    # `late` then has three distinct starts, and the message names the first
+    # of its two jobs that start off the setting
+    tail = [] if latest is None else [(F(1, 2), latest, latest + duration)]
+    long = make_instance(
+        [(F(1, 2), 0, duration), (F(1, 2), 0, duration + F(1, 3)), *tail]
+    )
     message = f"job 1 has duration {duration + F(1, 3)}; expected {duration}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(long)
-    late = make_instance([(F(1, 2), 0, duration), (F(1, 2), F(1, 3), duration + F(1, 3))])
+    off = (F(1, 4), F(1, 3), duration + F(1, 3))
+    late = make_instance([(F(1, 2), 0, duration), off, off, *tail])
     if shown is None:
         call(late)
     else:
@@ -309,13 +360,13 @@ def test_shape_messages_at_every_caller(caller):
 
 def test_util_ratio_bound_values():
     trace = first_fit(long_uniform(2, 2))
-    result = util_ratio_bound(trace, 2, 2)
+    result = util_ratio_bound(trace, 2)
     assert result.bound == F(1, 6)
     assert result.ratio == F(2, 3) + F(1, 2 * 4)
     assert result.passed
 
     trace = first_fit(long_uniform(100, 100))
-    result = util_ratio_bound(trace, 100, 100)
+    result = util_ratio_bound(trace, 100)
     assert result.bound == F(4999, 7650)
     assert result.ratio == F(2, 3) + F(1, 100 * 102)
     assert result.passed
@@ -324,7 +375,7 @@ def test_util_ratio_bound_values():
 def test_util_ratio_bound_requires_full_horizon_rentals():
     trace = first_fit(long_uniform(2, 4))
     with pytest.raises(ValueError):
-        util_ratio_bound(trace, 3, 4)
+        util_ratio_bound(trace, 3)
 
 
 # ---------------------------------------------------------------------------

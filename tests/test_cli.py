@@ -354,6 +354,18 @@ FAILING_SUITES = {
         lambda mp: _plant(mp, "layer_profile", layer_mass=lambda p: (0,) * 3),
         analysis._layers_failure, {"k", "l", "failures"}, {"k": 2, "l": 2},
     ),
+    # a ratio planted at its floor both misses the exact value and is not above it
+    "layers utilization": (
+        "layers", {},
+        lambda mp: _plant(
+            mp, "util_ratio_bound", ratio=lambda b: b.bound, passed=lambda b: False
+        ),
+        analysis._layers_failure, {"k", "l", "failures"},
+        {"k": 2, "l": 2, "failures": [
+            "utilization/cost misses its exact value",
+            "utilization/cost not above its floor",
+        ]},
+    ),
     # a failed identity has no instance to leave behind
     "recurrence": (
         "recurrence", {"n": 5},

@@ -49,7 +49,9 @@ their draws up in one job table per run, checked to share each row's Job
 across trials.  The weight ledger sums int weights on the lattice; its
 reference sums weight_w1 and weight_w2 Fractions per server.
 classify_servers sums lattice sizes per round as server_type_partition
-does; its reference sums each server's Fraction sizes.  check_schedule
+does; its reference sums each server's Fraction sizes.  Both ledgers read t
+as the trace's latest start; both references take t explicitly and check
+that it is that start.  check_schedule
 tests the chained job indices of all servers at once, walks them one by one
 only to name a membership fault, and sweeps only servers whose members'
 total size exceeds capacity, sorted by start; its reference re-sums each
@@ -378,8 +380,10 @@ def reference_equal_duration_trial(seed, high):
 
 
 def reference_verify_weights(trace, opt_schedule, t):
-    """The weight ledger on per-job Fraction weights, summed per server."""
-    t = analysis._weight_arrival(analysis._check_two_arrival_uniform(trace, t))
+    """The weight ledger on per-job Fraction weights, summed per server, at
+    the second arrival t, which must be the trace's latest start."""
+    assert analysis._check_two_arrival_uniform(trace) == t
+    t = analysis._weight_arrival(t)
     instance = trace.schedule.instance
     verify_certificate(instance, opt_schedule)
     jobs = instance.jobs
@@ -419,8 +423,9 @@ def reference_verify_weights(trace, opt_schedule, t):
 
 
 def reference_classify_servers(trace, t):
-    """The server buckets from per-job Fraction sizes summed per server."""
-    analysis._check_two_arrival_uniform(trace, t)
+    """The server buckets from per-job Fraction sizes summed per server, at
+    the second arrival t, which must be the trace's latest start."""
+    assert analysis._check_two_arrival_uniform(trace) == t
     jobs = trace.schedule.instance.jobs
     out = []
     for srv in trace.schedule.servers:
@@ -1838,13 +1843,16 @@ def check_int_weights(instance, t):
 
 
 def test_weight_ledger_matches_reference_on_default_cases(monkeypatch):
-    # ggu(6, 1/2) and the 200 sampled cases of the default weights run
+    # ggu(6, 1/2) and the 200 sampled cases of the default weights run, each
+    # at its latest start, which the ledgers read as t
     cases = []
     real = analysis.verify_weights
 
-    def checking(trace, opt_schedule, t):
-        report = real(trace, opt_schedule, t)
-        assert report == reference_verify_weights(trace, opt_schedule, t)
+    def checking(trace, reference):
+        report = real(trace, reference)
+        t = max(jb.start for jb in trace.schedule.instance.jobs)
+        assert report == reference_verify_weights(trace, reference, t)
+        assert classify_servers(trace) == reference_classify_servers(trace, t)
         check_int_weights(trace.schedule.instance, t)
         cases.append(t)
         return report
@@ -1859,8 +1867,10 @@ def test_weight_ledger_matches_reference_on_ggu():
         for t in _WEIGHT_T_VALUES:
             instance, certificate = ggu_extended(k, t)
             trace = first_fit(instance)
-            report = verify_weights(trace, certificate, t)
+            report = verify_weights(trace, certificate)
             assert report == reference_verify_weights(trace, certificate, t), (k, t)
+            infos = classify_servers(trace)
+            assert infos == reference_classify_servers(trace, t), (k, t)
             assert report.passed
             check_int_weights(instance, t)
 
@@ -1896,7 +1906,10 @@ def test_weight_ledger_matches_reference_on_generated_servers():
         reference = trace.schedule
         if not pack_reference or check_schedule(reference):
             reference = make_schedule(instance, [[i] for i in range(len(instance))])
-        report = same_outcome(verify_weights, reference_verify_weights, trace, reference, t)
+        report = same_outcome(
+            lambda trace, reference, t: verify_weights(trace, reference),
+            reference_verify_weights, trace, reference, t,
+        )
         if report is not None:
             check_int_weights(instance, t)
 
@@ -1968,7 +1981,7 @@ def test_classify_servers_matches_fraction_reference():
         cases.append((trace, t))
     labels = set()
     for trace, t in cases:
-        infos = classify_servers(trace, t)
+        infos = classify_servers(trace)
         assert infos == reference_classify_servers(trace, t)
         for info in infos:
             assert type(info.load_at_zero) is F and type(info.total_load) is F
