@@ -403,10 +403,16 @@ def check_layer_inequalities(profile: LayerProfile) -> list[str]:
     For k the number of the profile's servers, layer 0 must exceed k/2, and
     every adjacent pair must satisfy mass[u] + mass[u-1]/2 > (k-1)/2; both
     follow from each arrival wave nearly filling k already-loaded servers.
+    A profile of fewer than two servers or of no layer, which
+    ``layer_profile`` never builds, raises ValueError.
     """
     k = len(profile.server_ids)
-    failures = []
     mass = profile.layer_mass
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    if not mass:
+        raise ValueError("profile must have at least one layer")
+    failures = []
     if not mass[0] > Fraction(k, 2):
         failures.append(
             f"layer 0 mass {format_rational(mass[0])} not above {format_rational(Fraction(k, 2))}"

@@ -15,6 +15,7 @@ from functools import cache
 from inspect import Parameter, signature
 from itertools import starmap
 from operator import index, itemgetter
+from typing import Sequence
 
 from .model import Instance, Job, Schedule, as_rational, make_schedule
 
@@ -55,6 +56,12 @@ def ggu_extended(
     instead pairs pathological jobs across waves and costs 27k/2 + 1,
     putting the cost ratio on a path toward 34/27 * (1+t).
 
+    Each wave size is one Fraction built from ints on the scale of
+    delta = p/q, and the windows 0, 1, t and t+1 are built once.  Every
+    wave-1 and wave-2 position holds its own ``Job``; the 10k wave-3
+    positions share one, and so does each filler kind, so the instance
+    holds 20k + 4 distinct ``Job``s, and so as many lattice rows.
+
     Requires k a positive multiple of 6 (so the filler jobs tile whole
     certificate servers) and 0 < delta < 18**-k / 100 (default 18**-k / 1000).
     """
@@ -68,25 +75,34 @@ def ggu_extended(
     if not 0 < delta < ceiling:
         raise ValueError(f"delta must lie in (0, 1/{100 * 18**k})")
 
-    offsets = [delta * 18 ** (k - g) for g in range(1, k + 1)]
+    # sizes on the integer scale of delta = p/q: 1/6 + m * d_g is
+    # (q + 6*m*p*18**(k-g)) / 6q, and 1/3 + m * d_g has 2q in place of q
+    p, q = delta.as_integer_ratio()
+    zero, one, late = Fraction(0), Fraction(1), t + 1
     jobs: list[Job] = []
 
-    def emit(size: Fraction, start: Fraction, finish: Fraction) -> int:
-        jobs.append(Job(size, start, finish))
-        return len(jobs) - 1
+    def wave(sixths: int, multiples: tuple[int, ...]) -> list[range]:
+        """Each group's ten positions, one ``Job`` apiece, near sixths/6."""
+        positions = []
+        for g in range(1, k + 1):
+            step = 6 * p * 18 ** (k - g)
+            first = len(jobs)
+            jobs.extend(Job(Fraction(sixths * q + m * step, 6 * q), zero, one) for m in multiples)
+            positions.append(range(first, len(jobs)))
+        return positions
 
-    wave1 = [
-        [emit(SIXTH + m * d, Fraction(0), Fraction(1)) for m in _WAVE1_MULTIPLES]
-        for d in offsets
-    ]
-    wave2 = [
-        [emit(THIRD + m * d, Fraction(0), Fraction(1)) for m in _WAVE2_MULTIPLES]
-        for d in offsets
-    ]
-    wave3 = [emit(HALF + delta, Fraction(0), Fraction(1)) for _ in range(10 * k)]
-    fill12 = [emit(Fraction(1, 12), t, t + 1) for _ in range(2 * k)]
-    fill6 = [emit(SIXTH, t, t + 1) for _ in range(5 * k)]
-    fill4 = [emit(Fraction(1, 4), t, t + 1) for _ in range(10 * k)]
+    def shared(job: Job, count: int) -> range:
+        """``count`` positions that all hold ``job``, and so one lattice row."""
+        first = len(jobs)
+        jobs.extend([job] * count)
+        return range(first, len(jobs))
+
+    wave1 = wave(1, _WAVE1_MULTIPLES)
+    wave2 = wave(2, _WAVE2_MULTIPLES)
+    wave3 = shared(Job(Fraction(q + 2 * p, 2 * q), zero, one), 10 * k)  # 1/2 + delta
+    fill12 = shared(Job(Fraction(1, 12), t, late), 2 * k)
+    fill6 = shared(Job(SIXTH, t, late), 5 * k)
+    fill4 = shared(Job(Fraction(1, 4), t, late), 10 * k)
 
     instance = Instance(tuple(jobs))
 
@@ -100,7 +116,7 @@ def ggu_extended(
             pairs.append((wave1[g][j], wave2[g][j]))  # sums to 1/2 - d_g
     for g in range(k - 1):
         pairs.append((wave1[g][1], wave2[g + 1][0]))  # sums to 1/2 - 8*d_{g+1}
-    groups: list[list[int]] = []
+    groups: list[Sequence[int]] = []
     for m, big in enumerate(wave3):
         group = [big]
         if m < len(pairs):

@@ -114,9 +114,10 @@ class Lattice:
     Each distinct ``Job`` object is mapped once and its ints are shared by
     every position that holds it; equal values of distinct ``Job``s are not
     merged into one int object.  ``parse_instance`` shares one ``Job`` per
-    distinct line, and ``long_uniform``, ``nf_nemesis`` and the random
-    families one per distinct row, so a 10,100-job ``long_uniform`` file
-    maps 101 jobs.
+    distinct line, ``long_uniform``, ``nf_nemesis`` and the random families
+    one per distinct row, and ``ggu_extended`` one for its 10k wave-3 jobs
+    and one per filler kind, so a 10,100-job ``long_uniform`` file maps 101
+    jobs and ggu(k, t) maps 20k + 4 of its 47k.
     """
 
     capacity: int
@@ -130,9 +131,9 @@ def _build_lattice(jobs: tuple[Job, ...]) -> Lattice:
     """The lattice of ``jobs``, mapping each distinct ``Job`` object once.
 
     When every position holds its own ``Job``, the rows' int columns are
-    the lattice.  Otherwise, as for parsed files, ``long_uniform``,
-    ``nf_nemesis`` and the random families, each column is expanded to the
-    positions by one ``itemgetter`` over the rows' slots.
+    the lattice.  Otherwise, as for parsed files and every generated
+    family, each column is expanded to the positions by one ``itemgetter``
+    over the rows' slots.
     """
     # keyed by identity: the jobs tuple keeps every object, and so its id, alive
     distinct = dict(zip(map(id, jobs), jobs))
@@ -454,10 +455,18 @@ def make_schedule(instance: Instance, groups: Sequence[Sequence[int]]) -> Schedu
     Rental windows are derived (min start to max finish per group).  Groups
     must reference valid, distinct job indices; capacity is not checked here,
     see check_schedule.
+
+    Each window is the start (finish) of the group's first job with the
+    least lattice start (greatest lattice finish): the same Fraction object
+    that ``min`` (``max``) over the jobs' Fractions returns, found by
+    comparing ints.
     """
     servers = []
     seen: set[int] = set()
-    n = len(instance.jobs)
+    jobs = instance.jobs
+    n = len(jobs)
+    lat = instance.lattice
+    earliest, latest = lat.starts.__getitem__, lat.finishes.__getitem__
     for sid, group in enumerate(groups):
         if not group:
             raise ValueError("empty server group")
@@ -467,13 +476,12 @@ def make_schedule(instance: Instance, groups: Sequence[Sequence[int]]) -> Schedu
             if i in seen:
                 raise ValueError(f"job index {i} assigned twice")
             seen.add(i)
-        jobs = [instance.jobs[i] for i in group]
         servers.append(
             Server(
                 id=sid,
                 job_indices=tuple(group),
-                open_time=min(jb.start for jb in jobs),
-                close_time=max(jb.finish for jb in jobs),
+                open_time=jobs[min(group, key=earliest)].start,
+                close_time=jobs[max(group, key=latest)].finish,
             )
         )
     return Schedule(instance=instance, servers=tuple(servers))
@@ -665,17 +673,19 @@ def parse_instance(text: str) -> Instance:
 
 
 def format_instance(instance: Instance, header: str | None = None) -> str:
-    """Render an instance file; optional '#' header for provenance notes."""
-    lines = []
-    if header:
-        for h in header.splitlines():
-            lines.append(f"# {h}")
-    for jb in instance.jobs:
-        lines.append(
-            f"{format_rational(jb.size)} "
-            f"{format_rational(jb.start)} "
-            f"{format_rational(jb.finish)}"
-        )
+    """Render an instance file; optional '#' header for provenance notes.
+
+    Each distinct ``Job`` object is formatted once, and its line is written
+    at every position that holds it (keyed by ``id``: the instance keeps
+    every job alive), so a file of many shared rows formats few Fractions.
+    """
+    lines = [f"# {h}" for h in header.splitlines()] if header else []
+    keys = list(map(id, instance.jobs))
+    shown = {
+        key: f"{format_rational(jb.size)} {format_rational(jb.start)} {format_rational(jb.finish)}"
+        for key, jb in dict(zip(keys, instance.jobs)).items()
+    }
+    lines += map(shown.__getitem__, keys)
     return "\n".join(lines) + "\n"
 
 

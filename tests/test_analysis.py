@@ -11,6 +11,7 @@ from rentlab import analysis, first_fit, generators, make_instance, server_type_
 from rentlab.analysis import (
     IGNORED_BUDGET,
     T_MIN,
+    LayerProfile,
     ServerType,
     check_layer_inequalities,
     classify_servers,
@@ -272,6 +273,19 @@ def test_layer_inequalities_reported_when_broken():
     failures = check_layer_inequalities(profile_like)
     assert failures
     assert "layer 0" in failures[0]
+
+
+def test_layer_inequalities_refuse_a_profile_with_no_layer_or_under_two_servers():
+    with pytest.raises(ValueError, match="^k must be at least 2$"):
+        check_layer_inequalities(LayerProfile((), ()))
+    with pytest.raises(ValueError, match="^k must be at least 2$"):
+        check_layer_inequalities(LayerProfile((), (F(1),)))  # k = 0
+    with pytest.raises(ValueError, match="^k must be at least 2$"):
+        check_layer_inequalities(LayerProfile((0,), (F(1),)))
+    with pytest.raises(ValueError, match="^profile must have at least one layer$"):
+        check_layer_inequalities(LayerProfile((0, 1), ()))
+    # the smallest profile it takes
+    assert check_layer_inequalities(LayerProfile((0, 1), (F(3, 2),))) == []
 
 
 def test_layer_profile_errors():

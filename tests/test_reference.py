@@ -59,10 +59,15 @@ server's load at each start, checked on broken, covering, shuffled,
 invalid-instance and generated schedules.
 
 The file paths keep their plain versions here too: parse_instance parses
-every line, the schedule text comes from ``json.dumps(indent=2)``, cost sums
-Fraction windows and schedule_from_dict parses every window text and walks
-every entry, where the fast one reads the entries as columns and walks them
-only to name a fault.
+every line, format_instance formats every position, the schedule text comes
+from ``json.dumps(indent=2)``, cost sums Fraction windows and
+schedule_from_dict parses every window text and walks every entry, where the
+fast one reads the entries as columns and walks them only to name a fault.
+make_schedule's reference takes each window as min or max over the group's
+Fractions, checked to return the very same window objects.  ggu_extended
+builds each size from ints on delta's scale and shares one Job per wave-3 and
+filler row; its reference sums one Fraction per job, each job its own Job,
+for k up to 36 and deltas whose numerator is not 1.
 """
 
 import heapq
@@ -94,6 +99,7 @@ from rentlab import (
     event_times,
     first_fit,
     format_instance,
+    format_rational,
     interval_floor,
     lower_bounds,
     make_instance,
@@ -513,6 +519,69 @@ def reference_parse_instance(text):
             raise ValueError(f"line {lineno}: {exc}") from None
         jobs.append(Job(size, start, finish))
     return Instance(tuple(jobs))
+
+
+def reference_format_instance(instance, header=None):
+    lines = [f"# {h}" for h in header.splitlines()] if header else []
+    for jb in instance.jobs:
+        lines.append(
+            f"{format_rational(jb.size)} "
+            f"{format_rational(jb.start)} "
+            f"{format_rational(jb.finish)}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def reference_make_schedule(instance, groups):
+    """Windows as min and max over the group's Fractions (no index checks)."""
+    jobs = instance.jobs
+    return Schedule(instance, tuple(
+        Server(
+            sid, tuple(group),
+            min(jobs[i].start for i in group), max(jobs[i].finish for i in group),
+        )
+        for sid, group in enumerate(groups)
+    ))
+
+
+def reference_ggu_extended(k, t, delta=None):
+    """ggu_extended from per-job Fraction sums, each job its own Job, and
+    the certificate's windows from reference_make_schedule."""
+    t = F(t)
+    if delta is None:
+        delta = F(1, 1000 * 18**k)
+    offsets = [delta * 18 ** (k - g) for g in range(1, k + 1)]
+    jobs = []
+
+    def emit(size, start, finish):
+        jobs.append(Job(size, start, finish))
+        return len(jobs) - 1
+
+    wave1 = [
+        [emit(F(1, 6) + m * d, F(0), F(1)) for m in generators._WAVE1_MULTIPLES]
+        for d in offsets
+    ]
+    wave2 = [
+        [emit(F(1, 3) + m * d, F(0), F(1)) for m in generators._WAVE2_MULTIPLES]
+        for d in offsets
+    ]
+    wave3 = [emit(F(1, 2) + delta, F(0), F(1)) for _ in range(10 * k)]
+    fill12 = [emit(F(1, 12), t, t + 1) for _ in range(2 * k)]
+    fill6 = [emit(F(1, 6), t, t + 1) for _ in range(5 * k)]
+    fill4 = [emit(F(1, 4), t, t + 1) for _ in range(10 * k)]
+    instance = Instance(tuple(jobs))
+    pairs = []
+    for g in range(k):
+        pairs.append((wave1[g][0], wave2[g][1]))
+        for j in range(2, 10):
+            pairs.append((wave1[g][j], wave2[g][j]))
+    for g in range(k - 1):
+        pairs.append((wave1[g][1], wave2[g + 1][0]))
+    groups = [[big, *pairs[m]] if m < len(pairs) else [big] for m, big in enumerate(wave3)]
+    groups.append([wave1[k - 1][1], wave2[0][0]])
+    for filler, width in ((fill12, 12), (fill6, 6), (fill4, 4)):
+        groups += [filler[i : i + width] for i in range(0, len(filler), width)]
+    return instance, reference_make_schedule(instance, groups)
 
 
 def reference_schedule_text(schedule):
@@ -1308,9 +1377,14 @@ def test_check_schedule_matches_reference_on_window_types_and_order():
     assert [len(found) for found in windows] == [1, 1, 1, 0, 1, 2, 1]
 
 
+def copies(instance):
+    """The instance with every position its own Job object."""
+    return Instance(tuple(Job(jb.size, jb.start, jb.finish) for jb in instance.jobs))
+
+
 def lattice_of_copies(instance):
     """The lattice of the instance with every position its own Job object."""
-    return Instance(tuple(Job(jb.size, jb.start, jb.finish) for jb in instance.jobs)).lattice
+    return copies(instance).lattice
 
 
 def test_lattice_of_shared_jobs_matches_distinct_copies():
@@ -1320,6 +1394,7 @@ def test_lattice_of_shared_jobs_matches_distinct_copies():
         random_equal_duration(300, seed=5, horizon=20),
         random_two_arrival(50, F(1, 3), seed=8),
         nf_nemesis(5),
+        ggu_extended(6, F(1, 2))[0],
         make_instance([(F(1, 2), 0, 1)] * 3),  # equal rows, distinct objects
     ]
     for instance in shared:
@@ -1366,18 +1441,36 @@ def test_lattice_matches_reference_on_both_builder_branches():
         long_uniform(4, 6),  # shared rows
         random_two_arrival(50, F(1, 3), seed=8),
         random_equal_duration(300, seed=5, horizon=20),
-        ggu,  # denominators up to 1000 * 18**36
+        # denominators up to 1000 * 18**36: ggu shares its wave-3 and filler
+        # rows, so its copy keeps the huge denominators on the own-rows branch
+        ggu,
+        copies(ggu),
         Instance(ggu.jobs + ggu.jobs[::97]),
         Instance((job, bad, Job(F(1, 6), F(1, 4), F(9, 4)))),  # a negative size
         Instance((job, bad, job, bad)),
     ]
     # each position its own Job: the rows are the lattice; else expanded
     own_rows = Counter(len({id(jb) for jb in c.jobs}) == len(c.jobs) for c in cases)
-    assert own_rows == {True: 6, False: 5}
+    assert own_rows == {True: 6, False: 6}
     for instance in cases:
         # columns compare equal only as tuples
         assert instance.lattice == reference_lattice(instance.jobs)
     assert cases[-1].lattice.sizes == (5, -18, 5, -18)
+
+
+@pytest.mark.parametrize("k", [6, 12, 36])
+def test_ggu_matches_per_job_fraction_reference(k):
+    deltas = [None, F(7, 1000 * 18**k), F(3, 10**5 * 18**k + 1)]  # numerators 1, 7, 3
+    for t, delta in product((F(1, 28), F(1, 2), F(99, 100)), deltas):
+        instance, certificate = ggu_extended(k, t, delta)
+        expected, expected_certificate = reference_ggu_extended(k, t, delta)
+        assert instance == expected
+        assert certificate == expected_certificate
+        # one Job per wave-1 and wave-2 position, one for wave 3, one per filler kind
+        assert len({id(jb) for jb in instance.jobs}) == 20 * k + 4
+    # equal sizes within a group stay distinct Jobs, as in the reference
+    jobs = ggu_extended(6, F(1, 2))[0].jobs
+    assert jobs[6] == jobs[7] and jobs[6] is not jobs[7]
 
 
 def test_lattice_of_shared_jobs_matches_copies_on_generated_rows():
@@ -2075,6 +2168,49 @@ def test_instance_text_matches_reference():
     for instance in file_instances():
         text = format_instance(instance, header="provenance\nsecond line")
         assert same_outcome(parse_instance, reference_parse_instance, text) == instance
+
+
+def test_instance_text_of_shared_jobs_matches_copies():
+    shared = [
+        long_uniform(4, 6),
+        nf_nemesis(1),
+        nf_nemesis(5),
+        ggu_extended(6, F(1, 2))[0],
+        parse_instance(MESSY_TEXT),  # repeated lines share one Job
+    ]
+    for instance in shared:
+        assert len({id(jb) for jb in instance.jobs}) < len(instance)
+        for header in (None, "provenance\nsecond line"):
+            text = format_instance(instance, header)
+            assert text == format_instance(copies(instance), header)
+            assert text == reference_format_instance(instance, header)
+    assert format_instance(Instance(()), "h") == reference_format_instance(Instance(()), "h")
+
+
+def test_make_schedule_windows_are_the_reference_objects():
+    # equal starts and finishes held by distinct Fraction objects: "1/3" and
+    # "2/6" parse apart, as do "2" and "4/2"
+    text = "1/4 1/3 2\n1/4 2/6 4/2\n1/4 1/3 4/2\n1/4 2/6 2\n1/2 1/2 2\n1/2 3/6 4/2\n"
+    instance = parse_instance(text)
+    assert len({id(jb.start) for jb in instance.jobs}) == 4
+    rng = random.Random(5)
+    for _ in range(50):
+        order = list(range(len(instance)))
+        rng.shuffle(order)
+        cuts = sorted(rng.sample(range(1, len(order)), rng.randint(0, 3)))
+        groups = [order[a:b] for a, b in zip([0, *cuts], [*cuts, len(order)])]
+        got = make_schedule(instance, groups)
+        expected = reference_make_schedule(instance, groups)
+        assert got == expected
+        for server, want in zip(got.servers, expected.servers):
+            assert server.open_time is want.open_time
+            assert server.close_time is want.close_time
+    certificate = ggu_extended(6, F(1, 2))[1]
+    groups = [server.job_indices for server in certificate.servers]
+    expected = reference_make_schedule(certificate.instance, groups)
+    for server, want in zip(certificate.servers, expected.servers):
+        assert server.open_time is want.open_time
+        assert server.close_time is want.close_time
 
 
 def test_schedule_files_match_reference(tmp_path):
