@@ -57,10 +57,11 @@ def ggu_extended(
     putting the cost ratio on a path toward 34/27 * (1+t).
 
     Each wave size is one Fraction built from ints on the scale of
-    delta = p/q, and the windows 0, 1, t and t+1 are built once.  Every
-    wave-1 and wave-2 position holds its own ``Job``; the 10k wave-3
-    positions share one, and so does each filler kind, so the instance
-    holds 20k + 4 distinct ``Job``s, and so as many lattice rows.
+    delta = p/q, and the windows 0, 1, t and t+1 are built once.  A group's
+    positions of one wave share one ``Job`` per distinct multiple, six of
+    the ten; the 10k wave-3 positions share one, and so does each filler
+    kind, so the instance holds 12k + 4 distinct ``Job``s, and so as many
+    lattice rows.
 
     Requires k a positive multiple of 6 (so the filler jobs tile whole
     certificate servers) and 0 < delta < 18**-k / 100 (default 18**-k / 1000).
@@ -82,12 +83,17 @@ def ggu_extended(
     jobs: list[Job] = []
 
     def wave(sixths: int, multiples: tuple[int, ...]) -> list[range]:
-        """Each group's ten positions, one ``Job`` apiece, near sixths/6."""
+        """Each group's ten positions near sixths/6, one ``Job`` per
+        distinct multiple."""
         positions = []
         for g in range(1, k + 1):
             step = 6 * p * 18 ** (k - g)
+            sized = {
+                m: Job(Fraction(sixths * q + m * step, 6 * q), zero, one)
+                for m in set(multiples)
+            }
             first = len(jobs)
-            jobs.extend(Job(Fraction(sixths * q + m * step, 6 * q), zero, one) for m in multiples)
+            jobs.extend(map(sized.__getitem__, multiples))
             positions.append(range(first, len(jobs)))
         return positions
 

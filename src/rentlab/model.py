@@ -114,10 +114,9 @@ class Lattice:
     Each distinct ``Job`` object is mapped once and its ints are shared by
     every position that holds it; equal values of distinct ``Job``s are not
     merged into one int object.  ``parse_instance`` shares one ``Job`` per
-    distinct line, ``long_uniform``, ``nf_nemesis`` and the random families
-    one per distinct row, and ``ggu_extended`` one for its 10k wave-3 jobs
-    and one per filler kind, so a 10,100-job ``long_uniform`` file maps 101
-    jobs and ggu(k, t) maps 20k + 4 of its 47k.
+    distinct line and every generated family one per distinct row, so a
+    10,100-job ``long_uniform`` file maps 101 jobs and ggu(k, t) maps
+    12k + 4 of its 47k.
     """
 
     capacity: int

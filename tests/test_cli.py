@@ -1147,3 +1147,34 @@ def test_module_entry_point_verifies_and_refuses(tmp_path):
     proc = run_module("run", "--alg", "firstfit", "--in", str(missing))
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == _os_error(errno.ENOENT, str(missing))
+
+
+CHECKER = SRC.parent / "checker" / "rentcheck.py"
+
+
+def run_checker(*paths):
+    """The reference model's script under ``python -I``, which puts neither
+    the checkout nor PYTHONPATH on the path: an import of rentlab fails."""
+    return subprocess.run(
+        [sys.executable, "-I", str(CHECKER), *map(str, paths)],
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_reference_model_checks_schedule_files_alone(tmp_path):
+    instance, certificate = ggu_extended(6, Fraction(1, 2))
+    jobs, claim = tmp_path / "ggu.jobs", tmp_path / "claim.json"
+    write_instance(jobs, instance)
+    model.write_schedule(claim, certificate)
+    proc = run_checker(jobs, claim)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "cost 82\n", "")
+    # one server holding every job: rentlab's violations, in its words
+    overfull = model.make_schedule(instance, [range(len(instance))])
+    model.write_schedule(claim, overfull)
+    proc = run_checker(jobs, claim)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert proc.stdout.splitlines() == [str(v) for v in model.check_schedule(overfull)]
+    assert len(proc.stdout.splitlines()) == 2
+    for paths in ((jobs,), (tmp_path / "missing.jobs", claim)):
+        proc = run_checker(*paths)
+        assert (proc.returncode, proc.stdout) == (2, "")

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import re
+import sys
 from pathlib import Path
 
 import rentlab
@@ -10,6 +11,7 @@ import rentlab
 PACKAGE_DIR = Path(rentlab.__file__).parent
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
+CHECKER = ROOT / "checker" / "rentcheck.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -271,3 +273,44 @@ def test_benchmark_traces_existing_functions():
         if not callable(getattr(module, name, None))
     ]
     assert missing == []
+
+
+def nonstandard_imports(source: str) -> list[str]:
+    """``import`` statements, at any depth, that load a module outside the
+    standard library; a relative import is outside it too."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = ["." * node.level + (node.module or "")]
+        else:
+            continue
+        found += [
+            f"line {node.lineno}: {name}"
+            for name in names
+            if name.split(".")[0] not in sys.stdlib_module_names
+        ]
+    return found
+
+
+def test_nonstandard_imports_finds_every_outside_module():
+    source = (
+        "import json, rentlab.model\n"
+        "from fractions import Fraction\n"
+        "from . import model\n"
+        "def f():\n"
+        "    from rentlab import cost\n"
+        "    import pytest as pt\n"
+    )
+    assert nonstandard_imports(source) == [
+        "line 1: rentlab.model",
+        "line 3: .",
+        "line 5: rentlab",
+        "line 6: pytest",
+    ]
+
+
+def test_reference_model_imports_only_the_standard_library():
+    # the tests compare rentlab with it, so it must not reach rentlab itself
+    assert nonstandard_imports(CHECKER.read_text()) == []
