@@ -29,12 +29,10 @@ from .algorithms import (
     server_type_partition,
 )
 from .generators import (
-    _COIN_KEY,
     _equal_duration_jobs,
     _grid_job_table,
     _grid_jobs,
     _grid_trial,
-    _randint_key,
     _trial_layout,
     _two_arrival_jobs,
     ggu_extended,
@@ -546,9 +544,9 @@ def find_uniform_two_arrival(t, seed: int):
     Draws seeded random instances until FirstFit rents every server over the
     whole [0, 1+t] window (so the weight scheme's setting applies), then
     returns (instance, trace, accepted seed).  Candidate seed ``seed + i``
-    draws ``random_two_arrival(n, t, seed + i)`` for n drawn by
-    ``random.Random(seed + i).randint(4, 8)``, both from one seeding by
-    ``_grid_trial``, as strict-ff-2 draws its trials.
+    reads n in [4, 8] from lane 0 and ``random_two_arrival(n, t, seed + i)``'s
+    draws from lane 1, by ``_grid_trial`` as strict-ff-2 reads its trials;
+    a seed and its negation read different streams.
 
     Each draw is tested on the integer size grid, which never reads t: the
     accepted seed depends on ``seed`` alone, and t only sets the second
@@ -556,7 +554,7 @@ def find_uniform_two_arrival(t, seed: int):
     from random_two_arrival's job table, and run through first_fit.
     """
     t = second_arrival(t)
-    layout = _trial_layout(*_UNIFORM_N_RANGE, _UNIFORM_SIZE_GRID, _COIN_KEY)
+    layout = _trial_layout(*_UNIFORM_N_RANGE, _UNIFORM_SIZE_GRID, 2)
     for cand_seed in range(seed, seed + _UNIFORM_MAX_ATTEMPTS):
         draws = _grid_trial(cand_seed, layout)
         if _uniform_first_fit(draws, _UNIFORM_SIZE_GRID):
@@ -646,7 +644,8 @@ def _first_failure(trials, check) -> Optional[SuiteResult]:
 
 
 def _grid_trials(trials: int, seed: int, layout, job):
-    """Trial i's locator and instance, drawn from ``seed * 1_000_003 + i``."""
+    """Trial i's locator and instance, read from trial seed
+    ``seed * 1_000_003 + i``: the job count from lane 0, the draws from lane 1."""
     for trial in range(trials):
         trial_seed = seed * 1_000_003 + trial
         draws = _grid_trial(trial_seed, layout)
@@ -686,15 +685,15 @@ def suite_nextfit_2t(
 ) -> SuiteResult:
     """NextFit stays within twice the arrival ceiling at every event time.
 
-    Trial seed s draws n by ``random.Random(s).randint(1, max_jobs)`` and
-    then ``random_equal_duration(n, s)``'s draws, both from one seeding
-    through ``_grid_trial``.  The run builds each distinct job once, in one
-    table that all its trials share.
+    Trial seed s reads n in [1, max_jobs] from lane 0 and
+    ``random_equal_duration(n, s)``'s draws from lane 1, by ``_grid_trial``;
+    s and -s read different streams.  The run builds each distinct job once,
+    in one table that all its trials share.
     """
     _check_at_least("trials", trials, 1)
     _check_at_least("max_jobs", max_jobs, 1)
     size_grid, start_grid, horizon = _NEXTFIT_GRIDS
-    layout = _trial_layout(1, max_jobs, size_grid, _randint_key(horizon * start_grid))
+    layout = _trial_layout(1, max_jobs, size_grid, horizon * start_grid + 1)
     job = _equal_duration_jobs(size_grid, start_grid)
     settings = {"trials": trials, "max_jobs": max_jobs, "seed": seed}
     source = _grid_trials(trials, seed, layout, job)
@@ -751,14 +750,14 @@ def suite_strict_ff_2(
     search: a trial the floor leaves open past the search's own limit of 10
     jobs fails as unsettled.  Every trial also checks the server-type cost
     split and both mass inequalities 2*A > k.
-    Trial seed s draws n by ``random.Random(s).randint(2, max_jobs)`` and
-    then random_two_arrival's n draws, both from one seeding through
-    ``_grid_trial``.  The run builds each distinct job once, in one table
-    that all its trials share.
+    Trial seed s reads n in [2, max_jobs] from lane 0 and random_two_arrival's
+    n draws from lane 1, by ``_grid_trial``; s and -s read different
+    streams.  The run builds each distinct job once, in one table that all
+    its trials share.
     """
     _check_at_least("trials", trials, 1)
     _check_at_least("max_jobs", max_jobs, 2)
-    layout = _trial_layout(2, max_jobs, 12, _COIN_KEY)
+    layout = _trial_layout(2, max_jobs, 12, 2)
     job = _grid_job_table(12, _STRICT_WINDOWS.__getitem__)
     return _first_failure(
         _grid_trials(trials, seed, layout, job),

@@ -4,12 +4,18 @@ All generators emit jobs sorted by start, use exact rationals, and are
 deterministic functions of their parameters (including the seed).  The
 adversarial families come with tightly tuned size perturbations; the scale
 separation between groups is why everything downstream runs on Fractions.
+
+Seeded draws read a counter-based stream (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC 2011): block b of lane l is the blake2b
+digest of the seed's signed bytes, salted by 2b + l.  Lane 0 holds a
+trial's job count and lane 1 its draws, read in units of 1, 2 or 4 bytes,
+the fewest that hold the lane's widest range; a value below v is the top
+(v - 1).bit_length() bits of the first unit whose top bits fall below v.
 """
 
 from __future__ import annotations
 
-import struct
-from _random import Random as _MersenneTwister
+from _blake2 import blake2b
 from fractions import Fraction
 from functools import cache
 from inspect import Parameter, signature
@@ -201,100 +207,51 @@ def _grid_jobs(draws: list[tuple[int, int]], job) -> Instance:
     return Instance(tuple(list(starmap(job, draws))))
 
 
-# A trial's first block of Mersenne Twister words; each later one is twice as long
-_WORD_BLOCK = struct.Struct("<32I")
-
-# A draw's start key, read after its size, as (values, bits, words read):
-# CPython's randint keeps the top ``bits`` bits of successive words until
-# they fall below ``values``, and the next draw starts ``words read`` words
-# after the accepted one.  random_two_arrival's coin, ``random() >= 0.5``,
-# reads two words and is the first one's top bit.
-_COIN_KEY = (2, 1, 2)
+def _units(seed: bytes, salt: int, width: int):
+    """Block ``salt // 2`` of lane ``salt % 2``, as big-endian units of ``width`` bytes."""
+    digest = blake2b(seed, salt=salt.to_bytes(16, "little")).digest()
+    return digest if width == 1 else [int.from_bytes(digest[i : i + width], "big")
+                                      for i in range(0, 64, width)]
 
 
-def _randint_key(high: int) -> tuple[int, int, int]:
-    """The start key ``randint(0, high)``, laid out as ``_COIN_KEY`` is."""
-    return high + 1, (high + 1).bit_length(), 1
-
-
-def _trial_layout(low: int, high: int, size_grid: int, key: tuple[int, int, int]) -> tuple:
-    """How ``_grid_trial`` reads a trial's words, for job counts
-    ``randint(low, high)``, sizes ``randint(1, size_grid)`` and start keys
-    laid out by ``key``.
-
-    A range of no values, or of 2**32 or more (drawn from several words at
-    a time), raises ValueError naming the first such range.  Each draw is a
-    test on the top bits of a word: when no draw keeps more than 8 bits,
-    the top byte of each word decides it, and the trial reads only those bytes.
-    """
-    key_values, key_bits, key_step = key
+def _trial_layout(low: int, high: int, size_grid: int, key_values: int) -> tuple:
+    """How ``_grid_trial`` reads counts in [low, high], sizes in [1, size_grid] and
+    keys below ``key_values``; refuses a range of no values, or of 2**32 or more."""
     for name, first, last in (("job counts", low, high), ("grid sizes", 1, size_grid),
                               ("grid starts", 0, key_values - 1)):
         if not 0 <= last - first < 2**32 - 1:
             raise ValueError(f"{name} [{first}, {last}] must range over 1 to 2**32 - 1 values")
-    width = high - low + 1
-    draws = (
-        (width, width.bit_length()),
-        (size_grid, size_grid.bit_length()),
-        (key_values, key_bits),
-    )
-    unit = 8 if max(bits for _, bits in draws) <= 8 else 32
-    tests = []
-    for values, bits in draws:
-        # a unit below values << shift is accepted, and its value is unit >> shift
-        tests += values << (unit - bits), unit - bits
-    return (unit, low, *tests, key_step)
+    layout = [low]
+    for lane in ((high - low + 1,), (size_grid, key_values)):  # lane 0, then lane 1
+        width = next(w for w in (1, 2, 4) if 8 * w >= (max(lane) - 1).bit_length())
+        layout.append(width)
+        for values in lane:
+            # a unit below values << shift is accepted, and its value is unit >> shift
+            shift = 8 * width - (values - 1).bit_length()
+            layout += values << shift, shift
+    return tuple(layout)
 
 
 def _grid_trial(seed: int, layout: tuple) -> list[tuple[int, int]]:
-    """One trial's draws from one seeding: n by
-    ``random.Random(seed).randint(low, high)``, then the n draws
-    ``(randint(1, size_grid), start key)`` that a second
-    ``random.Random(seed)`` gives, for the ``layout`` of
-    ``_trial_layout(low, high, size_grid, key)``.  random_two_arrival
-    (``key`` as ``_COIN_KEY``) and random_equal_duration (as
-    ``_randint_key(horizon * start_grid)``) draw through it with the
-    one-value count range [n, n], whose count leaves their draws at word 0.
-
-    Both seedings read the seed's stream from its first word, so its words
-    are read once, in blocks, and decoded as CPython draws them.  A draw
-    that runs past the words read so far is decoded again from its first
-    word once the next block is in; the draws before it are kept.
-
-    The seed goes straight to ``_random.Random``, the C type that
-    ``random.Random`` subclasses.  An int seed gives the same words either
-    way, and this skips the Python-level ``Random.__init__`` and
-    ``Random.seed`` (on Python 3.9 the C constructor ignores its seed).
-    """
-    unit, low, n_limit, n_shift, size_limit, size_shift, key_limit, key_shift, key_step = layout
-    getrandbits = _MersenneTwister(seed).getrandbits
-    block, words = _WORD_BLOCK, b"" if unit == 8 else ()
-    n, draws, done = None, [], 0  # done: the first word of the next draw
-    while True:
-        # getrandbits fills an int from its least significant word up, so
-        # each word's top byte is the last of its four little-endian bytes
-        raw = getrandbits(8 * block.size).to_bytes(block.size, "little")
-        words += raw[3::4] if unit == 8 else block.unpack(raw)
+    """Trial ``seed``'s n ``(size, start key)`` draws, n read from lane 0; a draw
+    that runs past the units read is read again once the lane's next block is in."""
+    low, n_width, n_limit, n_shift, width, size_limit, size_shift, key_limit, key_shift = layout
+    seed, salt = seed.to_bytes(seed.bit_length() // 8 + 1, "little", signed=True), 0
+    while (n := next(filter(n_limit.__gt__, _units(seed, salt, n_width)), None)) is None:
+        salt += 2
+    n, units, salt, draws, pos = low + (n >> n_shift), _units(seed, 1, width), 1, [], 0
+    while len(draws) < n:
         try:
-            if n is None:
-                pos = 0
-                while words[pos] >= n_limit:
-                    pos += 1
-                n = low + (words[pos] >> n_shift)
-            pos = done
-            for _ in range(n - len(draws)):
-                while words[pos] >= size_limit:
-                    pos += 1
-                size = (words[pos] >> size_shift) + 1
+            while units[pos] >= size_limit:
                 pos += 1
-                while words[pos] >= key_limit:
-                    pos += 1
-                draws.append((size, words[pos] >> key_shift))
-                pos += key_step
-                done = pos
-            return draws
+            end = pos + 1
+            while units[end] >= key_limit:
+                end += 1
+            draws.append(((units[pos] >> size_shift) + 1, units[end] >> key_shift))
+            pos = end + 1
         except IndexError:
-            block = struct.Struct(f"<{block.size // 2}I")
+            units += _units(seed, salt := salt + 2, width)
+    return draws
 
 
 def _two_arrival_jobs(size_grid: int, t: Fraction):
@@ -307,15 +264,16 @@ def random_two_arrival(n: int, t, seed: int, size_grid: int = 12) -> Instance:
     """n unit-duration jobs arriving at 0 or t, sizes uniform on the grid.
 
     Sizes are drawn from {1/D, ..., D/D} and each start is a fair coin over
-    {0, t}, as ``random.Random(seed)`` draws them for an int seed, decoded
-    by the suites' ``_grid_trial``; D must lie below 2**32.  Deterministic
-    in (n, t, seed, size_grid); jobs come out sorted by start.
+    {0, t}, size then coin for each job, from lane 1 of the int seed's
+    stream (see the module docstring), read by the suites' ``_grid_trial``;
+    seeds s and -s read different streams.  D must lie below 2**32.
+    Deterministic in (n, t, seed, size_grid); jobs come out sorted by start.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     if size_grid < 1:
         raise ValueError("size_grid must be at least 1")
-    layout = _trial_layout(n, n, size_grid, _COIN_KEY)
+    layout = _trial_layout(n, n, size_grid, 2)
     t = second_arrival(t)
     return _grid_jobs(_grid_trial(index(seed), layout), _two_arrival_jobs(size_grid, t))
 
@@ -334,8 +292,9 @@ def random_equal_duration(
     """n unit-duration jobs with grid starts anywhere in [0, horizon].
 
     Starts land on multiples of 1/start_grid, sizes on multiples of
-    1/size_grid, as ``random.Random(seed)`` draws them for an int seed,
-    decoded by the suites' ``_grid_trial``; size_grid and
+    1/size_grid, size then start for each job, from lane 1 of the int
+    seed's stream (see the module docstring), read by the suites'
+    ``_grid_trial``; seeds s and -s read different streams.  size_grid and
     horizon * start_grid + 1 must lie below 2**32.  Deterministic in the
     parameters, sorted by start.
     """
@@ -343,7 +302,7 @@ def random_equal_duration(
         raise ValueError("n must be non-negative")
     if size_grid < 1 or start_grid < 1 or horizon < 0:
         raise ValueError("grids must be positive and horizon non-negative")
-    layout = _trial_layout(n, n, size_grid, _randint_key(horizon * start_grid))
+    layout = _trial_layout(n, n, size_grid, horizon * start_grid + 1)
     jobs = _equal_duration_jobs(size_grid, start_grid)
     return _grid_jobs(_grid_trial(index(seed), layout), jobs)
 

@@ -32,18 +32,20 @@ F = Fraction
 T = F(1, 2)
 
 
-def count_seedings(monkeypatch):
-    """The seeds of every trial seeding, recorded at the seam through which
-    ``generators._grid_trial`` seeds its Mersenne Twister."""
-    made = []
-    twister = generators._MersenneTwister
+def count_trial_reads(monkeypatch):
+    """The seed of every trial read, recorded at ``generators._units``, the
+    seam through which ``generators._grid_trial`` hashes its blocks: a
+    trial's first block of lane 0, salt 0, holds its job count."""
+    read = []
+    units = generators._units
 
-    def counting(seed):
-        made.append(seed)
-        return twister(seed)
+    def counting(seed, salt, width):
+        if salt == 0:
+            read.append(int.from_bytes(seed, "little", signed=True))
+        return units(seed, salt, width)
 
-    monkeypatch.setattr(generators, "_MersenneTwister", counting)
-    return made
+    monkeypatch.setattr(generators, "_units", counting)
+    return read
 
 
 def two_arrival(rows_at_zero, rows_at_t, t=T):
@@ -443,7 +445,7 @@ def test_find_uniform_two_arrival_is_deterministic():
 
 def test_default_weights_sampling_is_pinned(monkeypatch):
     # on pass the weights report echoes only trials and seed, so pin what
-    # its sampler accepts over all 200 default trials, and how often it seeds
+    # its sampler accepts over all 200 default trials, and how many trials it reads
     accepted = []
 
     def recording(t, seed):
@@ -452,30 +454,30 @@ def test_default_weights_sampling_is_pinned(monkeypatch):
         return found
 
     monkeypatch.setattr(analysis, "find_uniform_two_arrival", recording)
-    made = count_seedings(monkeypatch)
+    made = count_trial_reads(monkeypatch)
     assert analysis.suite_weights().passed
     monkeypatch.undo()
     assert len(accepted) == 200
-    assert sum(used - seed + 1 for seed, used in accepted) == 10_038
+    assert sum(used - seed + 1 for seed, used in accepted) == 18_314
     digest = hashlib.sha256(",".join(str(used) for _, used in accepted).encode())
     assert digest.hexdigest() == (
-        "bb2f388745d3e4f51351c74f8222c5fa390132769af3e9187a54064712f18413"
+        "3c35816df7903121c803a4e526f0fc8d94daca6d51e19682b663e0fed9af5af8"
     )
-    # one seeding per attempt
-    assert len(made) == 10_038
+    # one trial read per attempt
+    assert len(made) == 18_314
 
 
 def test_default_strict_ff_2_seeds_each_trial_once(monkeypatch):
-    # the job count and the draws come from one seeding of the trial seed
-    made = count_seedings(monkeypatch)
+    # the job count and the draws come from one read of each trial seed
+    made = count_trial_reads(monkeypatch)
     assert analysis.suite_strict_ff_2().passed
     monkeypatch.undo()
     assert made == [7 * 1_000_003 + trial for trial in range(500)]
 
 
 def test_default_nextfit_2t_seeds_each_trial_once(monkeypatch):
-    # the job count and the draws come from one seeding of the trial seed
-    made = count_seedings(monkeypatch)
+    # the job count and the draws come from one read of each trial seed
+    made = count_trial_reads(monkeypatch)
     assert analysis.suite_nextfit_2t().passed
     monkeypatch.undo()
     assert made == [20240601 * 1_000_003 + trial for trial in range(500)]

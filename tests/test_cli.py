@@ -307,13 +307,13 @@ FAILING_SUITES = {
     "strict-ff-2 above twice opt": (
         "strict-ff-2", {"trials": 5}, _plant_low_opt,
         analysis._strict_ff_2_failure, STRICT_KEYS,
-        {"trial": 0, "reason": "firstfit cost 4 exceeds twice the optimum 4/3"},
+        {"trial": 0, "reason": "firstfit cost 6 exceeds twice the optimum 2"},
     ),
-    # trials 0 and 1 are searched and pass; trial 2 has 13 jobs
+    # trials 0 to 5 are searched and pass; trial 6 has 13 jobs
     "strict-ff-2 unsettled": (
-        "strict-ff-2", {"trials": 5, "max_jobs": 14}, _plant_zero_floor,
+        "strict-ff-2", {"trials": 7, "max_jobs": 14}, _plant_zero_floor,
         analysis._strict_ff_2_failure, STRICT_KEYS,
-        {"trial": 2, "reason": "unsettled: firstfit cost 21 exceeds twice the "
+        {"trial": 6, "reason": "unsettled: firstfit cost 22 exceeds twice the "
          "interval floor 0, and 13 jobs exceeds brute-force limit of 10"},
     ),
     "strict-ff-2 cost split": (
@@ -326,16 +326,16 @@ FAILING_SUITES = {
         "strict-ff-2", {"trials": 20},
         lambda mp: _plant(mp, "server_type_partition", start0_mass_type1=lambda p: 0),
         analysis._strict_ff_2_failure, STRICT_KEYS,
-        {"trial": 2, "reason": "type-1 first-arrival mass fails 2*A > k"},
+        {"trial": 7, "reason": "type-1 first-arrival mass fails 2*A > k"},
     ),
     "strict-ff-2 type-2 mass": (
-        "strict-ff-2", {"trials": 20},
+        "strict-ff-2", {"trials": 36},
         lambda mp: _plant(mp, "server_type_partition", start0_mass_type2=lambda p: 0),
         analysis._strict_ff_2_failure, STRICT_KEYS,
-        {"trial": 10, "reason": "type-2 first-arrival mass fails 2*A > k"},
+        {"trial": 35, "reason": "type-2 first-arrival mass fails 2*A > k"},
     ),
-    # ggu(6, 1/2) leaves no FirstFit server below weight 1+t, and the
-    # second sampled trial leaves one
+    # ggu(6, 1/2) leaves no FirstFit server below weight 1+t, and sampled
+    # trial 8 is the first to leave one
     "weights ggu": (
         "weights", {"trials": 2},
         lambda mp: mp.setattr(analysis, "IGNORED_BUDGET", -1),
@@ -344,10 +344,10 @@ FAILING_SUITES = {
         {"case": "ggu k=6 t=1/2", "reason": "0 servers below weight 1+t (budget -1)"},
     ),
     "weights sampled": (
-        "weights", {"trials": 2},
+        "weights", {"trials": 9},
         lambda mp: mp.setattr(analysis, "IGNORED_BUDGET", 0),
         analysis._weights_failure, {"trial", "seed", "t", "reason"},
-        {"trial": 1, "t": "1/4", "reason": "1 servers below weight 1+t (budget 0)"},
+        {"trial": 8, "t": "1/28", "reason": "1 servers below weight 1+t (budget 0)"},
     ),
     "layers": (
         "layers", {},
@@ -445,20 +445,20 @@ GOLDEN_GEN = {
     ),
     "--family random-two-arrival --n 9 --t 1/2 --seed 11": (
         0, "wrote 9 jobs to out.jobs\n", "",
-        {"out.jobs": "7fe5da9a4d787f944f28ccedcc6f12dba228f74f904e3b25ac651c09ad561032"},
+        {"out.jobs": "801c0bebcd35a046cac89466e7fa1a74b4de6a300178410167bcfd613ebc585b"},
     ),
     "--family random-two-arrival --n 9 --t 2/3 --seed 11 --size-grid 5": (
         0, "wrote 9 jobs to out.jobs\n", "",
-        {"out.jobs": "635729a9e3fc5dd6568f6c04c43a854ddbbd23ee847d5235e8935bddffc331d5"},
+        {"out.jobs": "a75c4676d16942e65600fa5f32fb5d47fc0b32c6d126390f33eaeb1145f082a7"},
     ),
     "--family random-equal-duration --n 12 --seed 5": (
         0, "wrote 12 jobs to out.jobs\n", "",
-        {"out.jobs": "42d5e071ad88a3480f369de68bb6986f79ddf17a9649b4f080546a6fbd5ec1d7"},
+        {"out.jobs": "1f95300f3221cf6edc0b5b941d0159c6c2e5a3276c44b27f8cbb6862c4d02079"},
     ),
     "--family random-equal-duration --n 12 --seed 5 --size-grid 3 --start-grid 2 "
     "--horizon 6": (
         0, "wrote 12 jobs to out.jobs\n", "",
-        {"out.jobs": "aca6b7b5acc6f128884e0f2a24953e1d4aca25ecd3912fd310659391bf83e4ca"},
+        {"out.jobs": "ef8fe78ac73f71592f8d5ada0459af9ecb71f8ff253e92e49d5f877c462f8293"},
     ),
     "--family ggu --k 6": (2, "", "error: family ggu requires --t\n", {}),
     "--family random-two-arrival --size-grid 4": (
@@ -941,9 +941,9 @@ GOLDEN_REPORTS = {
     "verify --suite recurrence":
         "fc99db42205a3816671f0d82943df9a836159ffe611a9a559323c53f0eaeecbd",
     "run --alg firstfit --in inst.jobs":
-        "befe8c6434e087a507c6564af3bd2e15e128afe7c3675ae0e9769ae3cfec0712",
+        "a36bafa9f406a20794185562a64d049fa6a2e718a2febc695846903f70113435",
     "run --alg nextfit --in inst.jobs":
-        "7592bfe0ed3008aba30ea50d92474f87c70d9daba3b1883e08efa27e9369c600",
+        "7056c2ce8e4acf12af543f54907c3d1448c28a2ed441d1a51a894a5237af7292",
     "run --alg firstfit --in ggu.jobs":
         "d4ce56743f345cf7d13dbe1f84b11643e802532a606148383c3bcdcdd98d46bf",
     "run --alg nextfit --in ggu.jobs":
@@ -953,23 +953,23 @@ GOLDEN_REPORTS = {
     "run --alg nextfit --in merge.jobs":
         "d09e63c586247aab0ba2b7595ece55c55936aec3ac43ab0a128d8a0942ea96b6",
     "run --alg firstfit --in wide.jobs":
-        "0be0a57487d1c6a5a360f4949db421d30149d12b19ad13a598b56957235e2620",
+        "4d6cb3b5e9b6ce4f8d7cd435ea8dd53f20964f000218d1f6bd06cf0cc5586d60",
     "run --alg nextfit --in wide.jobs":
-        "107aa66751380284807cc7f63ed5177c98d63dfe50c7705799eed50ff50cb779",
+        "a19bd5897b8fc833de6f319db31da4806626fa747b103fa3d90966a372ffcc2d",
     "opt --in opt.jobs --schedule-out opt.schedule.json":
         "0660b1de667d638911f84796e6dc983c4e19e298531085c08122e5127b1134b9",
     "run --alg firstfit --in inst.jobs --schedule-out inst.firstfit.json":
-        "ab13eaf53c360eb8f14d9043a94ab53921412873ad3f3604b8623aa7ee592b5e",
+        "5c78c6f5029ced8c9b054844b0cbd6b5b9e6ccc394264ce81c391cb348911d27",
     "run --alg nextfit --in inst.jobs --schedule-out inst.nextfit.json":
-        "6f26eb13d692993de959faa45859f26f06150eaa4a3a89222648ed1d3aa763e3",
+        "bcde8767fe1d3f4516cf7ecab0a318b4e27c923abe3c82ed42378e973689757c",
     "run --alg firstfit --in ggu.jobs --schedule-out ggu.firstfit.json":
         "98f0bb898976b0de1da304f8e48aa615dad2bceed3fcfbe6c5df50c9678ffe78",
     "run --alg nextfit --in ggu.jobs --schedule-out ggu.nextfit.json":
         "46625ce31603b45c4a792fd469012c84ed3ea7e154bfc0499c5abbae61946e57",
     "run --alg firstfit --in wide.jobs --schedule-out wide.firstfit.json":
-        "b81025fb9b201ea96bdb34668d799d5a9d9d52baffcc37e369727a6cb2f3a303",
+        "a9ef8029dcb0430d5da08e3a3963a590820e33ac346416e367780c23c580a628",
     "run --alg nextfit --in wide.jobs --schedule-out wide.nextfit.json":
-        "78a55a0b012179cd298447b7e65406b34022c991b264a2605ce6c35922e7eb02",
+        "747ebbfd2cc921740b91e58940f6b03036f4e125e51a355cf443be56abb221bd",
 }
 
 # sha256 of the schedule file a GOLDEN_REPORTS command wrote next to its report
@@ -977,17 +977,17 @@ GOLDEN_SCHEDULES = {
     "opt --in opt.jobs --schedule-out opt.schedule.json":
         "453c0e866e3a2a6d9872e4cd742a1ae64002061f1117744db95e84c887072f9f",
     "run --alg firstfit --in inst.jobs --schedule-out inst.firstfit.json":
-        "c57706b5eadebb7370cafa857a140c599ffb4985471b1b0028066d1c40d84c34",
+        "0275a39f3405502f9f39c43f881013c41f5fc4c0852a87a09d1bbe23278d2025",
     "run --alg nextfit --in inst.jobs --schedule-out inst.nextfit.json":
-        "e99798bdefa56b89eaae20c2f2ff07042da9f4df741b22cf27ad512d21d572a8",
+        "303eca8ee0dc23f1d3bace54a1aee31d370e39c9123a95c910c158794de923f6",
     "run --alg firstfit --in ggu.jobs --schedule-out ggu.firstfit.json":
         "841c4bc6fe8cfce285465289b6fd77ba14061d455f32eaac6984827ebb914160",
     "run --alg nextfit --in ggu.jobs --schedule-out ggu.nextfit.json":
         "ba7aaa79eb8b1c9903e37daece91dcd5218fd3905e4f323c09b11e460c9694c2",
     "run --alg firstfit --in wide.jobs --schedule-out wide.firstfit.json":
-        "ec2318aa75bcb0a8aedce077a875cf073b6779c5cbc3e2f68a2b176d94bdaf0e",
+        "09fa2d7c92da81c7f4503499655927bb85d4eab3217a471219b1f60e40e5621b",
     "run --alg nextfit --in wide.jobs --schedule-out wide.nextfit.json":
-        "b39717837b9f5d0d435ecae3aceadd3a4df10e8f2be30da814b55a78556b5393",
+        "e40dcc74c8590cb1641951ace1566af9c478ca94d134916244cc414ebb1ad0f2",
 }
 
 # Servers whose jobs overlap and touch, so the active-count sweep merges

@@ -27,19 +27,20 @@ window objects of its reference, min or max over the group's Fractions;
 ggu_extended's reference sums one Fraction per job, each job its own Job,
 for k up to 36 and deltas whose numerator is not 1.
 
-The random families decode their draws through the trial reader below and
-share one Job per distinct row, one Fraction per size and one window per
-start key, checked against random.Random's Fraction draws sorted by start,
-for up to 2000 jobs, size grids up to 2^32 - 1, start ranges past 2^31 and
-seeds below 0 and past 2^64.  A trial, as the weights sampler, strict-ff-2
-and nextfit-2t draw it, seeds one Mersenne Twister, the C type under
-random.Random, and decodes the job count and the draws from its words; its
-reference is randint(low, high) on one seeding and the generator's draws on
-another, over 50,001 seeds for the sampler's (4, 8), for strict-ff-2's
-(2, max_jobs) and nextfit-2t's draws up to 5000 jobs, and past any word
-block.  The sampler's reference builds every draw and runs first_fit on
-it.  The weight ledger and classify_servers sum lattice ints, as
-server_type_partition does; their references sum each server's Fraction
+The random families read their draws through the trial reader and share
+one Job per distinct row, one Fraction per size and one window per start
+key, checked against Fraction draws of the reference reader sorted by
+start, for up to 2000 jobs, size grids up to 2^32 - 1, start ranges past
+2^31 and seeds below 0 and past 2^64.  A trial, as the weights sampler,
+strict-ff-2 and nextfit-2t draw it, reads its job count from lane 0 of its
+seed's blake2b stream and its draws from lane 1, each lane in units of 1,
+2 or 4 bytes by top-bit rejection, with a block decoded in place and a
+draw read again past a block's end.  Its reference reads one value at a
+time and hashes one block per unit, on wide inputs, across many blocks,
+with each block cut to as few as one unit and on generated inputs; the
+count and the first size are independent on each suite's layout.  The sampler's reference builds every draw and runs
+first_fit on it.  The weight ledger and classify_servers sum lattice ints,
+as server_type_partition does; their references sum each server's Fraction
 weights or sizes, take t explicitly and check that it is the trace's latest
 start, which the ledgers read as t.
 """
@@ -48,10 +49,11 @@ import heapq
 import json
 import math
 import random
-import struct
+from _blake2 import blake2b
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 from types import SimpleNamespace
 
 import pytest
@@ -113,9 +115,7 @@ from rentlab.analysis import (
 )
 from rentlab.model import Lattice, _schedule_text
 from rentlab.generators import (
-    _COIN_KEY,
     _grid_trial,
-    _randint_key,
     _trial_layout,
     ggu_extended,
     long_uniform,
@@ -209,57 +209,85 @@ def reference_place(instance, keep_earlier):
     return reference_scan(instance, keep_earlier)[0]
 
 
-def reference_two_arrival(n, t, seed, size_grid=12):
-    rng = random.Random(seed)
-    drawn = []
+def reference_lane(seed, lane, width, block=64):
+    """Lane ``lane`` of trial ``seed``'s stream, unit by unit.  Block b of a
+    lane is the blake2b digest of the seed's signed little-endian bytes,
+    salted by 2b + lane, read as big-endian units of ``width`` bytes (at most
+    ``block`` of them); unit k is unit k of the lane's blocks laid end to end."""
+    data = seed.to_bytes(seed.bit_length() // 8 + 1, "little", signed=True)
+    for k in count():
+        b, offset = divmod(k, min(block, 64 // width))
+        digest = blake2b(data, salt=(2 * b + lane).to_bytes(16, "little")).digest()
+        yield int.from_bytes(digest[offset * width : (offset + 1) * width], "big")
+
+
+def reference_width(*ranges):
+    """The unit width of a lane that reads values below each of ``ranges``:
+    the fewest bytes of 1, 2 or 4 that hold the widest."""
+    bits = max((values - 1).bit_length() for values in ranges)
+    return next(width for width in (1, 2, 4) if bits <= 8 * width)
+
+
+def reference_value(units, values, width):
+    """A value below ``values``: the top (values - 1).bit_length() bits of
+    the first unit whose top bits fall below ``values``."""
+    shift = 8 * width - (values - 1).bit_length()
+    return next(unit >> shift for unit in units if unit >> shift < values)
+
+
+def reference_count(seed, low, high, block=64):
+    """A trial's job count in [low, high], read from lane 0."""
+    width = reference_width(high - low + 1)
+    units = reference_lane(seed, 0, width, block)
+    return low + reference_value(units, high - low + 1, width)
+
+
+def reference_draws(seed, n, size_grid, key_values, block=64):
+    """A trial's n draws from lane 1: a size in [1, size_grid], then a key
+    below ``key_values``, n times."""
+    width = reference_width(size_grid, key_values)
+    units = reference_lane(seed, 1, width, block)
+    draws = []
     for _ in range(n):
-        size = F(rng.randint(1, size_grid), size_grid)
-        start = F(0) if rng.random() < 0.5 else t
-        drawn.append((start, size))
+        size = 1 + reference_value(units, size_grid, width)
+        draws.append((size, reference_value(units, key_values, width)))
+    return draws
+
+
+def reference_trial_draws(seed, low, high, size_grid, key_values, block=64):
+    """A trial's draws, for a job count in [low, high]."""
+    n = reference_count(seed, low, high, block)
+    return reference_draws(seed, n, size_grid, key_values, block)
+
+
+def drawn_instance(draws, size_grid, start_of):
+    """The unit-duration jobs of ``(size, key)`` draws, stably sorted by start."""
+    drawn = [(start_of(key), F(size, size_grid)) for size, key in draws]
     drawn.sort(key=lambda pair: pair[0])
     return Instance(tuple(Job(size, start, start + 1) for start, size in drawn))
+
+
+def reference_two_arrival(n, t, seed, size_grid=12):
+    draws = reference_draws(seed, n, size_grid, 2)
+    return drawn_instance(draws, size_grid, (F(0), t).__getitem__)
 
 
 def reference_equal_duration(n, seed, size_grid=8, start_grid=4, horizon=3):
-    rng = random.Random(seed)
-    drawn = []
-    for _ in range(n):
-        size = F(rng.randint(1, size_grid), size_grid)
-        start = F(rng.randint(0, horizon * start_grid), start_grid)
-        drawn.append((start, size))
-    drawn.sort(key=lambda pair: pair[0])
-    return Instance(tuple(Job(size, start, start + 1) for start, size in drawn))
+    draws = reference_draws(seed, n, size_grid, horizon * start_grid + 1)
+    return drawn_instance(draws, size_grid, lambda key: F(key, start_grid))
 
 
 def reference_find_uniform(t, seed):
     """(instance, accepted seed) of the sampler that runs first_fit on every draw."""
     for attempt in range(50000):
         cand_seed = seed + attempt
-        n = random.Random(cand_seed).randint(4, 8)
-        instance = reference_two_arrival(n, t, cand_seed)
+        instance = reference_two_arrival(reference_count(cand_seed, 4, 8), t, cand_seed)
         servers = reference_place(instance, keep_earlier=True).schedule.servers
         if servers and all(
             srv.open_time == 0 and srv.close_time == 1 + t for srv in servers
         ):
             return instance, cand_seed
     raise RuntimeError("no uniform-server instance found")
-
-
-def reference_trial(seed, low=4, high=8, size_grid=12):
-    """A two-arrival trial's draws from two seedings: the job count on one,
-    random_two_arrival's draws on the other.  The sampler's range is (4, 8)."""
-    n = random.Random(seed).randint(low, high)
-    rng = random.Random(seed)
-    return [(rng.randint(1, size_grid), rng.random() >= 0.5) for _ in range(n)]
-
-
-def reference_equal_duration_trial(seed, high):
-    """nextfit-2t's trial draws from two seedings: the job count
-    randint(1, high) on one, random_equal_duration's default draws, in draw
-    order, on the other."""
-    n = random.Random(seed).randint(1, high)
-    rng = random.Random(seed)
-    return [(rng.randint(1, 8), rng.randint(0, 12)) for _ in range(n)]
 
 
 def reference_verify_weights(trace, opt_schedule, t):
@@ -1305,8 +1333,8 @@ def assert_shared_rows(instance):
 
 
 # Wide inputs of the random families: job counts that read past the first
-# word blocks, size grids decoded from words' top bytes (up to 255 values)
-# and from whole words, and seeds far below 0 and past 2**64
+# blocks, size grids read from 1-, 2- and 4-byte units, and seeds far below
+# 0 and past 2**64
 WIDE_COUNTS = (0, 1, 7, 40, 300, 2000)
 WIDE_SIZE_GRIDS = (1, 12, 256, 257, 999_983, 2**32 - 1)
 WIDE_SEEDS = (-(2**70) - 3, -1, 2**64 + 1, 2**80 + 7)
@@ -1362,91 +1390,114 @@ def test_uniform_sampler_refuses_t_before_drawing():
         find_uniform_two_arrival(F(3, 2), 1)
 
 
-# a candidate seed whose draws read 41 words: eight jobs, their sizes
-# refused 18 times between them, which overran a 40-word block
-OVERRUN_SEED = 1773810931607042
+def read_blocks(monkeypatch):
+    """The ``(seed, salt)`` of every block the trial reader hashes, in order."""
+    read, units = [], generators._units
+
+    def counting(seed, salt, width):
+        read.append((int.from_bytes(seed, "little", signed=True), salt))
+        return units(seed, salt, width)
+
+    monkeypatch.setattr(generators, "_units", counting)
+    return read
 
 
-def replayed(seed, low=4, high=8, size_grid=12):
-    """A two-arrival trial's draws, from one seeding."""
-    return _grid_trial(seed, _trial_layout(low, high, size_grid, _COIN_KEY))
+@contextmanager
+def short_blocks(block):
+    """Cut each block the trial reader hashes to its first ``block`` units."""
+    with pytest.MonkeyPatch.context() as patch:
+        units = generators._units
+        patch.setattr(generators, "_units", lambda *args: units(*args)[:block])
+        yield
 
 
-def test_seeding_seam_gives_the_words_of_random_random():
-    # _grid_trial seeds the C type under random.Random; an int seed gives
-    # the same words either way, here read in _grid_trial's blocks of 32,
-    # 64, 128, ... words, past the 624-word state's first regeneration
-    seeds = [
-        -(2**70), -(2**32), -1, 0, 1, 2**32 - 1, 2**32, 2**32 + 1,
-        2**64, 2**64 + 1, 2**80 + 7, OVERRUN_SEED,
-        *(20240601 * 1_000_003 + trial for trial in range(40)),  # nextfit-2t
-        *(7 * 1_000_003 + trial for trial in range(40)),  # strict-ff-2
-        # the first attempts of weights' first trials
-        *(104729 * 1_000_003 + trial * 10_007 + a for trial in range(8) for a in range(5)),
-    ]
-    for seed in seeds:
-        seam, plain = generators._MersenneTwister(seed), random.Random(seed)
-        for words in (32, 64, 128, 256, 512):
-            assert seam.getrandbits(32 * words) == plain.getrandbits(32 * words), (seed, words)
+def replayed(seed, low=4, high=8, size_grid=12, key_values=2):
+    """A trial's draws from the trial reader; by default the weights
+    sampler's, 4 to 8 jobs of twelfths, each start a coin."""
+    return _grid_trial(seed, _trial_layout(low, high, size_grid, key_values))
 
 
 def test_uniform_draws_replay_two_seedings():
+    # the sampler's trials: the count from lane 0 and the draws from lane 1,
+    # each lane read apart by the reference
     seeds = [
-        *range(-10_000, 10_000),
-        *range(2**32 - 5_000, 2**32 + 5_000),
-        *range(2**64 - 10_000, 2**64 + 10_000),
-        OVERRUN_SEED,
+        *range(-5_000, 5_000),
+        *range(2**32 - 2_500, 2**32 + 2_500),
+        *range(2**64 - 5_000, 2**64 + 5_000),
     ]
-    assert len(seeds) == 50_001
     for seed in seeds:
-        assert replayed(seed) == reference_trial(seed), seed
+        assert replayed(seed) == reference_trial_draws(seed, 4, 8, 12, 2), seed
 
 
-def test_uniform_draws_read_on_past_any_block(monkeypatch):
+def test_uniform_draws_read_on_past_any_block():
+    # with blocks cut short, counts and draws run past a block's end at every place
     for block in (1, 2, 3, 7, 40, 41):
-        monkeypatch.setattr(generators, "_WORD_BLOCK", struct.Struct(f"<{block}I"))
-        for seed in [OVERRUN_SEED, *range(-200, 200)]:
-            assert replayed(seed) == reference_trial(seed), (block, seed)
+        with short_blocks(block):
+            for seed in range(-200, 200):
+                expected = reference_trial_draws(seed, 4, 8, 12, 2, block)
+                assert replayed(seed) == expected, (block, seed)
 
 
 def test_strict_ff_2_ranges_replay_two_seedings():
     # the job count ranges (2, max_jobs) of strict-ff-2 on its default
-    # seed's trial seeds; max_jobs 2 is a one-value range, and 5000 jobs
-    # read on through several doubled blocks
+    # seed's trial seeds; max_jobs 2 is a one-value range, 258 reads lane 0
+    # in 2-byte units and 5000 jobs read lane 1 on through many blocks
     for high in (2, 3, 8, 257, 258, 5000):
         for trial in range(300 if high < 5000 else 60):
             seed = 7 * 1_000_003 + trial
-            assert replayed(seed, 2, high) == reference_trial(seed, 2, high), (high, seed)
+            expected = reference_trial_draws(seed, 2, high, 12, 2)
+            assert replayed(seed, 2, high) == expected, (high, seed)
 
 
-def test_trial_refuses_ranges_it_cannot_decode(monkeypatch):
-    # a range of 2**32 values or more takes several words a draw in CPython
-    def no_seeding(seed):
-        raise AssertionError("seeded before refusing the range")
-
-    monkeypatch.setattr(generators, "_MersenneTwister", no_seeding)
-    refused = [
-        ((2, 1, 12, _COIN_KEY), r"job counts \[2, 1\]"),
-        ((2, 2**32 + 2, 12, _COIN_KEY), r"job counts \[2, 4294967298\]"),
-        ((1, 2**32, 12, _COIN_KEY), r"job counts \[1, 4294967296\]"),
-        ((4, 8, 0, _COIN_KEY), r"grid sizes \[1, 0\]"),
-        ((1, 3, 8, _randint_key(2**32)), r"grid starts \[0, 4294967296\]"),
-        ((1, 3, 8, _randint_key(2**32 - 1)), r"grid starts \[0, 4294967295\]"),
-    ]
-    for args, name in refused:
-        with pytest.raises(ValueError, match=name + r" must range over 1 to 2\*\*32 - 1 values"):
-            _trial_layout(*args)
-    monkeypatch.undo()
-    # the widest size grid and key range it takes, 2**32 - 1 values each,
-    # decode as CPython draws
+def test_equal_duration_trials_replay_two_seedings():
+    # nextfit-2t's trials: counts up to 256 read lane 0 in 1-byte units, past
+    # that in 2-byte units; 5000 jobs read lane 1 on through many blocks
+    for high in (1, 2, 40, 255, 256, 257, 5000):
+        for trial in range(300 if high < 5000 else 40):
+            seed = 20240601 * 1_000_003 + trial
+            expected = reference_trial_draws(seed, 1, high, 8, 13)
+            assert replayed(seed, 1, high, 8, 13) == expected, (high, seed)
+    jobs = generators._equal_duration_jobs(8, 4)
     for seed in range(100):
-        wide = (seed, 1, 3, 2**32 - 1)
-        assert replayed(*wide) == reference_trial(*wide), seed
-        n = random.Random(seed).randint(1, 3)
-        rng = random.Random(seed)
-        expected = [(rng.randint(1, 8), rng.randint(0, 2**32 - 2)) for _ in range(n)]
-        layout = _trial_layout(1, 3, 8, _randint_key(2**32 - 2))
-        assert _grid_trial(seed, layout) == expected, seed
+        instance = generators._grid_jobs(replayed(seed, 1, 40, 8, 13), jobs)
+        assert instance == random_equal_duration(reference_count(seed, 1, 40), seed)
+
+
+def test_equal_duration_trials_read_on_past_any_block():
+    for block in (1, 2, 3, 7, 40, 41):
+        with short_blocks(block):
+            for high in (1, 40, 257):
+                for seed in range(-100, 100):
+                    expected = reference_trial_draws(seed, 1, high, 8, 13, block)
+                    assert replayed(seed, 1, high, 8, 13) == expected, (block, high, seed)
+
+
+# start key ranges read in 1-, 2- and 4-byte units
+WIDE_KEYS = (2, 13, 2**16 + 1, 2**31 + 1)
+
+
+def test_trial_reader_matches_reference_on_wide_inputs():
+    # each count, size grid and seed, with a one-value count range or one
+    # of about n/2 values, and start keys of each unit width
+    for i, (n, size_grid, seed) in enumerate(product(WIDE_COUNTS, WIDE_SIZE_GRIDS, WIDE_SEEDS)):
+        low, key_values = (n, n // 2)[i % 2], WIDE_KEYS[i % 4]
+        expected = reference_trial_draws(seed, low, n, size_grid, key_values)
+        assert replayed(seed, low, n, size_grid, key_values) == expected, i
+
+
+def test_trials_past_the_first_blocks_match_plain_draws(monkeypatch):
+    # nextfit-2t's grids with counts up to 5000, and 2- and 4-byte units,
+    # read on through several blocks of lane 1
+    read = read_blocks(monkeypatch)
+    for grids in ((40, 8, 13), (5000, 8, 13), (600, 999_983, 3), (600, 300, 2)):
+        for trial in range(40):
+            seed = 20240601 * 1_000_003 + trial
+            expected = reference_trial_draws(seed, 1, *grids)
+            assert replayed(seed, 1, *grids) == expected, (grids, seed)
+    assert max(salt for _, salt in read) > 2 * 100  # lane 1 read past block 100
+    # a count range of 2**16 + 1 values reads lane 0 in 4-byte units
+    for seed in WIDE_SEEDS:
+        assert len(replayed(seed, 0, 2**16, 1, 1)) == reference_count(seed, 0, 2**16), seed
 
 
 def test_uniform_draws_replay_on_generated_seeds():
@@ -1454,44 +1505,12 @@ def test_uniform_draws_replay_on_generated_seeds():
     st = pytest.importorskip("hypothesis.strategies")
 
     @hypothesis.settings(max_examples=100, deadline=None)
-    @hypothesis.given(st.integers(-(2**80), 2**80), st.integers(1, 48))
+    @hypothesis.given(st.integers(-(2**80), 2**80), st.integers(1, 64))
     def check(seed, block):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(generators, "_WORD_BLOCK", struct.Struct(f"<{block}I"))
-            assert replayed(seed) == reference_trial(seed)
+        with short_blocks(block):
+            assert replayed(seed) == reference_trial_draws(seed, 4, 8, 12, 2, block)
 
     check()
-
-
-# nextfit-2t's draws: job counts randint(1, high), sizes randint(1, 8) and
-# start keys randint(0, 12), read from one seeding
-def replayed_equal_duration(seed, high):
-    return _grid_trial(seed, _trial_layout(1, high, 8, _randint_key(12)))
-
-
-def test_equal_duration_trials_replay_two_seedings():
-    # up to 255 jobs each draw reads its words' top bytes, past that whole
-    # words; 5000 jobs read on through several doubled blocks
-    for high in (1, 2, 40, 255, 256, 257, 5000):
-        seeds = range(300) if high < 5000 else range(40)
-        for trial in seeds:
-            seed = 20240601 * 1_000_003 + trial
-            draws = replayed_equal_duration(seed, high)
-            assert draws == reference_equal_duration_trial(seed, high), (high, seed)
-    for seed in range(100):
-        n = random.Random(seed).randint(1, 40)
-        jobs = generators._equal_duration_jobs(8, 4)
-        instance = generators._grid_jobs(replayed_equal_duration(seed, 40), jobs)
-        assert instance == random_equal_duration(n, seed)
-
-
-def test_equal_duration_trials_read_on_past_any_block(monkeypatch):
-    for block in (1, 2, 3, 7, 40, 41):
-        monkeypatch.setattr(generators, "_WORD_BLOCK", struct.Struct(f"<{block}I"))
-        for high in (1, 40, 257):
-            for seed in range(-100, 100):
-                expected = reference_equal_duration_trial(seed, high)
-                assert replayed_equal_duration(seed, high) == expected, (block, high, seed)
 
 
 def test_equal_duration_trials_replay_on_generated_seeds():
@@ -1499,47 +1518,81 @@ def test_equal_duration_trials_replay_on_generated_seeds():
     st = pytest.importorskip("hypothesis.strategies")
 
     @hypothesis.settings(max_examples=100, deadline=None)
-    @hypothesis.given(st.integers(-(2**80), 2**80), st.integers(1, 600), st.integers(1, 48))
+    @hypothesis.given(st.integers(-(2**80), 2**80), st.integers(1, 600), st.integers(1, 64))
     def check(seed, high, block):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(generators, "_WORD_BLOCK", struct.Struct(f"<{block}I"))
-            assert replayed_equal_duration(seed, high) == reference_equal_duration_trial(
-                seed, high
-            )
+        with short_blocks(block):
+            expected = reference_trial_draws(seed, 1, high, 8, 13, block)
+            assert replayed(seed, 1, high, 8, 13) == expected
 
     check()
 
 
-def test_trials_past_the_first_blocks_match_plain_draws(monkeypatch):
-    # with the default blocks of 32, then 64 more words: of nextfit-2t's
-    # 500 default trials at --max-jobs 40, 381 read past the first block
-    # and 145 past the second; weights attempts read past the first block
-    # on 11 of the seeds below
-    blocks = []
+def test_trial_reader_matches_reference_on_generated_inputs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
 
-    class Counted(generators._MersenneTwister):
-        def getrandbits(self, k):
-            blocks[-1] += 1
-            return super().getrandbits(k)
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        st.integers(-(2**80), 2**80), st.integers(0, 300), st.integers(0, 300),
+        *[st.one_of(st.integers(1, 300), st.integers(1, 2**32 - 1))] * 2,
+    )
+    def check(seed, low, span, size_grid, key_values):
+        expected = reference_trial_draws(seed, low, low + span, size_grid, key_values)
+        assert replayed(seed, low, low + span, size_grid, key_values) == expected
 
-    monkeypatch.setattr(generators, "_MersenneTwister", Counted)
+    check()
 
-    def read(trial, seed, *args):
-        blocks.append(0)
-        return trial(seed, *args)
 
-    read_past = Counter()
-    for trial in range(500):
-        seed = 20240601 * 1_000_003 + trial
-        draws = read(replayed_equal_duration, seed, 40)
-        assert draws == reference_equal_duration_trial(seed, 40), seed
-        read_past[blocks[-1]] += 1
-    assert read_past == {1: 119, 2: 236, 3: 145}
-    read_past.clear()
-    for seed in [*range(10_000), OVERRUN_SEED]:
-        assert read(replayed, seed) == reference_trial(seed), seed
-        read_past[blocks[-1]] += 1
-    assert read_past == {1: 9_990, 2: 11}
+def test_trial_refuses_ranges_it_cannot_decode(monkeypatch):
+    # a range of 2**32 values or more would take several 4-byte units a value
+    def no_reading(seed, salt, width):
+        raise AssertionError("read before refusing the range")
+
+    monkeypatch.setattr(generators, "_units", no_reading)
+    refused = [
+        ((2, 1, 12, 2), r"job counts \[2, 1\]"),
+        ((2, 2**32 + 2, 12, 2), r"job counts \[2, 4294967298\]"),
+        ((1, 2**32, 12, 2), r"job counts \[1, 4294967296\]"),
+        ((4, 8, 0, 2), r"grid sizes \[1, 0\]"),
+        ((1, 3, 8, 2**32 + 1), r"grid starts \[0, 4294967296\]"),
+        ((1, 3, 8, 2**32), r"grid starts \[0, 4294967295\]"),
+    ]
+    for args, name in refused:
+        with pytest.raises(ValueError, match=name + r" must range over 1 to 2\*\*32 - 1 values"):
+            _trial_layout(*args)
+    monkeypatch.undo()
+    # the widest size grid and key range it takes, 2**32 - 1 values each,
+    # read as the reference reads them
+    for seed in range(100):
+        wide = (seed, 1, 3, 2**32 - 1, 2**32 - 1)
+        assert _grid_trial(seed, _trial_layout(*wide[1:])) == reference_trial_draws(*wide), seed
+
+
+# Each suite's trial layout and default seed: (job counts, size grid, start keys)
+SUITE_LAYOUTS = {
+    "nextfit-2t": ((1, 40, 8, 13), 20240601),
+    "strict-ff-2": ((2, 8, 12, 2), 7),
+    "weights": ((4, 8, 12, 2), 104729),
+}
+
+
+def test_job_count_and_first_size_are_independent():
+    # every (job count, first size) pair occurs in 20,000 trial seeds of
+    # each suite's layout: the count reads lane 0 and the sizes lane 1
+    for suite, ((low, high, size_grid, key_values), seed) in SUITE_LAYOUTS.items():
+        layout = _trial_layout(low, high, size_grid, key_values)
+        pairs = set()
+        for trial in range(20_000):
+            draws = _grid_trial(seed * 1_000_003 + trial, layout)
+            pairs.add((len(draws), draws[0][0]))
+        assert pairs == set(product(range(low, high + 1), range(1, size_grid + 1))), suite
+
+
+def test_seeds_of_opposite_sign_read_different_streams():
+    half = F(1, 2)
+    for seed in range(1, 21):
+        assert random_two_arrival(6, half, seed) != random_two_arrival(6, half, -seed), seed
+        assert random_equal_duration(6, seed) != random_equal_duration(6, -seed), seed
 
 
 # the check each grid-trial suite runs on one trial's instance
@@ -1563,13 +1616,13 @@ def recorded_trials(monkeypatch, suite, checked=True, **settings):
 
 
 def test_nextfit_2t_trials_match_equal_duration_draws(monkeypatch):
-    # the default run and one more: n from one seeding, the jobs from another
+    # the default run and one more: n from lane 0, the jobs from lane 1
     for seed in (20240601, 99):
         seen = recorded_trials(monkeypatch, "nextfit-2t", seed=seed)
         assert len(seen) == 500
         for trial, instance in enumerate(seen):
             trial_seed = seed * 1_000_003 + trial
-            n = random.Random(trial_seed).randint(1, 40)
+            n = reference_count(trial_seed, 1, 40)
             assert instance == random_equal_duration(n, trial_seed), (seed, trial)
 
 
@@ -1785,7 +1838,7 @@ def test_strict_ff_2_trials_match_stretched_two_arrival_draws(monkeypatch):
         assert len(seen) == 500
         for trial, instance in enumerate(seen):
             trial_seed = seed * 1_000_003 + trial
-            n = random.Random(trial_seed).randint(2, 8)
+            n = reference_count(trial_seed, 2, 8)
             base = random_two_arrival(n, F(1, 2), trial_seed, 12)
             assert instance == scale_time(base, 2), (seed, trial)
 
@@ -2448,7 +2501,7 @@ def test_strict_ff_2_validates_each_trial_once(monkeypatch):
 
 def test_default_strict_ff_2_is_settled_by_the_floor(monkeypatch):
     # no default trial reaches the search, and each is still compared with
-    # the exact optimum here: the floor stays below it, and meets it on 489
+    # the exact optimum here: the floor stays below it, and meets it on 490
     searched = []
     monkeypatch.setattr(analysis, "brute_force_opt", lambda *args, **kwargs: searched.append(args))
     seen = recorded_trials(monkeypatch, "strict-ff-2")
@@ -2459,5 +2512,5 @@ def test_default_strict_ff_2_is_settled_by_the_floor(monkeypatch):
     ff_costs = [cost(first_fit(instance).schedule) for instance in seen]
     assert all(floor <= opt for floor, opt in zip(floors, optima))
     assert all(ff <= 2 * opt for ff, opt in zip(ff_costs, optima))
-    assert sum(floor == opt for floor, opt in zip(floors, optima)) == 489
-    assert max(ff / floor for ff, floor in zip(ff_costs, floors)) == F(7, 5)
+    assert sum(floor == opt for floor, opt in zip(floors, optima)) == 490
+    assert max(ff / floor for ff, floor in zip(ff_costs, floors)) == F(11, 8)

@@ -2,7 +2,9 @@
 
 import ast
 import importlib
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -112,18 +114,42 @@ def test_tests_reach_optional_modules_through_importorskip():
     assert found == {}
 
 
+# Modules through which a draw could go around generators._units
+DRAW_MODULES = {"random", "_random", "hashlib", "_hashlib"}
+
+
 def test_modules_draw_only_through_the_seeding_seam():
-    # every draw goes through generators._MersenneTwister, the seam that the
-    # seeding counts patch; a module that imports random could draw around it
-    source = "import random\nfrom _random import Random\ndef f():\n    from random import choice\n"
-    assert imports_of(source, {"random"}) == ["line 1: random", "line 4: random"]
+    # every draw is read from blocks that generators._units hashes, the seam
+    # that the trial-read counts patch; a module that imports random or
+    # hashlib could draw around it
+    source = (
+        "import random\nfrom _random import Random\nimport hashlib\n"
+        "def f():\n    from random import choice\n"
+    )
+    assert imports_of(source, DRAW_MODULES) == [
+        "line 1: random", "line 2: _random", "line 3: hashlib", "line 5: random",
+    ]
     found = {
         path.name: hits
         for path in sorted(PACKAGE_DIR.glob("*.py"))
-        for hits in [imports_of(path.read_text(), {"random"})]
+        for hits in [imports_of(path.read_text(), DRAW_MODULES)]
         if hits
     }
     assert found == {}
+
+
+def test_import_loads_neither_hashlib_nor_random():
+    # the trial reader needs _blake2 alone: hashlib would load OpenSSL, about
+    # 3.6 MiB of resident memory, and random is left unused; -S keeps out
+    # what site imports on its own, which may include random
+    loaded = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, rentlab, rentlab.cli; print(*sorted(sys.modules))"],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert "rentlab.cli" in loaded
+    assert not {"hashlib", "_hashlib", "random"} & set(loaded)
 
 
 def names_read(tree: ast.AST) -> set:
