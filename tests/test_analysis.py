@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from rentlab import analysis, first_fit, generators, make_instance, server_type_partition
+from rentlab import analysis, first_fit, make_instance, server_type_partition
 from rentlab.analysis import (
     IGNORED_BUDGET,
     T_MIN,
@@ -30,22 +30,6 @@ from rentlab.optimal import active_ceil_bound, arrival_ceiling_profile, brute_fo
 
 F = Fraction
 T = F(1, 2)
-
-
-def count_trial_reads(monkeypatch):
-    """The seed of every trial read, recorded at ``generators._units``, the
-    seam through which ``generators._grid_trial`` hashes its blocks: a
-    trial's first block of lane 0, salt 0, holds its job count."""
-    read = []
-    units = generators._units
-
-    def counting(seed, salt, width):
-        if salt == 0:
-            read.append(int.from_bytes(seed, "little", signed=True))
-        return units(seed, salt, width)
-
-    monkeypatch.setattr(generators, "_units", counting)
-    return read
 
 
 def two_arrival(rows_at_zero, rows_at_t, t=T):
@@ -443,7 +427,7 @@ def test_find_uniform_two_arrival_is_deterministic():
         assert srv.close_time == 1 + T
 
 
-def test_default_weights_sampling_is_pinned(monkeypatch):
+def test_default_weights_sampling_is_pinned(monkeypatch, trial_reads):
     # on pass the weights report echoes only trials and seed, so pin what
     # its sampler accepts over all 200 default trials, and how many trials it reads
     accepted = []
@@ -454,32 +438,28 @@ def test_default_weights_sampling_is_pinned(monkeypatch):
         return found
 
     monkeypatch.setattr(analysis, "find_uniform_two_arrival", recording)
-    made = count_trial_reads(monkeypatch)
     assert analysis.suite_weights().passed
-    monkeypatch.undo()
     assert len(accepted) == 200
     assert sum(used - seed + 1 for seed, used in accepted) == 18_314
     digest = hashlib.sha256(",".join(str(used) for _, used in accepted).encode())
     assert digest.hexdigest() == (
         "3c35816df7903121c803a4e526f0fc8d94daca6d51e19682b663e0fed9af5af8"
     )
-    # one trial read per attempt
-    assert len(made) == 18_314
+    # one trial read per attempt: salt 0, lane 0's first block, holds the job count
+    assert sum(salt == 0 for _, salt in trial_reads) == 18_314
 
 
-def test_default_strict_ff_2_seeds_each_trial_once(monkeypatch):
+def test_default_strict_ff_2_seeds_each_trial_once(trial_reads):
     # the job count and the draws come from one read of each trial seed
-    made = count_trial_reads(monkeypatch)
     assert analysis.suite_strict_ff_2().passed
-    monkeypatch.undo()
+    made = [seed for seed, salt in trial_reads if salt == 0]
     assert made == [7 * 1_000_003 + trial for trial in range(500)]
 
 
-def test_default_nextfit_2t_seeds_each_trial_once(monkeypatch):
+def test_default_nextfit_2t_seeds_each_trial_once(trial_reads):
     # the job count and the draws come from one read of each trial seed
-    made = count_trial_reads(monkeypatch)
     assert analysis.suite_nextfit_2t().passed
-    monkeypatch.undo()
+    made = [seed for seed, salt in trial_reads if salt == 0]
     assert made == [20240601 * 1_000_003 + trial for trial in range(500)]
 
 

@@ -119,7 +119,8 @@ BAD_RANDOM_ARGUMENTS = [
          "grids must be positive and horizon non-negative")
         for flag in ("--size-grid 0", "--start-grid 0", "--horizon -1")
     ],
-    # 2**32 sizes or starts or more: CPython draws them from several words
+    # 2**32 sizes or starts or more: a value would need more than one
+    # 4-byte unit of the trial reader
     ("--family random-two-arrival --n 3 --t 1/2 --seed 1 --size-grid 4294967296",
      "grid sizes [1, 4294967296] must range over 1 to 2**32 - 1 values"),
     ("--family random-equal-duration --n 3 --seed 1 --start-grid 65536 --horizon 65536",

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import rentcheck
 from rentlab import (
     InfeasibleScheduleError,
     cost,
@@ -30,29 +31,6 @@ from rentlab.optimal import (
 
 
 F = Fraction
-
-
-def min_bins(sizes):
-    """Reference bin count by exhaustive search (test-local oracle)."""
-    best = [len(sizes)]
-
-    def place(i, bins):
-        if len(bins) >= best[0]:
-            return
-        if i == len(sizes):
-            best[0] = len(bins)
-            return
-        for b in range(len(bins)):
-            if bins[b] + sizes[i] <= 1:
-                bins[b] += sizes[i]
-                place(i + 1, bins)
-                bins[b] -= sizes[i]
-        bins.append(sizes[i])
-        place(i + 1, bins)
-        bins.pop()
-
-    place(0, [])
-    return best[0]
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +128,7 @@ def test_brute_force_matches_bin_packing_on_shared_interval():
         sizes = [F(rng.randint(1, 8), 8) for _ in range(rng.randint(2, 7))]
         inst = make_instance([(s, 0, 3) for s in sizes])
         opt = brute_force_opt(inst)
-        assert opt.cost == 3 * min_bins(sizes)
+        assert opt.cost == 3 * rentcheck.bin_packing(sizes)
 
 
 def effort_instances():

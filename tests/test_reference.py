@@ -36,13 +36,16 @@ strict-ff-2 and nextfit-2t draw it, reads its job count from lane 0 of its
 seed's blake2b stream and its draws from lane 1, each lane in units of 1,
 2 or 4 bytes by top-bit rejection, with a block decoded in place and a
 draw read again past a block's end.  Its reference reads one value at a
-time and hashes one block per unit, on wide inputs, across many blocks,
-with each block cut to as few as one unit and on generated inputs; the
-count and the first size are independent on each suite's layout.  The sampler's reference builds every draw and runs
-first_fit on it.  The weight ledger and classify_servers sum lattice ints,
-as server_type_partition does; their references sum each server's Fraction
-weights or sizes, take t explicitly and check that it is the trace's latest
-start, which the ledgers read as t.
+time and hashes one block per unit.  The two are compared on one table of
+layouts, each with its trial seeds and block cuts and each input once: the
+suites' layouts on their own trial seeds, wide counts, grids and seeds,
+blocks cut to as few as one unit, and lane 1 read past block 100; and on
+generated seeds, layouts and cuts.  The count and the first size are
+independent on each suite's layout.  The sampler's reference builds every
+draw and runs first_fit on it.  The weight ledger and classify_servers sum
+lattice ints, as server_type_partition does; their references sum each
+server's Fraction weights or sizes, take t explicitly and check that it is
+the trace's latest start, which the ledgers read as t.
 """
 
 import heapq
@@ -1316,7 +1319,7 @@ def test_fast_paths_match_reference_on_generated_instances():
     check()
 
 
-def test_arrival_ceilings_match_point_queries():
+def test_arrival_ceilings_match_reference_profile():
     for instance in unit_instances():
         expected = rentcheck.arrival_ceiling_profile(plain(instance))
         assert arrival_ceiling_profile(instance) == expected
@@ -1390,18 +1393,6 @@ def test_uniform_sampler_refuses_t_before_drawing():
         find_uniform_two_arrival(F(3, 2), 1)
 
 
-def read_blocks(monkeypatch):
-    """The ``(seed, salt)`` of every block the trial reader hashes, in order."""
-    read, units = [], generators._units
-
-    def counting(seed, salt, width):
-        read.append((int.from_bytes(seed, "little", signed=True), salt))
-        return units(seed, salt, width)
-
-    monkeypatch.setattr(generators, "_units", counting)
-    return read
-
-
 @contextmanager
 def short_blocks(block):
     """Cut each block the trial reader hashes to its first ``block`` units."""
@@ -1417,130 +1408,119 @@ def replayed(seed, low=4, high=8, size_grid=12, key_values=2):
     return _grid_trial(seed, _trial_layout(low, high, size_grid, key_values))
 
 
-def test_uniform_draws_replay_two_seedings():
-    # the sampler's trials: the count from lane 0 and the draws from lane 1,
-    # each lane read apart by the reference
-    seeds = [
-        *range(-5_000, 5_000),
-        *range(2**32 - 2_500, 2**32 + 2_500),
-        *range(2**64 - 5_000, 2**64 + 5_000),
-    ]
-    for seed in seeds:
-        assert replayed(seed) == reference_trial_draws(seed, 4, 8, 12, 2), seed
-
-
-def test_uniform_draws_read_on_past_any_block():
-    # with blocks cut short, counts and draws run past a block's end at every place
-    for block in (1, 2, 3, 7, 40, 41):
-        with short_blocks(block):
-            for seed in range(-200, 200):
-                expected = reference_trial_draws(seed, 4, 8, 12, 2, block)
-                assert replayed(seed) == expected, (block, seed)
-
-
-def test_strict_ff_2_ranges_replay_two_seedings():
-    # the job count ranges (2, max_jobs) of strict-ff-2 on its default
-    # seed's trial seeds; max_jobs 2 is a one-value range, 258 reads lane 0
-    # in 2-byte units and 5000 jobs read lane 1 on through many blocks
-    for high in (2, 3, 8, 257, 258, 5000):
-        for trial in range(300 if high < 5000 else 60):
-            seed = 7 * 1_000_003 + trial
-            expected = reference_trial_draws(seed, 2, high, 12, 2)
-            assert replayed(seed, 2, high) == expected, (high, seed)
-
-
-def test_equal_duration_trials_replay_two_seedings():
-    # nextfit-2t's trials: counts up to 256 read lane 0 in 1-byte units, past
-    # that in 2-byte units; 5000 jobs read lane 1 on through many blocks
-    for high in (1, 2, 40, 255, 256, 257, 5000):
-        for trial in range(300 if high < 5000 else 40):
-            seed = 20240601 * 1_000_003 + trial
-            expected = reference_trial_draws(seed, 1, high, 8, 13)
-            assert replayed(seed, 1, high, 8, 13) == expected, (high, seed)
-    jobs = generators._equal_duration_jobs(8, 4)
-    for seed in range(100):
-        instance = generators._grid_jobs(replayed(seed, 1, 40, 8, 13), jobs)
-        assert instance == random_equal_duration(reference_count(seed, 1, 40), seed)
-
-
-def test_equal_duration_trials_read_on_past_any_block():
-    for block in (1, 2, 3, 7, 40, 41):
-        with short_blocks(block):
-            for high in (1, 40, 257):
-                for seed in range(-100, 100):
-                    expected = reference_trial_draws(seed, 1, high, 8, 13, block)
-                    assert replayed(seed, 1, high, 8, 13) == expected, (block, high, seed)
+def trial_seeds(seed, trials):
+    """The first ``trials`` trial seeds of a suite run at ``seed``."""
+    return range(seed * 1_000_003, seed * 1_000_003 + trials)
 
 
 # start key ranges read in 1-, 2- and 4-byte units
 WIDE_KEYS = (2, 13, 2**16 + 1, 2**31 + 1)
+# blocks cut short, so that counts and draws run past a block's end at
+# every place, or left whole
+CUTS, WHOLE = (1, 2, 3, 7, 40, 41), (64,)
+
+# Each input once, by the test that reads it: (job counts low, high, size
+# grid, start keys), the trial seeds and the block cuts it is read at
+READER_CASES = {
+    # the weights sampler's layout, on seeds of both signs and around 2**32 and 2**64
+    "uniform whole": [((4, 8, 12, 2), [*range(-5_000, 5_000), *range(2**32 - 2_500, 2**32 + 2_500),
+                                       *range(2**64 - 5_000, 2**64 + 5_000)], WHOLE)],
+    "uniform cut": [((4, 8, 12, 2), range(-200, 200), CUTS)],
+    "equal duration cut": [((1, high, 8, 13), range(-100, 100), CUTS) for high in (1, 40, 257)],
+    # strict-ff-2's count ranges (2, max_jobs) on its default seed's trials:
+    # max_jobs 2 is a one-value range, 258 reads lane 0 in 2-byte units and
+    # 5000 jobs read lane 1 on through many blocks
+    "strict-ff-2": [((2, high, 12, 2), trial_seeds(7, 300 if high < 5000 else 60), WHOLE)
+                    for high in (2, 3, 8, 257, 258, 5000)],
+    # nextfit-2t's: counts up to 256 read lane 0 in 1-byte units, past that
+    # in 2-byte units
+    "nextfit-2t": [((1, high, 8, 13), trial_seeds(20240601, 300 if high < 5000 else 40), WHOLE)
+                   for high in (1, 2, 40, 255, 256, 257, 5000)],
+    # lane 1 in 4- and 2-byte units through several blocks
+    "wide units": [((1, 600, *grids), trial_seeds(20240601, 40), WHOLE)
+                   for grids in ((999_983, 3), (300, 2))],
+    # each wide count, size grid and seed, with a one-value count range or
+    # one of about n/2 values, and start keys of each unit width
+    "wide": [(((n, n // 2)[i % 2], n, size_grid, WIDE_KEYS[i % 4]), (seed,), WHOLE)
+             for i, (n, size_grid, seed) in enumerate(product(WIDE_COUNTS, WIDE_SIZE_GRIDS, WIDE_SEEDS))],
+}
+
+
+def read_as_reference(case):
+    """Compare the reader with the reference on each row of a
+    ``READER_CASES`` entry: the count from lane 0 and the draws from lane 1,
+    each read apart by the reference."""
+    for layout, seeds, cuts in READER_CASES[case]:
+        for block in cuts:
+            with short_blocks(block):
+                for seed in seeds:
+                    expected = reference_trial_draws(seed, *layout, block)
+                    assert replayed(seed, *layout) == expected, (layout, block, seed)
+
+
+def test_uniform_draws_replay_two_seedings():
+    read_as_reference("uniform whole")
+
+
+def test_uniform_draws_read_on_past_any_block():
+    read_as_reference("uniform cut")
+
+
+def test_strict_ff_2_ranges_replay_two_seedings():
+    read_as_reference("strict-ff-2")
+
+
+def test_equal_duration_trials_replay_two_seedings(trial_reads):
+    read_as_reference("nextfit-2t")
+    assert max(salt // 2 for _, salt in trial_reads if salt % 2) > 100  # lane 1 past block 100
+
+
+def test_equal_duration_trials_read_on_past_any_block():
+    read_as_reference("equal duration cut")
 
 
 def test_trial_reader_matches_reference_on_wide_inputs():
-    # each count, size grid and seed, with a one-value count range or one
-    # of about n/2 values, and start keys of each unit width
-    for i, (n, size_grid, seed) in enumerate(product(WIDE_COUNTS, WIDE_SIZE_GRIDS, WIDE_SEEDS)):
-        low, key_values = (n, n // 2)[i % 2], WIDE_KEYS[i % 4]
-        expected = reference_trial_draws(seed, low, n, size_grid, key_values)
-        assert replayed(seed, low, n, size_grid, key_values) == expected, i
+    read_as_reference("wide")
 
 
-def test_trials_past_the_first_blocks_match_plain_draws(monkeypatch):
-    # nextfit-2t's grids with counts up to 5000, and 2- and 4-byte units,
-    # read on through several blocks of lane 1
-    read = read_blocks(monkeypatch)
-    for grids in ((40, 8, 13), (5000, 8, 13), (600, 999_983, 3), (600, 300, 2)):
-        for trial in range(40):
-            seed = 20240601 * 1_000_003 + trial
-            expected = reference_trial_draws(seed, 1, *grids)
-            assert replayed(seed, 1, *grids) == expected, (grids, seed)
-    assert max(salt for _, salt in read) > 2 * 100  # lane 1 read past block 100
+def test_trials_past_the_first_blocks_match_plain_draws():
+    read_as_reference("wide units")
     # a count range of 2**16 + 1 values reads lane 0 in 4-byte units
     for seed in WIDE_SEEDS:
         assert len(replayed(seed, 0, 2**16, 1, 1)) == reference_count(seed, 0, 2**16), seed
 
 
-def test_uniform_draws_replay_on_generated_seeds():
+def read_as_reference_on_generated(layouts, examples):
+    """Compare the reader with the reference on generated seeds, layouts
+    drawn from ``layouts`` and block cuts of 1 to 64 units."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
-    @hypothesis.settings(max_examples=100, deadline=None)
-    @hypothesis.given(st.integers(-(2**80), 2**80), st.integers(1, 64))
-    def check(seed, block):
+    @hypothesis.settings(max_examples=examples, deadline=None)
+    @hypothesis.given(st.integers(-(2**80), 2**80), layouts(st), st.integers(1, 64))
+    def check(seed, layout, block):
         with short_blocks(block):
-            assert replayed(seed) == reference_trial_draws(seed, 4, 8, 12, 2, block)
+            assert replayed(seed, *layout) == reference_trial_draws(seed, *layout, block)
 
     check()
+
+
+def test_uniform_draws_replay_on_generated_seeds():
+    read_as_reference_on_generated(lambda st: st.just((4, 8, 12, 2)), 100)
 
 
 def test_equal_duration_trials_replay_on_generated_seeds():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
-
-    @hypothesis.settings(max_examples=100, deadline=None)
-    @hypothesis.given(st.integers(-(2**80), 2**80), st.integers(1, 600), st.integers(1, 64))
-    def check(seed, high, block):
-        with short_blocks(block):
-            expected = reference_trial_draws(seed, 1, high, 8, 13, block)
-            assert replayed(seed, 1, high, 8, 13) == expected
-
-    check()
+    read_as_reference_on_generated(
+        lambda st: st.builds(lambda high: (1, high, 8, 13), st.integers(1, 600)), 100)
 
 
 def test_trial_reader_matches_reference_on_generated_inputs():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
+    def layouts(st):
+        grid = st.one_of(st.integers(1, 300), st.integers(1, 2**32 - 1))
+        return st.builds(lambda low, span, *grids: (low, low + span, *grids),
+                         st.integers(0, 300), st.integers(0, 300), grid, grid)
 
-    @hypothesis.settings(max_examples=150, deadline=None)
-    @hypothesis.given(
-        st.integers(-(2**80), 2**80), st.integers(0, 300), st.integers(0, 300),
-        *[st.one_of(st.integers(1, 300), st.integers(1, 2**32 - 1))] * 2,
-    )
-    def check(seed, low, span, size_grid, key_values):
-        expected = reference_trial_draws(seed, low, low + span, size_grid, key_values)
-        assert replayed(seed, low, low + span, size_grid, key_values) == expected
-
-    check()
+    read_as_reference_on_generated(layouts, 150)
 
 
 def test_trial_refuses_ranges_it_cannot_decode(monkeypatch):

@@ -118,9 +118,9 @@ def test_tests_reach_optional_modules_through_importorskip():
 DRAW_MODULES = {"random", "_random", "hashlib", "_hashlib"}
 
 
-def test_modules_draw_only_through_the_seeding_seam():
+def test_modules_draw_only_through_the_block_reader():
     # every draw is read from blocks that generators._units hashes, the seam
-    # that the trial-read counts patch; a module that imports random or
+    # that the trial_reads fixture records; a module that imports random or
     # hashlib could draw around it
     source = (
         "import random\nfrom _random import Random\nimport hashlib\n"
