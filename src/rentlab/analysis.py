@@ -239,20 +239,12 @@ class WeightReport:
     @property
     def failure(self) -> Optional[str]:
         """The first broken rule of the ledger, or None when all hold."""
-        if len(self.ff_violations) > self.ignored_budget:
-            return (
-                f"{len(self.ff_violations)} servers below weight 1+t "
-                f"(budget {self.ignored_budget})"
-            )
-        for chk in self.opt_checks:
-            if not chk.ok:
-                return (
-                    f"reference server {chk.server_id} weight "
-                    f"{format_rational(chk.weight)} exceeds {format_rational(chk.bound)}"
-                )
-        if self.ff_total != self.item_total or self.opt_total != self.item_total:
-            return "weight totals do not balance"
-        return None
+        return _ledger_failure(
+            len(self.ff_violations),
+            self.ignored_budget,
+            next((chk for chk in self.opt_checks if not chk.ok), None),
+            self.ff_total == self.item_total == self.opt_total,
+        )
 
     @property
     def passed(self) -> bool:
@@ -281,18 +273,36 @@ def _lattice_weights(instance: Instance) -> tuple[int, list[int]]:
     return _W_UNITS * capacity, weights
 
 
-def verify_weights(trace: AlgorithmTrace, reference: Schedule) -> WeightReport:
-    """Run the full weight ledger against a FirstFit trace and a reference.
+def _ledger_failure(
+    short: int, budget: int, over: Optional[OptServerCheck], balanced: bool
+) -> Optional[str]:
+    """The weight ledger's pass rule: the first rule broken, or None.
 
-    The reference schedule may be a true optimum or any feasible certificate;
-    it is checked for feasibility first.  Requires the uniform two-arrival
-    setting, with t the trace's latest start, and t in [1/28, 1).
+    In order: more than ``budget`` FirstFit servers ``short`` of weight 1+t,
+    a reference server ``over`` its cap (the first, or None), then totals
+    that do not balance.
+    """
+    if short > budget:
+        return f"{short} servers below weight 1+t (budget {budget})"
+    if over is not None:
+        return (
+            f"reference server {over.server_id} weight "
+            f"{format_rational(over.weight)} exceeds {format_rational(over.bound)}"
+        )
+    if not balanced:
+        return "weight totals do not balance"
+    return None
 
-    The ledger runs on the int weights of ``_lattice_weights``: a FirstFit
-    server falls short when its ints sum below 131·C, a reference server of
-    lattice length ℓ (time 1 is ``unit``) holding R is capped by
-    R·unit <= 168·C·ℓ, and the totals are int sums.  Fractions are built
-    only for the report's fields.
+
+def _weight_ledger(trace: AlgorithmTrace, reference: Schedule):
+    """Both sides of the weight ledger in the ints of ``_lattice_weights``:
+    ``(t, full, unit, ff, short, opt, totals)``.  ``ff`` holds each FirstFit
+    server's ``(id, first-arrival ints, second-arrival ints)`` and ``short``
+    the ids of those whose ints sum below ``full`` = 131·C.  ``opt`` holds
+    each reference server's ``(id, R, cap, R·unit <= cap)`` for the R ints
+    it holds, capped by 168·C·ℓ for its lattice length ℓ (time 1 is
+    ``unit``).  ``totals`` are the int sums of FirstFit's servers, the
+    reference's and the items.
     """
     t = _weight_arrival(_check_two_arrival_uniform(trace))
     instance = trace.schedule.instance
@@ -300,20 +310,11 @@ def verify_weights(trace: AlgorithmTrace, reference: Schedule) -> WeightReport:
     lat = instance.lattice
     starts, finishes, unit = lat.starts, lat.finishes, lat.unit
     full, weights = _lattice_weights(instance)
-    scale = (1 + t) / full
-
-    server_weights = []
-    violations = []
-    ff_total = 0
+    ff = []
     for srv in trace.schedule.servers:
         w1, _, w2, _ = _round_split(srv.job_indices, weights, starts)
-        server_weights.append((srv.id, w1 * scale, w2 * scale))
-        ff_total += w1 + w2
-        if w1 + w2 < full:
-            violations.append(srv.id)
-
-    opt_checks = []
-    opt_total = 0
+        ff.append((srv.id, w1, w2))
+    opt = []
     cap_rate = _W2_RATE * lat.capacity
     for srv in reference.servers:
         members = srv.job_indices
@@ -322,26 +323,59 @@ def verify_weights(trace: AlgorithmTrace, reference: Schedule) -> WeightReport:
             map(starts.__getitem__, members)
         )
         cap = cap_rate * length
-        opt_checks.append(
-            OptServerCheck(
-                server_id=srv.id,
-                weight=weight * scale,
-                bound=Fraction(cap, unit) * scale,
-                ok=weight * unit <= cap,
-            )
-        )
-        opt_total += weight
+        opt.append((srv.id, weight, cap, weight * unit <= cap))
+    short = [server_id for server_id, w1, w2 in ff if w1 + w2 < full]
+    totals = (sum(w1 + w2 for _, w1, w2 in ff), sum(w for _, w, _, _ in opt), sum(weights))
+    return t, full, unit, ff, short, opt, totals
 
-    item_total = sum(weights)
+
+def _weight_verdict(trace: AlgorithmTrace, reference: Schedule) -> Optional[str]:
+    """``verify_weights(trace, reference).failure``, read off the ledger's
+    ints: ``Fraction``s are built only for a reference server over its cap."""
+    t, full, unit, _, short, opt, (ff_total, opt_total, item_total) = _weight_ledger(
+        trace, reference
+    )
+    over = next(
+        (
+            OptServerCheck(
+                server_id, weight * (1 + t) / full, Fraction(cap, unit) * (1 + t) / full, ok
+            )
+            for server_id, weight, cap, ok in opt
+            if not ok
+        ),
+        None,
+    )
+    return _ledger_failure(len(short), IGNORED_BUDGET, over, ff_total == item_total == opt_total)
+
+
+def verify_weights(trace: AlgorithmTrace, reference: Schedule) -> WeightReport:
+    """Run the full weight ledger against a FirstFit trace and a reference.
+
+    The reference schedule may be a true optimum or any feasible certificate;
+    it is checked for feasibility first.  Requires the uniform two-arrival
+    setting, with t the trace's latest start, and t in [1/28, 1).
+
+    The ledger runs on the int weights of ``_lattice_weights``, as
+    ``_weight_ledger`` sums and checks them, and ``Fraction``s are built only
+    for the report's fields.  Its ``failure`` is the pass rule
+    ``_ledger_failure``, which the weights suite applies to the ints alone
+    (``_weight_verdict``).
+    """
+    t, full, unit, ff, short, opt, totals = _weight_ledger(trace, reference)
+    scale = (1 + t) / full
+    ff_total, opt_total, item_total = (total * scale for total in totals)
     return WeightReport(
         t=t,
-        server_weights=tuple(server_weights),
-        ff_violations=tuple(violations),
-        opt_checks=tuple(opt_checks),
+        server_weights=tuple((server_id, w1 * scale, w2 * scale) for server_id, w1, w2 in ff),
+        ff_violations=tuple(short),
+        opt_checks=tuple(
+            OptServerCheck(server_id, weight * scale, Fraction(cap, unit) * scale, ok)
+            for server_id, weight, cap, ok in opt
+        ),
         ignored_budget=IGNORED_BUDGET,
-        ff_total=ff_total * scale,
-        opt_total=opt_total * scale,
-        item_total=item_total * scale,
+        ff_total=ff_total,
+        opt_total=opt_total,
+        item_total=item_total,
     )
 
 
@@ -516,26 +550,34 @@ def _uniform_first_fit(draws: list[tuple[int, int]], capacity: int) -> bool:
     FirstFit is bin packing of the time-0 sizes and then the time-t sizes
     into the same loads: every server opens at 0 and runs to 1+t iff some
     job opens one at 0, none opens one at t, and every server takes a
-    time-t job.
+    time-t job.  One pass places each time-0 draw as it meets it and sets
+    the time-t sizes aside; fewer of those than servers cannot top every
+    server, so that draw is refused before any is placed.
     """
     loads: list[int] = []
-    topped: list[int] = []
-    # time-0 draws first, then time-t ones, each in draw order
-    for late in (0, 1):
-        for size, key in draws:
-            if key != late:
-                continue
-            for i, load in enumerate(loads):
-                if load + size <= capacity:
-                    loads[i] += size
-                    topped[i] |= late
-                    break
-            else:
-                if late:
-                    return False
-                loads.append(size)
-                topped.append(0)
-    return bool(loads) and all(topped)
+    late: list[int] = []
+    for size, key in draws:
+        if key:
+            late.append(size)
+            continue
+        for i, load in enumerate(loads):
+            if load + size <= capacity:
+                loads[i] += size
+                break
+        else:
+            loads.append(size)
+    if not loads or len(late) < len(loads):
+        return False
+    topped = [False] * len(loads)
+    for size in late:
+        for i, load in enumerate(loads):
+            if load + size <= capacity:
+                loads[i] += size
+                topped[i] = True
+                break
+        else:
+            return False
+    return all(topped)
 
 
 def find_uniform_two_arrival(t, seed: int):
@@ -548,10 +590,11 @@ def find_uniform_two_arrival(t, seed: int):
     draws from lane 1, by ``_grid_trial`` as strict-ff-2 reads its trials;
     a seed and its negation read different streams.
 
-    Each draw is tested on the integer size grid, which never reads t: the
-    accepted seed depends on ``seed`` alone, and t only sets the second
-    start of the accepted instance.  Only that draw is built as an Instance,
-    from random_two_arrival's job table, and run through first_fit.
+    Each draw is tested on the integer size grid in one pass
+    (``_uniform_first_fit``), which never reads t: the accepted seed depends
+    on ``seed`` alone, and t only sets the second start of the accepted
+    instance.  Only that draw is built as an Instance, from
+    random_two_arrival's job table, and run through first_fit.
     """
     t = second_arrival(t)
     layout = _trial_layout(*_UNIFORM_N_RANGE, _UNIFORM_SIZE_GRID, 2)
@@ -776,7 +819,7 @@ def _weights_failure(instance: Instance, reference=None, trace=None) -> Optional
         reference = brute_force_opt(instance, max_jobs=_UNIFORM_N_RANGE[1]).schedule
     if trace is None:
         trace = first_fit(instance)
-    reason = verify_weights(trace, reference).failure
+    reason = _weight_verdict(trace, reference)
     return None if reason is None else {"reason": reason}
 
 

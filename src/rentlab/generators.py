@@ -11,6 +11,7 @@ digest of the seed's signed bytes, salted by 2b + l.  Lane 0 holds a
 trial's job count and lane 1 its draws, read in units of 1, 2 or 4 bytes,
 the fewest that hold the lane's widest range; a value below v is the top
 (v - 1).bit_length() bits of the first unit whose top bits fall below v.
+``_units`` hashes every block, from a copy of a state salted once per salt.
 """
 
 from __future__ import annotations
@@ -207,9 +208,23 @@ def _grid_jobs(draws: list[tuple[int, int]], job) -> Instance:
     return Instance(tuple(list(starmap(job, draws))))
 
 
+class _SaltedStates(dict):
+    """blake2b states by salt, each salted on first use and copied for every
+    block, which is cheaper than salting a new state."""
+
+    def __missing__(self, salt: int):
+        state = self[salt] = blake2b(salt=salt.to_bytes(16, "little"))
+        return state
+
+
+_SALTED = _SaltedStates()
+
+
 def _units(seed: bytes, salt: int, width: int):
     """Block ``salt // 2`` of lane ``salt % 2``, as big-endian units of ``width`` bytes."""
-    digest = blake2b(seed, salt=salt.to_bytes(16, "little")).digest()
+    state = _SALTED[salt].copy()
+    state.update(seed)
+    digest = state.digest()
     return digest if width == 1 else [int.from_bytes(digest[i : i + width], "big")
                                       for i in range(0, 64, width)]
 

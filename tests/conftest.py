@@ -8,9 +8,9 @@ from rentlab import generators
 @pytest.fixture
 def trial_reads(monkeypatch):
     """The ``(seed, salt)`` of every block the trial reader hashes, in order,
-    recorded at ``generators._units``, the seam through which
-    ``generators._grid_trial`` reads: salt 2b + lane is block b of the lane,
-    and a trial's job count is read from lane 0, first from salt 0."""
+    recorded at ``generators._units``, the one place that hashes, through
+    which ``generators._grid_trial`` reads: salt 2b + lane is block b of the
+    lane, and a trial's job count is read from lane 0, first from salt 0."""
     read, units = [], generators._units
 
     def recording(seed, salt, width):

@@ -200,9 +200,10 @@ def test_verify_weights_on_adversarial_family():
     assert report.failure is None
 
 
-def test_weight_report_failure_names_first_broken_rule():
+def test_weight_report_failure_names_first_broken_rule(monkeypatch):
     inst, cert = ggu_extended(6, T)
-    report = verify_weights(first_fit(inst), cert)
+    trace = first_fit(inst)
+    report = verify_weights(trace, cert)
     over = replace(report.opt_checks[0], weight=F(3), ok=False)
     cases = [
         (replace(report, ignored_budget=-1), "0 servers below weight 1+t (budget -1)"),
@@ -215,6 +216,28 @@ def test_weight_report_failure_names_first_broken_rule():
     for broken, reason in cases:
         assert broken.failure == reason
         assert not broken.passed
+    # the same three planted in the ledger's ints, which the report and the
+    # suite's verdict read through one pass rule: reference server 0 holds
+    # 2·full ints, weight 2·(1+t) = 3 at t = 1/2, and the item total is one
+    # int off
+    real = analysis._weight_ledger
+
+    def over(t, full, unit, ff, short, opt, totals):
+        (server_id, _, cap, _), *rest = opt
+        return t, full, unit, ff, short, [(server_id, 2 * full, cap, False), *rest], totals
+
+    def unbalanced(t, full, unit, ff, short, opt, totals):
+        ff_total, opt_total, item_total = totals
+        return t, full, unit, ff, short, opt, (ff_total, opt_total, item_total + 1)
+
+    for plant, reason in zip((None, over, unbalanced), (reason for _, reason in cases)):
+        with monkeypatch.context() as patch:
+            if plant is None:
+                patch.setattr(analysis, "IGNORED_BUDGET", -1)
+            else:
+                patch.setattr(analysis, "_weight_ledger", lambda *args: plant(*real(*args)))
+            assert verify_weights(trace, cert).failure == reason
+            assert analysis._weight_verdict(trace, cert) == reason
 
 
 def test_verify_weights_on_sampled_instances():
@@ -445,8 +468,11 @@ def test_default_weights_sampling_is_pinned(monkeypatch, trial_reads):
     assert digest.hexdigest() == (
         "3c35816df7903121c803a4e526f0fc8d94daca6d51e19682b663e0fed9af5af8"
     )
-    # one trial read per attempt: salt 0, lane 0's first block, holds the job count
+    # one trial read per attempt: salt 0, lane 0's first block, holds the job
+    # count, and salt 1 the draws; a reader that read ahead or again shows here
     assert sum(salt == 0 for _, salt in trial_reads) == 18_314
+    assert len(trial_reads) == 36_628
+    assert {salt for _, salt in trial_reads} == {0, 1}
 
 
 def test_default_strict_ff_2_seeds_each_trial_once(trial_reads):
@@ -454,6 +480,7 @@ def test_default_strict_ff_2_seeds_each_trial_once(trial_reads):
     assert analysis.suite_strict_ff_2().passed
     made = [seed for seed, salt in trial_reads if salt == 0]
     assert made == [7 * 1_000_003 + trial for trial in range(500)]
+    assert len(trial_reads) == 1_000
 
 
 def test_default_nextfit_2t_seeds_each_trial_once(trial_reads):
@@ -461,6 +488,7 @@ def test_default_nextfit_2t_seeds_each_trial_once(trial_reads):
     assert analysis.suite_nextfit_2t().passed
     made = [seed for seed, salt in trial_reads if salt == 0]
     assert made == [20240601 * 1_000_003 + trial for trial in range(500)]
+    assert len(trial_reads) == 1_145
 
 
 def test_nextfit_2t_refuses_profiles_of_unequal_length(monkeypatch):

@@ -42,10 +42,13 @@ suites' layouts on their own trial seeds, wide counts, grids and seeds,
 blocks cut to as few as one unit, and lane 1 read past block 100; and on
 generated seeds, layouts and cuts.  The count and the first size are
 independent on each suite's layout.  The sampler's reference builds every
-draw and runs first_fit on it.  The weight ledger and classify_servers sum
-lattice ints, as server_type_partition does; their references sum each
-server's Fraction weights or sizes, take t explicitly and check that it is
-the trace's latest start, which the ledgers read as t.
+draw and runs first_fit on it, and its one-pass test of a draw is checked
+against the two-pass test it replaced.  The weight ledger and
+classify_servers sum lattice ints, as server_type_partition does; their
+references sum each server's Fraction weights or sizes, take t explicitly
+and check that it is the trace's latest start, which the ledgers read as
+t.  The weights suite's verdict on the ledger's ints is the failure of the
+full report.
 """
 
 import heapq
@@ -291,6 +294,58 @@ def reference_find_uniform(t, seed):
         ):
             return instance, cand_seed
     raise RuntimeError("no uniform-server instance found")
+
+
+def reference_uniform_first_fit(draws, capacity):
+    """Whether FirstFit rents every server over [0, 1+t], in two passes over
+    the draws: the time-0 sizes, then the time-t sizes, into the same loads."""
+    loads = []
+    topped = []
+    for late in (0, 1):
+        for size, key in draws:
+            if key != late:
+                continue
+            for i, load in enumerate(loads):
+                if load + size <= capacity:
+                    loads[i] += size
+                    topped[i] |= late
+                    break
+            else:
+                if late:
+                    return False
+                loads.append(size)
+                topped.append(0)
+    return bool(loads) and all(topped)
+
+
+def first_fit_bins(sizes, capacity):
+    """How many bins FirstFit opens for ``sizes``, packed in order."""
+    loads = []
+    for size in sizes:
+        for i, load in enumerate(loads):
+            if load + size <= capacity:
+                loads[i] += size
+                break
+        else:
+            loads.append(size)
+    return len(loads)
+
+
+def refusal_rule(draws, capacity):
+    """None when the two-pass reference accepts ``draws``, else the first rule
+    that refuses them, in the order the one-pass test applies its rules."""
+    if reference_uniform_first_fit(draws, capacity):
+        return None
+    early = [size for size, key in draws if not key]
+    late = [size for size, key in draws if key]
+    servers = first_fit_bins(early, capacity)
+    if not servers:
+        return "no time-0 draw"
+    if len(late) < servers:
+        return "fewer time-t draws than servers"
+    if first_fit_bins(early + late, capacity) > servers:
+        return "a time-t draw opens a server"
+    return "a server left untopped"
 
 
 def reference_verify_weights(trace, opt_schedule, t):
@@ -1386,6 +1441,46 @@ def test_uniform_sampler_matches_fraction_reference():
         assert trace == reference_place(instance, keep_earlier=True)
 
 
+def test_one_pass_uniform_test_matches_two_passes_on_default_candidates(monkeypatch):
+    # every candidate of the default weights run; the rules that the two-pass
+    # reference's refusals are classified by show each refusal path reached
+    real, rules = analysis._uniform_first_fit, Counter()
+
+    def checking(draws, capacity):
+        accepted = real(draws, capacity)
+        assert accepted == reference_uniform_first_fit(draws, capacity), draws
+        rules[refusal_rule(draws, capacity)] += 1
+        return accepted
+
+    monkeypatch.setattr(analysis, "_uniform_first_fit", checking)
+    for trial in range(200):
+        t = _WEIGHT_T_VALUES[trial % len(_WEIGHT_T_VALUES)]
+        find_uniform_two_arrival(t, 104729 * 1_000_003 + trial * 10_007)
+    assert rules == {
+        None: 200,
+        "no time-0 draw": 426,
+        "fewer time-t draws than servers": 4_688,
+        "a time-t draw opens a server": 12_807,
+        "a server left untopped": 193,
+    }
+
+
+def test_one_pass_uniform_test_matches_two_passes_on_generated_draws():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    draws = st.integers(1, 16).flatmap(lambda capacity: st.tuples(
+        st.lists(st.tuples(st.integers(1, capacity), st.integers(0, 1)), max_size=12),
+        st.just(capacity),
+    ))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(draws)
+    def check(case):
+        assert analysis._uniform_first_fit(*case) == reference_uniform_first_fit(*case)
+
+    check()
+
+
 def test_uniform_sampler_refuses_t_before_drawing():
     with pytest.raises(
         ValueError, match="second arrival t must lie strictly between 0 and 1"
@@ -1717,20 +1812,23 @@ def check_int_weights(instance, t):
 
 def test_weight_ledger_matches_reference_on_default_cases(monkeypatch):
     # ggu(6, 1/2) and the 200 sampled cases of the default weights run, each
-    # at its latest start, which the ledgers read as t
+    # at its latest start, which the ledgers read as t; the suite's verdict,
+    # decided on ints, is the failure of the full report
     cases = []
-    real = analysis.verify_weights
+    real = analysis._weight_verdict
 
     def checking(trace, reference):
-        report = real(trace, reference)
+        verdict = real(trace, reference)
         t = max(jb.start for jb in trace.schedule.instance.jobs)
+        report = verify_weights(trace, reference)
         assert report == reference_verify_weights(trace, reference, t)
+        assert verdict == report.failure
         assert classify_servers(trace) == reference_classify_servers(trace, t)
         check_int_weights(trace.schedule.instance, t)
         cases.append(t)
-        return report
+        return verdict
 
-    monkeypatch.setattr(analysis, "verify_weights", checking)
+    monkeypatch.setattr(analysis, "_weight_verdict", checking)
     assert analysis.suite_weights().passed
     assert len(cases) == 201
 

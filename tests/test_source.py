@@ -138,6 +138,52 @@ def test_modules_draw_only_through_the_block_reader():
     assert found == {}
 
 
+def statements_reading(source: str, names) -> list[str]:
+    """The module-level statements that read one of ``names`` (as
+    ``names_read`` counts a read), each by what it defines: a function or
+    class name, the names it assigns, ``import`` (``import as x`` where it
+    renames), or else its line."""
+    found = []
+    for node in ast.parse(source).body:
+        if not names_read(node) & names:
+            continue
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append(node.name)
+        elif isinstance(node, ast.Assign):
+            found += [leaf.id for target in node.targets for leaf in ast.walk(target)
+                      if isinstance(leaf, ast.Name)]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [f"import as {alias.asname}" if alias.asname else "import"
+                      for alias in node.names]
+        else:
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_blocks_are_hashed_only_in_the_block_reader():
+    # blake2b is called only to salt the states that generators._units
+    # copies, and they are read only there, the seam that the trial_reads
+    # fixture records, so no read path goes around it
+    source = (
+        "from _blake2 import blake2b\nfrom _blake2 import blake2b as b2\n"
+        "STATES = (blake2b(),)\n"
+        "def f(x):\n    return STATES[0].copy(), b2(x)\n"
+        "class C:\n    h = staticmethod(blake2b)\n"
+        "blake2b(b'')\n"
+    )
+    assert statements_reading(source, {"blake2b", "STATES"}) == [
+        "import", "import as b2", "STATES", "f", "C", "line 8",
+    ]
+    found = {
+        path.stem: hits
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for hits in [statements_reading(path.read_text(),
+                                        {"blake2b", "_SaltedStates", "_SALTED"})]
+        if hits
+    }
+    assert found == {"generators": ["import", "_SaltedStates", "_SALTED", "_units"]}
+
+
 def test_import_loads_neither_hashlib_nor_random():
     # the trial reader needs _blake2 alone: hashlib would load OpenSSL, about
     # 3.6 MiB of resident memory, and random is left unused; -S keeps out
